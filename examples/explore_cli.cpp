@@ -37,7 +37,7 @@ main(int argc, char **argv)
     core::StreamProcessorDesign d({c, n});
     auto area = d.area();
     std::printf("Stream processor C=%d N=%d (%d ALUs) at %s\n", c, n,
-                c * n, d.tech().name);
+                c * n, d.tech().name.c_str());
     std::printf("  area   %.1f mm^2 (SRF %.0f%%, clusters %.0f%%, "
                 "uc %.0f%%, switch %.0f%%)\n",
                 d.areaMm2(), 100 * area.srf / area.total(),

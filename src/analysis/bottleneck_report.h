@@ -29,6 +29,8 @@
 
 #include <cstdint>
 
+#include "common/fields.h"
+
 namespace sps::analysis {
 
 /** The stall-attribution waterfall of one run. */
@@ -86,6 +88,19 @@ struct BottleneckReport
         return t > 0 ? static_cast<double>(part) / t : 0.0;
     }
 };
+
+template <FieldsOf<BottleneckReport> S, typename F>
+void
+forEachField(S &b, F &&f)
+{
+    f("valid", b.valid);
+    f("kernel_bound_cycles", b.kernelBoundCycles);
+    f("memory_bound_cycles", b.memoryBoundCycles);
+    f("dependence_cycles", b.dependenceCycles);
+    f("scoreboard_cycles", b.scoreboardCycles);
+    f("host_issue_cycles", b.hostIssueCycles);
+    f("idle_cycles", b.idleCycles);
+}
 
 } // namespace sps::analysis
 

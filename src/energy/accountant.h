@@ -33,6 +33,7 @@
 #ifndef SPS_ENERGY_ACCOUNTANT_H
 #define SPS_ENERGY_ACCOUNTANT_H
 
+#include "common/fields.h"
 #include "energy/energy_report.h"
 #include "sim/stats.h"
 #include "trace/tracer.h"
@@ -59,6 +60,15 @@ struct DramEnergyParams
     double channelBusyEnergyEw = 1.0e6;
 };
 
+template <FieldsOf<DramEnergyParams> S, typename F>
+void
+forEachField(S &d, F &&f)
+{
+    f("row_hit_energy_ew", d.rowHitEnergyEw);
+    f("row_miss_energy_ew", d.rowMissEnergyEw);
+    f("channel_busy_energy_ew", d.channelBusyEnergyEw);
+}
+
 /** Accountant configuration. */
 struct AccountantConfig
 {
@@ -70,6 +80,14 @@ struct AccountantConfig
     double idleFraction = 0.05;
     DramEnergyParams dram;
 };
+
+template <FieldsOf<AccountantConfig> S, typename F>
+void
+forEachField(S &a, F &&f)
+{
+    f("idle_fraction", a.idleFraction);
+    f("dram", a.dram);
+}
 
 /** Per-activity energy rates derived from the cost model (Ew). */
 struct EnergyRates

@@ -25,6 +25,8 @@
 
 #include <cstdint>
 
+#include "common/fields.h"
+
 namespace sps::energy {
 
 /** One component's energy split into dynamic and idle/clock terms. */
@@ -37,6 +39,14 @@ struct ComponentEnergy
 
     double totalEw() const { return dynamicEw + idleEw; }
 };
+
+template <FieldsOf<ComponentEnergy> S, typename F>
+void
+forEachField(S &c, F &&f)
+{
+    f("dyn_ew", c.dynamicEw);
+    f("idle_ew", c.idleEw);
+}
 
 /** Per-component energy breakdown of one simulated run. */
 struct EnergyReport
@@ -130,6 +140,23 @@ struct EnergyReport
         return totalJoules() / seconds;
     }
 };
+
+template <FieldsOf<EnergyReport> S, typename F>
+void
+forEachField(S &e, F &&f)
+{
+    f("valid", e.valid);
+    f("srf", e.srf);
+    f("clusters", e.clusters);
+    f("uc", e.microcontroller);
+    f("comm", e.interclusterComm);
+    f("dram", e.dram);
+    f("cycles", e.cycles);
+    f("alu_ops", e.aluOps);
+    f("output_words", e.outputWords);
+    f("ew_to_joules", e.ewToJoules);
+    f("clock_ghz", e.clockGHz);
+}
 
 } // namespace sps::energy
 

@@ -226,7 +226,7 @@ struct LoweredKernel
             return 0.0;
         if (fusible)
             return 1.0;
-        if (policy != FusionPolicy::Partial || !partiallyFusible())
+        if (!partiallyFusible())
             return 0.0;
         return 1.0 - static_cast<double>(coreEnd - coreBegin) /
                          static_cast<double>(body.size());

@@ -150,8 +150,6 @@ fusionPolicyName(FusionPolicy p)
     switch (p) {
       case FusionPolicy::Off:
         return "off";
-      case FusionPolicy::Full:
-        return "full";
       case FusionPolicy::Partial:
         return "partial";
     }
@@ -161,8 +159,7 @@ fusionPolicyName(FusionPolicy p)
 bool
 parseFusionPolicy(std::string_view name, FusionPolicy *out)
 {
-    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Full,
-                           FusionPolicy::Partial}) {
+    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Partial}) {
         if (name == fusionPolicyName(p)) {
             *out = p;
             return true;

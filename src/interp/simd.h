@@ -81,15 +81,12 @@ enum class FusionPolicy : uint8_t
 {
     /** No megastrip fusion: every strip runs at width C. */
     Off = 0,
-    /** All-or-nothing fusion only: bodies with any loop-carried op
-     *  run entirely unfused (the pre-partial behaviour). */
-    Full = 1,
     /** Full fusion plus partial (prefix/suffix) fusion around the
      *  loop-carried serial core (the default). */
-    Partial = 2,
+    Partial = 1,
 };
 
-/** Stable lower-case name ("off", "full", "partial"). */
+/** Stable lower-case name ("off", "partial"). */
 const char *fusionPolicyName(FusionPolicy p);
 
 /** Parse a policy name (case-sensitive, as in fusionPolicyName).

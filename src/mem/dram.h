@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace sps::mem {
 
 /** Timing parameters of one DRAM channel (cycles at the core clock). */
@@ -27,6 +29,17 @@ struct DramTiming
     /** Words per row. */
     int rowWords = 512;
 };
+
+template <FieldsOf<DramTiming> S, typename F>
+void
+forEachField(S &t, F &&f)
+{
+    f("t_ras", t.tRas);
+    f("t_pre", t.tPre);
+    f("t_col", t.tCol);
+    f("banks", t.banks);
+    f("row_words", t.rowWords);
+}
 
 /** One memory request: a word address (word granularity). */
 struct MemRequest

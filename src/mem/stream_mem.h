@@ -55,6 +55,18 @@ struct StreamMemConfig
     static StreamMemConfig fortyFiveNm() { return StreamMemConfig{}; }
 };
 
+template <FieldsOf<StreamMemConfig> S, typename F>
+void
+forEachField(S &m, F &&f)
+{
+    f("channels", m.channels);
+    f("peak_words_per_cycle", m.peakWordsPerCycle);
+    f("latency_cycles", m.latencyCycles);
+    f("timing", m.timing);
+    f("sched_window", m.schedWindow);
+    f("sched_max_bypass", m.schedMaxBypass);
+}
+
 /** One stream transfer, as submitted by the stream controller. */
 struct TransferDesc
 {

@@ -9,6 +9,7 @@
 #ifndef SPS_SCHED_KERNEL_PERF_H
 #define SPS_SCHED_KERNEL_PERF_H
 
+#include "common/fields.h"
 #include "kernel/census.h"
 #include "kernel/ir.h"
 #include "sched/machine.h"
@@ -63,6 +64,25 @@ struct CompiledKernel
      */
     int64_t loopCycles(int64_t iterations) const;
 };
+
+template <FieldsOf<CompiledKernel> S, typename F>
+void
+forEachField(S &ck, F &&f)
+{
+    f("unroll", ck.unroll);
+    f("ii", ck.ii);
+    f("stages", ck.stages);
+    f("length", ck.length);
+    f("list_length", ck.listLength);
+    f("ii1", ck.ii1);
+    f("stages1", ck.stages1);
+    f("length1", ck.length1);
+    f("alu_ops_per_iteration", ck.aluOpsPerIteration);
+    f("gops_ops_per_iteration", ck.gopsOpsPerIteration);
+    f("comm_ops_per_iteration", ck.commOpsPerIteration);
+    f("sp_ops_per_iteration", ck.spOpsPerIteration);
+    f("srf_accesses_per_iteration", ck.srfAccessesPerIteration);
+}
 
 /** Options for kernel compilation. */
 struct CompileOptions

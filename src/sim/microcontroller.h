@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "common/fields.h"
 #include "sched/kernel_perf.h"
 #include "trace/tracer.h"
 
@@ -31,6 +32,14 @@ struct UcConfig
      */
     int loadCyclesPerInstruction = 0;
 };
+
+template <FieldsOf<UcConfig> S, typename F>
+void
+forEachField(S &u, F &&f)
+{
+    f("pipe_fill_cycles", u.pipeFillCycles);
+    f("load_cycles_per_instruction", u.loadCyclesPerInstruction);
+}
 
 /**
  * Kernel-call timing: tracks which kernels are already resident in

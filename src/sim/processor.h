@@ -43,6 +43,22 @@ struct SimConfig
     energy::AccountantConfig energyConfig;
 };
 
+/** Field table (common/fields.h): the store key (svc::simConfigHash)
+ *  and the protocol's config override both walk it. */
+template <FieldsOf<SimConfig> S, typename F>
+void
+forEachField(S &c, F &&f)
+{
+    f("size", c.size);
+    f("params", c.params);
+    f("tech", c.tech);
+    f("mem_config", c.memConfig);
+    f("uc_config", c.ucConfig);
+    f("host_issue_cycles", c.hostIssueCycles);
+    f("scoreboard_depth", c.scoreboardDepth);
+    f("energy_config", c.energyConfig);
+}
+
 /**
  * A configured stream processor: compiles kernels on first use
  * (through the shared schedule cache, so the simulator and the

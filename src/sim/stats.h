@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/bottleneck_report.h"
+#include "common/fields.h"
 #include "energy/energy_report.h"
 
 namespace sps::sim {
@@ -47,6 +48,21 @@ struct OpInterval
     /** Cycle all dependences had completed (>= issueEnd). */
     int64_t readyCycle = 0;
 };
+
+template <FieldsOf<OpInterval> S, typename F>
+void
+forEachField(S &iv, F &&f)
+{
+    f("start", iv.start);
+    f("end", iv.end);
+    f("label", iv.label);
+    f("op_id", iv.opId);
+    f("kind", iv.kind);
+    f("sb_wait_start", iv.sbWaitStart);
+    f("issue_start", iv.issueStart);
+    f("issue_end", iv.issueEnd);
+    f("ready_cycle", iv.readyCycle);
+}
 
 /**
  * Hardware counters of one simulation. Event counts are exact
@@ -127,6 +143,43 @@ struct SimCounters
     /** Pin-busy cycles per memory channel over the run. */
     std::vector<int64_t> dramChannelBusyCycles;
 };
+
+/** Field table (common/fields.h); the names are counters-CSV columns. */
+template <FieldsOf<SimCounters> S, typename F>
+void
+forEachField(S &c, F &&f)
+{
+    f("kernel_only_cycles", c.kernelOnlyCycles);
+    f("mem_only_cycles", c.memOnlyCycles);
+    f("overlap_cycles", c.overlapCycles);
+    f("idle_cycles", c.idleCycles);
+    f("kernel_calls", c.kernelCalls);
+    f("loads", c.loads);
+    f("stores", c.stores);
+    f("host_issue_busy_cycles", c.hostIssueBusyCycles);
+    f("scoreboard_stall_cycles", c.scoreboardStallCycles);
+    f("dep_stall_cycles", c.depStallCycles);
+    f("mem_pipe_stall_cycles", c.memPipeStallCycles);
+    f("uc_pipe_stall_cycles", c.ucPipeStallCycles);
+    f("uc_overhead_cycles", c.ucOverheadCycles);
+    f("alu_issue_slots", c.aluIssueSlots);
+    f("kernel_alu_slots", c.kernelAluSlots);
+    f("cluster_fu_ops", c.clusterFuOps);
+    f("cluster_sp_ops", c.clusterSpOps);
+    f("inter_comm_words", c.interCommWords);
+    f("srf_read_words", c.srfReadWords);
+    f("srf_write_words", c.srfWriteWords);
+    f("mem_store_words", c.memStoreWords);
+    f("srf_bw_stall_cycles", c.srfBwStallCycles);
+    f("dram_accesses", c.dramAccesses);
+    f("dram_row_hits", c.dramRowHits);
+    f("dram_row_misses", c.dramRowMisses);
+    f("dram_bank_conflicts", c.dramBankConflicts);
+    f("dram_reorder_sum", c.dramReorderSum);
+    f("dram_reorder_max", c.dramReorderMax);
+    f("mem_alias_stall_cycles", c.memAliasStallCycles);
+    f("dram_channel_busy_cycles", c.dramChannelBusyCycles);
+}
 
 /** Results of one simulation. */
 struct SimResult
@@ -257,6 +310,23 @@ struct SimResult
                    : 0.0;
     }
 };
+
+template <FieldsOf<SimResult> S, typename F>
+void
+forEachField(S &r, F &&f)
+{
+    f("cycles", r.cycles);
+    f("alu_ops", r.aluOps);
+    f("gops_ops", r.gopsOps);
+    f("mem_words", r.memWords);
+    f("mem_busy_cycles", r.memBusy);
+    f("uc_busy_cycles", r.ucBusy);
+    f("srf_high_water_words", r.srfHighWater);
+    f("timeline", r.timeline);
+    f("counters", r.counters);
+    f("energy", r.energy);
+    f("bottleneck", r.bottleneck);
+}
 
 } // namespace sps::sim
 

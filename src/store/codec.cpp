@@ -15,196 +15,10 @@ fnv1aBytes(const uint8_t *data, size_t n)
     return h;
 }
 
-namespace {
-
-// Guard against decoding a hostile length prefix into an allocation:
-// no real timeline or channel list comes close to this.
-constexpr uint64_t kMaxVectorElems = 1u << 28;
-
-void
-putInterval(const sim::OpInterval &iv, ByteWriter *w)
-{
-    w->i64(iv.start);
-    w->i64(iv.end);
-    w->str(iv.label);
-    w->i32(iv.opId);
-    w->u8(static_cast<uint8_t>(iv.kind));
-    w->i64(iv.sbWaitStart);
-    w->i64(iv.issueStart);
-    w->i64(iv.issueEnd);
-    w->i64(iv.readyCycle);
-}
-
-bool
-getInterval(ByteReader *r, sim::OpInterval *iv)
-{
-    uint8_t kind = 0;
-    bool ok = r->i64(&iv->start) && r->i64(&iv->end) &&
-              r->str(&iv->label) && r->i32(&iv->opId) && r->u8(&kind) &&
-              r->i64(&iv->sbWaitStart) && r->i64(&iv->issueStart) &&
-              r->i64(&iv->issueEnd) && r->i64(&iv->readyCycle);
-    if (!ok || kind > static_cast<uint8_t>(sim::OpClass::Other))
-        return false;
-    iv->kind = static_cast<sim::OpClass>(kind);
-    return true;
-}
-
-void
-putCounters(const sim::SimCounters &c, ByteWriter *w)
-{
-    w->i64(c.kernelOnlyCycles);
-    w->i64(c.memOnlyCycles);
-    w->i64(c.overlapCycles);
-    w->i64(c.idleCycles);
-    w->i64(c.kernelCalls);
-    w->i64(c.loads);
-    w->i64(c.stores);
-    w->i64(c.hostIssueBusyCycles);
-    w->i64(c.scoreboardStallCycles);
-    w->i64(c.depStallCycles);
-    w->i64(c.memPipeStallCycles);
-    w->i64(c.ucPipeStallCycles);
-    w->i64(c.ucOverheadCycles);
-    w->i64(c.aluIssueSlots);
-    w->i64(c.kernelAluSlots);
-    w->i64(c.clusterFuOps);
-    w->i64(c.clusterSpOps);
-    w->i64(c.interCommWords);
-    w->i64(c.srfReadWords);
-    w->i64(c.srfWriteWords);
-    w->i64(c.memStoreWords);
-    w->i64(c.srfBwStallCycles);
-    w->i64(c.dramAccesses);
-    w->i64(c.dramRowHits);
-    w->i64(c.dramRowMisses);
-    w->i64(c.dramBankConflicts);
-    w->i64(c.dramReorderSum);
-    w->i64(c.dramReorderMax);
-    w->i64(c.memAliasStallCycles);
-    w->u64(c.dramChannelBusyCycles.size());
-    for (int64_t v : c.dramChannelBusyCycles)
-        w->i64(v);
-}
-
-bool
-getCounters(ByteReader *r, sim::SimCounters *c)
-{
-    bool ok =
-        r->i64(&c->kernelOnlyCycles) && r->i64(&c->memOnlyCycles) &&
-        r->i64(&c->overlapCycles) && r->i64(&c->idleCycles) &&
-        r->i64(&c->kernelCalls) && r->i64(&c->loads) &&
-        r->i64(&c->stores) && r->i64(&c->hostIssueBusyCycles) &&
-        r->i64(&c->scoreboardStallCycles) && r->i64(&c->depStallCycles) &&
-        r->i64(&c->memPipeStallCycles) && r->i64(&c->ucPipeStallCycles) &&
-        r->i64(&c->ucOverheadCycles) && r->i64(&c->aluIssueSlots) &&
-        r->i64(&c->kernelAluSlots) && r->i64(&c->clusterFuOps) &&
-        r->i64(&c->clusterSpOps) && r->i64(&c->interCommWords) &&
-        r->i64(&c->srfReadWords) && r->i64(&c->srfWriteWords) &&
-        r->i64(&c->memStoreWords) && r->i64(&c->srfBwStallCycles) &&
-        r->i64(&c->dramAccesses) && r->i64(&c->dramRowHits) &&
-        r->i64(&c->dramRowMisses) && r->i64(&c->dramBankConflicts) &&
-        r->i64(&c->dramReorderSum) && r->i64(&c->dramReorderMax) &&
-        r->i64(&c->memAliasStallCycles);
-    if (!ok)
-        return false;
-    uint64_t n = 0;
-    if (!r->u64(&n) || n > kMaxVectorElems)
-        return false;
-    c->dramChannelBusyCycles.resize(static_cast<size_t>(n));
-    for (auto &v : c->dramChannelBusyCycles)
-        if (!r->i64(&v))
-            return false;
-    return true;
-}
-
-void
-putComponent(const energy::ComponentEnergy &c, ByteWriter *w)
-{
-    w->f64(c.dynamicEw);
-    w->f64(c.idleEw);
-}
-
-bool
-getComponent(ByteReader *r, energy::ComponentEnergy *c)
-{
-    return r->f64(&c->dynamicEw) && r->f64(&c->idleEw);
-}
-
-void
-putEnergy(const energy::EnergyReport &e, ByteWriter *w)
-{
-    w->u8(e.valid ? 1 : 0);
-    putComponent(e.srf, w);
-    putComponent(e.clusters, w);
-    putComponent(e.microcontroller, w);
-    putComponent(e.interclusterComm, w);
-    putComponent(e.dram, w);
-    w->i64(e.cycles);
-    w->i64(e.aluOps);
-    w->i64(e.outputWords);
-    w->f64(e.ewToJoules);
-    w->f64(e.clockGHz);
-}
-
-bool
-getEnergy(ByteReader *r, energy::EnergyReport *e)
-{
-    uint8_t valid = 0;
-    bool ok = r->u8(&valid) && valid <= 1 &&
-              getComponent(r, &e->srf) && getComponent(r, &e->clusters) &&
-              getComponent(r, &e->microcontroller) &&
-              getComponent(r, &e->interclusterComm) &&
-              getComponent(r, &e->dram) && r->i64(&e->cycles) &&
-              r->i64(&e->aluOps) && r->i64(&e->outputWords) &&
-              r->f64(&e->ewToJoules) && r->f64(&e->clockGHz);
-    e->valid = valid != 0;
-    return ok;
-}
-
-void
-putBottleneck(const analysis::BottleneckReport &b, ByteWriter *w)
-{
-    w->u8(b.valid ? 1 : 0);
-    w->i64(b.kernelBoundCycles);
-    w->i64(b.memoryBoundCycles);
-    w->i64(b.dependenceCycles);
-    w->i64(b.scoreboardCycles);
-    w->i64(b.hostIssueCycles);
-    w->i64(b.idleCycles);
-}
-
-bool
-getBottleneck(ByteReader *r, analysis::BottleneckReport *b)
-{
-    uint8_t valid = 0;
-    bool ok = r->u8(&valid) && valid <= 1 &&
-              r->i64(&b->kernelBoundCycles) &&
-              r->i64(&b->memoryBoundCycles) &&
-              r->i64(&b->dependenceCycles) &&
-              r->i64(&b->scoreboardCycles) &&
-              r->i64(&b->hostIssueCycles) && r->i64(&b->idleCycles);
-    b->valid = valid != 0;
-    return ok;
-}
-
-} // namespace
-
 void
 encodeCompiledKernel(const sched::CompiledKernel &ck, ByteWriter *w)
 {
-    w->i32(ck.unroll);
-    w->i32(ck.ii);
-    w->i32(ck.stages);
-    w->i32(ck.length);
-    w->i32(ck.listLength);
-    w->i32(ck.ii1);
-    w->i32(ck.stages1);
-    w->i32(ck.length1);
-    w->i32(ck.aluOpsPerIteration);
-    w->f64(ck.gopsOpsPerIteration);
-    w->i32(ck.commOpsPerIteration);
-    w->i32(ck.spOpsPerIteration);
-    w->i32(ck.srfAccessesPerIteration);
+    encodeValue(ck, w);
 }
 
 bool
@@ -213,58 +27,26 @@ decodeCompiledKernel(const std::vector<uint8_t> &bytes,
 {
     ByteReader r(bytes);
     sched::CompiledKernel ck;
-    bool ok = r.i32(&ck.unroll) && r.i32(&ck.ii) && r.i32(&ck.stages) &&
-              r.i32(&ck.length) && r.i32(&ck.listLength) &&
-              r.i32(&ck.ii1) && r.i32(&ck.stages1) &&
-              r.i32(&ck.length1) && r.i32(&ck.aluOpsPerIteration) &&
-              r.f64(&ck.gopsOpsPerIteration) &&
-              r.i32(&ck.commOpsPerIteration) &&
-              r.i32(&ck.spOpsPerIteration) &&
-              r.i32(&ck.srfAccessesPerIteration);
-    if (!ok || !r.done())
+    if (!decodeValue(&r, &ck) || !r.done())
         return false;
     *out = ck;
     return true;
 }
 
-void
+// Flattened so the field-table walk inlines into one straight-line
+// codec: a daemon encodes a full result on every reply.
+[[gnu::flatten]] void
 encodeSimResult(const sim::SimResult &res, ByteWriter *w)
 {
-    w->i64(res.cycles);
-    w->i64(res.aluOps);
-    w->f64(res.gopsOps);
-    w->i64(res.memWords);
-    w->i64(res.memBusy);
-    w->i64(res.ucBusy);
-    w->i64(res.srfHighWater);
-    w->u64(res.timeline.size());
-    for (const sim::OpInterval &iv : res.timeline)
-        putInterval(iv, w);
-    putCounters(res.counters, w);
-    putEnergy(res.energy, w);
-    putBottleneck(res.bottleneck, w);
+    encodeValue(res, w);
 }
 
-bool
+[[gnu::flatten]] bool
 decodeSimResult(const std::vector<uint8_t> &bytes, sim::SimResult *out)
 {
     ByteReader r(bytes);
     sim::SimResult res;
-    bool ok = r.i64(&res.cycles) && r.i64(&res.aluOps) &&
-              r.f64(&res.gopsOps) && r.i64(&res.memWords) &&
-              r.i64(&res.memBusy) && r.i64(&res.ucBusy) &&
-              r.i64(&res.srfHighWater);
-    if (!ok)
-        return false;
-    uint64_t n = 0;
-    if (!r.u64(&n) || n > kMaxVectorElems)
-        return false;
-    res.timeline.resize(static_cast<size_t>(n));
-    for (auto &iv : res.timeline)
-        if (!getInterval(&r, &iv))
-            return false;
-    if (!getCounters(&r, &res.counters) || !getEnergy(&r, &res.energy) ||
-        !getBottleneck(&r, &res.bottleneck) || !r.done())
+    if (!decodeValue(&r, &res) || !r.done())
         return false;
     *out = std::move(res);
     return true;

@@ -7,13 +7,14 @@
  * IEEE-754 bit patterns so a decoded result is *bit-identical* to the
  * computed one (warm runs reproduce cold-run CSVs byte for byte).
  *
+ * Structs are encoded by walking their field tables (common/fields.h):
+ * each member's C++ type picks its encoding (encodeValue/decodeValue
+ * below), so the byte layout is the tables' order.
+ *
  * Every reader is bounds-checked: decoding a truncated or oversized
  * buffer fails cleanly (decode* returns false) instead of returning a
  * partially-filled result, so the store can treat any damaged entry
- * as a miss. kStoreSchemaVersion is stamped into every store entry
- * header; bump it whenever a field is added, removed, reordered, or
- * retyped in any codec below, which silently invalidates (misses) all
- * previously persisted entries.
+ * as a miss.
  */
 #ifndef SPS_STORE_CODEC_H
 #define SPS_STORE_CODEC_H
@@ -21,15 +22,23 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/fields.h"
 #include "sched/kernel_perf.h"
 #include "sim/stats.h"
 
 namespace sps::store {
 
 /**
- * Schema version of the serialized payloads. History:
+ * Schema version of the serialized payloads, stamped into every store
+ * entry header. The payload layout is the field tables of
+ * sched::CompiledKernel and sim::SimResult (and the structs nested in
+ * it): reordering or retyping a table entry is a schema change, and
+ * adding or removing one is too. Bump this with any of them; that
+ * silently invalidates (misses) all previously persisted entries.
+ * History:
  *  1 = initial format (CompiledKernel, SimResult with counters,
  *      energy report, bottleneck report, full timeline).
  */
@@ -197,7 +206,96 @@ class ByteReader
     bool ok_ = true;
 };
 
-// --- Typed codecs (field order is part of the schema version). ---
+// --- Field-table codec: each member's C++ type picks its encoding. ---
+
+/** Guard against decoding a hostile length prefix into an allocation:
+ *  no real timeline or channel list comes close to this. */
+inline constexpr uint64_t kMaxVectorElems = 1u << 28;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/**
+ * Append `v`: bool and sim::OpClass as one byte, int as i32, int64_t
+ * as i64, double as its raw bit pattern, string and vector as a u64
+ * length then the contents, and a struct as its field table in order.
+ */
+template <typename T>
+void
+encodeValue(const T &v, ByteWriter *w)
+{
+    if constexpr (std::is_same_v<T, bool> ||
+                  std::is_same_v<T, sim::OpClass>)
+        w->u8(static_cast<uint8_t>(v));
+    else if constexpr (std::is_same_v<T, int32_t>)
+        w->i32(v);
+    else if constexpr (std::is_same_v<T, int64_t>)
+        w->i64(v);
+    else if constexpr (std::is_same_v<T, double>)
+        w->f64(v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        w->str(v);
+    else if constexpr (kIsVector<T>) {
+        w->u64(v.size());
+        for (const auto &e : v)
+            encodeValue(e, w);
+    } else {
+        static_assert(HasFields<T>, "no encoding for this type");
+        forEachField(v, [w](const char *, const auto &m) {
+            encodeValue(m, w);
+        });
+    }
+}
+
+/**
+ * Read `*v` in encodeValue's layout. False on truncation, a bool byte
+ * above 1, an out-of-range OpClass, or a vector longer than
+ * kMaxVectorElems; `*v` is then partially written.
+ */
+template <typename T>
+bool
+decodeValue(ByteReader *r, T *v)
+{
+    if constexpr (std::is_same_v<T, bool> ||
+                  std::is_same_v<T, sim::OpClass>) {
+        constexpr int kMax = std::is_same_v<T, bool>
+                                 ? 1
+                                 : static_cast<int>(sim::OpClass::Other);
+        uint8_t b = 0;
+        if (!r->u8(&b) || b > kMax)
+            return false;
+        *v = static_cast<T>(b);
+        return true;
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+        return r->i32(v);
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+        return r->i64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        return r->f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return r->str(v);
+    } else if constexpr (kIsVector<T>) {
+        uint64_t n = 0;
+        if (!r->u64(&n) || n > kMaxVectorElems)
+            return false;
+        v->resize(static_cast<size_t>(n));
+        for (auto &e : *v)
+            if (!decodeValue(r, &e))
+                return false;
+        return true;
+    } else {
+        static_assert(HasFields<T>, "no encoding for this type");
+        bool ok = true;
+        forEachField(*v, [r, &ok](const char *, auto &m) {
+            ok = ok && decodeValue(r, &m);
+        });
+        return ok;
+    }
+}
+
+// --- Store payloads. ---
 
 void encodeCompiledKernel(const sched::CompiledKernel &ck,
                           ByteWriter *w);

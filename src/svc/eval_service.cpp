@@ -1,8 +1,9 @@
 #include "svc/eval_service.h"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/fnv.h"
@@ -13,59 +14,23 @@ namespace sps::svc {
 
 namespace {
 
+/** Mix `v` into the hash: every int as a sign-extended 64-bit word,
+ *  doubles as their bit patterns, strings length-prefixed, and a
+ *  struct as its field table in order. */
+template <typename T>
 void
-mixDouble(Fnv &f, double v)
+mixValue(Fnv &f, const T &v)
 {
-    uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    f.mix(bits);
-}
-
-void
-mixParams(Fnv &f, const vlsi::Params &p)
-{
-    for (double v :
-         {p.aSram, p.aSb, p.wAlu, p.wLrf, p.wSp, p.h, p.v0, p.tCyc,
-          p.tMux, p.eW, p.eAlu, p.eSram, p.eSb, p.eLrf, p.eSp, p.tMem,
-          p.gSrf, p.gSb, p.gComm, p.gSp, p.i0, p.iN, p.lC, p.lO, p.lN,
-          p.rM, p.rUc, p.kCommArea, p.kCommEnergy, p.kIntraEnergy,
-          p.kDistEnergy, p.xbarConnectivity})
-        mixDouble(f, v);
-    f.mix(static_cast<uint64_t>(p.b));
-}
-
-void
-mixTech(Fnv &f, const vlsi::Technology &t)
-{
-    f.mix(std::string(t.name));
-    for (double v : {t.trackPitchUm, t.fo4Ps, t.ewFj, t.clockFo4,
-                     t.memBwGBs, t.hostBwGBs})
-        mixDouble(f, v);
-}
-
-void
-mixMemConfig(Fnv &f, const mem::StreamMemConfig &m)
-{
-    f.mix(static_cast<uint64_t>(m.channels));
-    mixDouble(f, m.peakWordsPerCycle);
-    f.mix(static_cast<uint64_t>(m.latencyCycles));
-    f.mix(static_cast<uint64_t>(m.timing.tRas));
-    f.mix(static_cast<uint64_t>(m.timing.tPre));
-    f.mix(static_cast<uint64_t>(m.timing.tCol));
-    f.mix(static_cast<uint64_t>(m.timing.banks));
-    f.mix(static_cast<uint64_t>(m.timing.rowWords));
-    f.mix(static_cast<uint64_t>(m.schedWindow));
-    f.mix(static_cast<uint64_t>(m.schedMaxBypass));
-}
-
-void
-mixEnergyConfig(Fnv &f, const energy::AccountantConfig &e)
-{
-    mixDouble(f, e.idleFraction);
-    mixDouble(f, e.dram.rowHitEnergyEw);
-    mixDouble(f, e.dram.rowMissEnergyEw);
-    mixDouble(f, e.dram.channelBusyEnergyEw);
+    if constexpr (std::is_integral_v<T>)
+        f.mix(static_cast<uint64_t>(v));
+    else if constexpr (std::is_same_v<T, double>)
+        f.mix(std::bit_cast<uint64_t>(v));
+    else if constexpr (std::is_same_v<T, std::string>)
+        f.mix(v);
+    else
+        forEachField(v, [&f](const char *, const auto &m) {
+            mixValue(f, m);
+        });
 }
 
 } // namespace
@@ -74,16 +39,7 @@ uint64_t
 simConfigHash(const sim::SimConfig &cfg)
 {
     Fnv f;
-    f.mix(static_cast<uint64_t>(cfg.size.clusters));
-    f.mix(static_cast<uint64_t>(cfg.size.alusPerCluster));
-    mixParams(f, cfg.params);
-    mixTech(f, cfg.tech);
-    mixMemConfig(f, cfg.memConfig);
-    f.mix(static_cast<uint64_t>(cfg.ucConfig.pipeFillCycles));
-    f.mix(static_cast<uint64_t>(cfg.ucConfig.loadCyclesPerInstruction));
-    f.mix(static_cast<uint64_t>(cfg.hostIssueCycles));
-    f.mix(static_cast<uint64_t>(cfg.scoreboardDepth));
-    mixEnergyConfig(f, cfg.energyConfig);
+    mixValue(f, cfg);
     return f.h;
 }
 

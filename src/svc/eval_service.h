@@ -51,7 +51,8 @@ namespace sps::svc {
 /**
  * Hash of every sim::SimConfig field that shapes a simulation result
  * (machine size, Table-1 params, technology, memory system, host
- * interface, energy accounting). Part of the sim-result store key, so
+ * interface, energy accounting), walked through SimConfig's field
+ * table (common/fields.h). Part of the sim-result store key, so
  * results computed under different configurations never alias.
  */
 uint64_t simConfigHash(const sim::SimConfig &cfg);

@@ -1,9 +1,5 @@
 #include "svc/protocol.h"
 
-#include <array>
-#include <mutex>
-#include <unordered_set>
-
 #ifndef _WIN32
 #include <cerrno>
 #include <sys/socket.h>
@@ -86,41 +82,6 @@ parseFrameHeader(const uint8_t *header, FrameKind *kind,
     return true;
 }
 
-/** The vlsi::Params fields, in wire order (part of the protocol
- *  version; mirrors svc::simConfigHash's coverage). */
-constexpr std::array<double vlsi::Params::*, 32> kParamFields = {
-    &vlsi::Params::aSram,        &vlsi::Params::aSb,
-    &vlsi::Params::wAlu,         &vlsi::Params::wLrf,
-    &vlsi::Params::wSp,          &vlsi::Params::h,
-    &vlsi::Params::v0,           &vlsi::Params::tCyc,
-    &vlsi::Params::tMux,         &vlsi::Params::eW,
-    &vlsi::Params::eAlu,         &vlsi::Params::eSram,
-    &vlsi::Params::eSb,          &vlsi::Params::eLrf,
-    &vlsi::Params::eSp,          &vlsi::Params::tMem,
-    &vlsi::Params::gSrf,         &vlsi::Params::gSb,
-    &vlsi::Params::gComm,        &vlsi::Params::gSp,
-    &vlsi::Params::i0,           &vlsi::Params::iN,
-    &vlsi::Params::lC,           &vlsi::Params::lO,
-    &vlsi::Params::lN,           &vlsi::Params::rM,
-    &vlsi::Params::rUc,          &vlsi::Params::kCommArea,
-    &vlsi::Params::kCommEnergy,  &vlsi::Params::kIntraEnergy,
-    &vlsi::Params::kDistEnergy,  &vlsi::Params::xbarConnectivity,
-};
-
-/**
- * Technology::name is a `const char *`; a decoded name is interned
- * into process-lifetime storage (node-based set: c_str() pointers
- * stay valid across inserts) so the decoded struct can carry it.
- */
-const char *
-internTechName(const std::string &name)
-{
-    static std::mutex mu;
-    static std::unordered_set<std::string> names;
-    std::lock_guard<std::mutex> lock(mu);
-    return names.insert(name).first->c_str();
-}
-
 } // namespace
 
 void
@@ -155,95 +116,13 @@ decodeFrame(const std::vector<uint8_t> &bytes, Frame *out)
 }
 
 void
-encodeSimConfig(const sim::SimConfig &cfg, store::ByteWriter *w)
-{
-    w->i32(cfg.size.clusters);
-    w->i32(cfg.size.alusPerCluster);
-    for (auto field : kParamFields)
-        w->f64(cfg.params.*field);
-    w->i32(cfg.params.b);
-    w->str(cfg.tech.name);
-    w->f64(cfg.tech.trackPitchUm);
-    w->f64(cfg.tech.fo4Ps);
-    w->f64(cfg.tech.ewFj);
-    w->f64(cfg.tech.clockFo4);
-    w->f64(cfg.tech.memBwGBs);
-    w->f64(cfg.tech.hostBwGBs);
-    w->i32(cfg.memConfig.channels);
-    w->f64(cfg.memConfig.peakWordsPerCycle);
-    w->i32(cfg.memConfig.latencyCycles);
-    w->i32(cfg.memConfig.timing.tRas);
-    w->i32(cfg.memConfig.timing.tPre);
-    w->i32(cfg.memConfig.timing.tCol);
-    w->i32(cfg.memConfig.timing.banks);
-    w->i32(cfg.memConfig.timing.rowWords);
-    w->i32(cfg.memConfig.schedWindow);
-    w->i32(cfg.memConfig.schedMaxBypass);
-    w->i32(cfg.ucConfig.pipeFillCycles);
-    w->i32(cfg.ucConfig.loadCyclesPerInstruction);
-    w->i32(cfg.hostIssueCycles);
-    w->i32(cfg.scoreboardDepth);
-    w->f64(cfg.energyConfig.idleFraction);
-    w->f64(cfg.energyConfig.dram.rowHitEnergyEw);
-    w->f64(cfg.energyConfig.dram.rowMissEnergyEw);
-    w->f64(cfg.energyConfig.dram.channelBusyEnergyEw);
-}
-
-bool
-decodeSimConfig(store::ByteReader *r, sim::SimConfig *out)
-{
-    sim::SimConfig cfg;
-    if (!r->i32(&cfg.size.clusters) ||
-        !r->i32(&cfg.size.alusPerCluster))
-        return false;
-    for (auto field : kParamFields)
-        if (!r->f64(&(cfg.params.*field)))
-            return false;
-    if (!r->i32(&cfg.params.b))
-        return false;
-    std::string name;
-    if (!r->str(&name))
-        return false;
-    cfg.tech.name = internTechName(name);
-    if (!r->f64(&cfg.tech.trackPitchUm) || !r->f64(&cfg.tech.fo4Ps) ||
-        !r->f64(&cfg.tech.ewFj) || !r->f64(&cfg.tech.clockFo4) ||
-        !r->f64(&cfg.tech.memBwGBs) || !r->f64(&cfg.tech.hostBwGBs))
-        return false;
-    if (!r->i32(&cfg.memConfig.channels) ||
-        !r->f64(&cfg.memConfig.peakWordsPerCycle) ||
-        !r->i32(&cfg.memConfig.latencyCycles) ||
-        !r->i32(&cfg.memConfig.timing.tRas) ||
-        !r->i32(&cfg.memConfig.timing.tPre) ||
-        !r->i32(&cfg.memConfig.timing.tCol) ||
-        !r->i32(&cfg.memConfig.timing.banks) ||
-        !r->i32(&cfg.memConfig.timing.rowWords) ||
-        !r->i32(&cfg.memConfig.schedWindow) ||
-        !r->i32(&cfg.memConfig.schedMaxBypass))
-        return false;
-    if (!r->i32(&cfg.ucConfig.pipeFillCycles) ||
-        !r->i32(&cfg.ucConfig.loadCyclesPerInstruction))
-        return false;
-    if (!r->i32(&cfg.hostIssueCycles) ||
-        !r->i32(&cfg.scoreboardDepth))
-        return false;
-    if (!r->f64(&cfg.energyConfig.idleFraction) ||
-        !r->f64(&cfg.energyConfig.dram.rowHitEnergyEw) ||
-        !r->f64(&cfg.energyConfig.dram.rowMissEnergyEw) ||
-        !r->f64(&cfg.energyConfig.dram.channelBusyEnergyEw))
-        return false;
-    *out = cfg;
-    return true;
-}
-
-void
 encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w)
 {
     w->str(pt.app);
-    w->i32(pt.size.clusters);
-    w->i32(pt.size.alusPerCluster);
+    store::encodeValue(pt.size, w);
     w->u8(pt.config ? 1 : 0);
     if (pt.config)
-        encodeSimConfig(*pt.config, w);
+        store::encodeValue(*pt.config, w);
 }
 
 bool
@@ -252,17 +131,13 @@ decodeEvalRequest(const std::vector<uint8_t> &bytes, EvalPoint *out)
     store::ByteReader r(bytes);
     EvalPoint pt;
     uint8_t has_config = 0;
-    if (!r.str(&pt.app) || !r.i32(&pt.size.clusters) ||
-        !r.i32(&pt.size.alusPerCluster) || !r.u8(&has_config))
+    if (!r.str(&pt.app) || !store::decodeValue(&r, &pt.size) ||
+        !r.u8(&has_config))
         return false;
     if (has_config > 1)
         return false;
-    if (has_config) {
-        sim::SimConfig cfg;
-        if (!decodeSimConfig(&r, &cfg))
-            return false;
-        pt.config = cfg;
-    }
+    if (has_config && !store::decodeValue(&r, &pt.config.emplace()))
+        return false;
     if (!r.done())
         return false; // trailing bytes are as bad as missing ones
     *out = std::move(pt);

@@ -101,11 +101,14 @@ bool decodeFrame(const std::vector<uint8_t> &bytes, Frame *out);
 
 // --- Payload codecs (field order is part of kProtocolVersion). ---
 
-/** Every sim::SimConfig field, doubles as raw bit patterns, so
- *  simConfigHash(decoded) == simConfigHash(original) exactly. */
-void encodeSimConfig(const sim::SimConfig &cfg, store::ByteWriter *w);
-bool decodeSimConfig(store::ByteReader *r, sim::SimConfig *out);
-
+/**
+ * App name, machine size, then the optional config override:
+ * sim::SimConfig's field table (common/fields.h) walked by the store
+ * codec, doubles as raw bit patterns, so simConfigHash(decoded) ==
+ * simConfigHash(original) exactly. Reordering or retyping a table
+ * entry is a schema change that needs a kProtocolVersion bump (it
+ * also re-keys the store through simConfigHash).
+ */
 void encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w);
 /** False on truncation, trailing bytes, or malformed fields. */
 bool decodeEvalRequest(const std::vector<uint8_t> &bytes,

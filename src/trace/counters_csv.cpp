@@ -1,53 +1,58 @@
 #include "trace/counters_csv.h"
 
 #include <cstdio>
+#include <type_traits>
 
 namespace sps::trace {
 
 namespace {
 
 void
-addExact(std::vector<CounterValue> &out, const char *name, int64_t v)
+addExact(std::vector<CounterValue> &out, std::string name, int64_t v)
 {
-    out.push_back(CounterValue{name, static_cast<double>(v), true});
+    out.push_back(CounterValue{std::move(name), static_cast<double>(v),
+                               true});
 }
 
 void
-addRate(std::vector<CounterValue> &out, const char *name, double v)
+addRate(std::vector<CounterValue> &out, std::string name, double v)
 {
-    out.push_back(CounterValue{name, v, false});
+    out.push_back(CounterValue{std::move(name), v, false});
 }
 
+/** One cell per scalar field of a tabled struct, named `prefix` +
+ *  field name: integers and flags exact, doubles as rates. Vectors
+ *  have no cell (callers summarize them). */
+template <typename T>
 void
-addBottleneckSection(std::vector<CounterValue> &out,
-                     const sim::SimResult &r)
+addFields(std::vector<CounterValue> &out, const std::string &prefix,
+          const T &obj)
 {
-    const analysis::BottleneckReport &b = r.bottleneck;
-    addExact(out, "bn_valid", b.valid ? 1 : 0);
-    addExact(out, "bn_kernel_bound_cycles", b.kernelBoundCycles);
-    addExact(out, "bn_memory_bound_cycles", b.memoryBoundCycles);
-    addExact(out, "bn_dependence_cycles", b.dependenceCycles);
-    addExact(out, "bn_scoreboard_cycles", b.scoreboardCycles);
-    addExact(out, "bn_host_issue_cycles", b.hostIssueCycles);
-    addExact(out, "bn_idle_cycles", b.idleCycles);
+    forEachField(obj, [&](const char *name, const auto &v) {
+        using V = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<V, double>)
+            addRate(out, prefix + name, v);
+        else if constexpr (std::is_integral_v<V>)
+            addExact(out, prefix + name, v);
+    });
 }
 
+/** The bottleneck waterfall and the energy breakdown: the tail of the
+ *  counters CSV and the whole energy CSV. */
 void
-addEnergySection(std::vector<CounterValue> &out,
-                 const sim::SimResult &r)
+addReportSections(std::vector<CounterValue> &out, const sim::SimResult &r)
 {
+    addFields(out, "bn_", r.bottleneck);
     const energy::EnergyReport &e = r.energy;
-    addExact(out, "energy_valid", e.valid ? 1 : 0);
-    addRate(out, "energy_srf_dyn_ew", e.srf.dynamicEw);
-    addRate(out, "energy_srf_idle_ew", e.srf.idleEw);
-    addRate(out, "energy_clusters_dyn_ew", e.clusters.dynamicEw);
-    addRate(out, "energy_clusters_idle_ew", e.clusters.idleEw);
-    addRate(out, "energy_uc_dyn_ew", e.microcontroller.dynamicEw);
-    addRate(out, "energy_uc_idle_ew", e.microcontroller.idleEw);
-    addRate(out, "energy_comm_dyn_ew", e.interclusterComm.dynamicEw);
-    addRate(out, "energy_comm_idle_ew", e.interclusterComm.idleEw);
-    addRate(out, "energy_dram_dyn_ew", e.dram.dynamicEw);
-    addRate(out, "energy_dram_idle_ew", e.dram.idleEw);
+    // The flag and the per-component split; the report's denominators
+    // and process conversion enter only through the rates below.
+    forEachField(e, [&out](const char *name, const auto &v) {
+        using V = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<V, bool>)
+            addExact(out, std::string("energy_") + name, v);
+        else if constexpr (std::is_same_v<V, energy::ComponentEnergy>)
+            addFields(out, std::string("energy_") + name + "_", v);
+    });
     addRate(out, "energy_total_ew", e.totalEw());
     addRate(out, "energy_scaled_total_ew", e.scaledTotalEw());
     addRate(out, "energy_per_alu_op_ew", e.energyPerAluOpEw());
@@ -75,7 +80,6 @@ CounterValue::toCell() const
 std::vector<CounterValue>
 counterValues(const sim::SimResult &r)
 {
-    const sim::SimCounters &c = r.counters;
     std::vector<CounterValue> out;
     out.reserve(72);
     addExact(out, "schema_version", kCountersSchemaVersion);
@@ -86,41 +90,9 @@ counterValues(const sim::SimResult &r)
     addExact(out, "mem_busy_cycles", r.memBusy);
     addExact(out, "uc_busy_cycles", r.ucBusy);
     addExact(out, "srf_high_water_words", r.srfHighWater);
-    // Cycle breakdown (sums to cycles).
-    addExact(out, "kernel_only_cycles", c.kernelOnlyCycles);
-    addExact(out, "mem_only_cycles", c.memOnlyCycles);
-    addExact(out, "overlap_cycles", c.overlapCycles);
-    addExact(out, "idle_cycles", c.idleCycles);
-    // Stream controller / host interface.
-    addExact(out, "kernel_calls", c.kernelCalls);
-    addExact(out, "loads", c.loads);
-    addExact(out, "stores", c.stores);
-    addExact(out, "host_issue_busy_cycles", c.hostIssueBusyCycles);
-    addExact(out, "scoreboard_stall_cycles", c.scoreboardStallCycles);
-    addExact(out, "dep_stall_cycles", c.depStallCycles);
-    addExact(out, "mem_pipe_stall_cycles", c.memPipeStallCycles);
-    addExact(out, "uc_pipe_stall_cycles", c.ucPipeStallCycles);
-    addExact(out, "uc_overhead_cycles", c.ucOverheadCycles);
-    // Cluster ALUs.
-    addExact(out, "alu_issue_slots", c.aluIssueSlots);
-    addExact(out, "kernel_alu_slots", c.kernelAluSlots);
-    // Cluster activity census.
-    addExact(out, "cluster_fu_ops", c.clusterFuOps);
-    addExact(out, "cluster_sp_ops", c.clusterSpOps);
-    addExact(out, "inter_comm_words", c.interCommWords);
-    // SRF.
-    addExact(out, "srf_read_words", c.srfReadWords);
-    addExact(out, "srf_write_words", c.srfWriteWords);
-    addExact(out, "mem_store_words", c.memStoreWords);
-    addExact(out, "srf_bw_stall_cycles", c.srfBwStallCycles);
-    // DRAM.
-    addExact(out, "dram_accesses", c.dramAccesses);
-    addExact(out, "dram_row_hits", c.dramRowHits);
-    addExact(out, "dram_row_misses", c.dramRowMisses);
-    addExact(out, "dram_bank_conflicts", c.dramBankConflicts);
-    addExact(out, "dram_reorder_sum", c.dramReorderSum);
-    addExact(out, "dram_reorder_max", c.dramReorderMax);
-    addExact(out, "mem_alias_stall_cycles", c.memAliasStallCycles);
+    // The hardware counters, in table order (sim/stats.h); the
+    // per-channel busy vector is summarized by its extremes.
+    addFields(out, "", r.counters);
     addExact(out, "dram_channel_busy_max", r.dramChannelBusyMax());
     addExact(out, "dram_channel_busy_min", r.dramChannelBusyMin());
     // Derived rates (tolerance-compared).
@@ -135,9 +107,7 @@ counterValues(const sim::SimResult &r)
     addRate(out, "mem_busy_fraction", r.memBusyFraction());
     addRate(out, "uc_busy_fraction", r.ucBusyFraction());
     addRate(out, "gops_ops", r.gopsOps);
-    // Bottleneck waterfall + energy breakdown.
-    addBottleneckSection(out, r);
-    addEnergySection(out, r);
+    addReportSections(out, r);
     return out;
 }
 
@@ -173,8 +143,7 @@ energyValues(const sim::SimResult &r)
     std::vector<CounterValue> out;
     out.reserve(24);
     addExact(out, "schema_version", kCountersSchemaVersion);
-    addBottleneckSection(out, r);
-    addEnergySection(out, r);
+    addReportSections(out, r);
     return out;
 }
 

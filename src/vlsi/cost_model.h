@@ -22,6 +22,7 @@
 #ifndef SPS_VLSI_COST_MODEL_H
 #define SPS_VLSI_COST_MODEL_H
 
+#include "common/fields.h"
 #include "vlsi/params.h"
 
 namespace sps::vlsi {
@@ -34,6 +35,14 @@ struct MachineSize
 
     int totalAlus() const { return clusters * alusPerCluster; }
 };
+
+template <FieldsOf<MachineSize> S, typename F>
+void
+forEachField(S &m, F &&f)
+{
+    f("clusters", m.clusters);
+    f("alus_per_cluster", m.alusPerCluster);
+}
 
 /**
  * Counts derived from N (first section of Table 3).

@@ -14,6 +14,8 @@
 #ifndef SPS_VLSI_PARAMS_H
 #define SPS_VLSI_PARAMS_H
 
+#include "common/fields.h"
+
 namespace sps::vlsi {
 
 /**
@@ -139,6 +141,47 @@ struct Params
         return p;
     }
 };
+
+/** Field table (common/fields.h). Declaration order except `b`, which
+ *  goes last: the wire and the config hash carry the doubles first. */
+template <FieldsOf<Params> S, typename F>
+void
+forEachField(S &p, F &&f)
+{
+    f("a_sram", p.aSram);
+    f("a_sb", p.aSb);
+    f("w_alu", p.wAlu);
+    f("w_lrf", p.wLrf);
+    f("w_sp", p.wSp);
+    f("h", p.h);
+    f("v0", p.v0);
+    f("t_cyc", p.tCyc);
+    f("t_mux", p.tMux);
+    f("e_w", p.eW);
+    f("e_alu", p.eAlu);
+    f("e_sram", p.eSram);
+    f("e_sb", p.eSb);
+    f("e_lrf", p.eLrf);
+    f("e_sp", p.eSp);
+    f("t_mem", p.tMem);
+    f("g_srf", p.gSrf);
+    f("g_sb", p.gSb);
+    f("g_comm", p.gComm);
+    f("g_sp", p.gSp);
+    f("i0", p.i0);
+    f("i_n", p.iN);
+    f("l_c", p.lC);
+    f("l_o", p.lO);
+    f("l_n", p.lN);
+    f("r_m", p.rM);
+    f("r_uc", p.rUc);
+    f("k_comm_area", p.kCommArea);
+    f("k_comm_energy", p.kCommEnergy);
+    f("k_intra_energy", p.kIntraEnergy);
+    f("k_dist_energy", p.kDistEnergy);
+    f("xbar_connectivity", p.xbarConnectivity);
+    f("b", p.b);
+}
 
 } // namespace sps::vlsi
 

@@ -8,6 +8,10 @@
 #ifndef SPS_VLSI_TECH_H
 #define SPS_VLSI_TECH_H
 
+#include <string>
+
+#include "common/fields.h"
+
 namespace sps::vlsi {
 
 /**
@@ -18,7 +22,7 @@ namespace sps::vlsi {
 struct Technology
 {
     /** Human-readable node name. */
-    const char *name = "180nm";
+    std::string name = "180nm";
     /** Metal wire track pitch (um). */
     double trackPitchUm = 0.80;
     /** Delay of one FO4 inverter (ps). */
@@ -88,6 +92,19 @@ struct Technology
         return t;
     }
 };
+
+template <FieldsOf<Technology> S, typename F>
+void
+forEachField(S &t, F &&f)
+{
+    f("name", t.name);
+    f("track_pitch_um", t.trackPitchUm);
+    f("fo4_ps", t.fo4Ps);
+    f("ew_fj", t.ewFj);
+    f("clock_fo4", t.clockFo4);
+    f("mem_bw_gbs", t.memBwGBs);
+    f("host_bw_gbs", t.hostBwGBs);
+}
 
 } // namespace sps::vlsi
 

@@ -329,12 +329,10 @@ TEST(LoweredKernelTest, RegionPartitionSplitsSandwichBody)
     // Off-cone fraction: 4 of 7 body ops run fused under Partial.
     EXPECT_DOUBLE_EQ(lk.fusedOpFraction(FusionPolicy::Partial),
                      4.0 / 7.0);
-    EXPECT_DOUBLE_EQ(lk.fusedOpFraction(FusionPolicy::Full), 0.0);
     EXPECT_DOUBLE_EQ(lk.fusedOpFraction(FusionPolicy::Off), 0.0);
-    // A fully fusible body reports fraction 1 under any fusing policy.
+    // A fully fusible body runs entirely fused.
     LoweredKernel saxpy = lowerKernel(saxpyKernel());
     EXPECT_DOUBLE_EQ(saxpy.fusedOpFraction(FusionPolicy::Partial), 1.0);
-    EXPECT_DOUBLE_EQ(saxpy.fusedOpFraction(FusionPolicy::Full), 1.0);
 }
 
 TEST(LoweredKernelTest, RegionPartitionDegenerateSplits)
@@ -401,8 +399,7 @@ TEST(LoweredKernelTest, PartialFusionMatchesReferenceOnSandwich)
         auto want = runKernelReference(k, c, {in});
         for (SimdBackend backend : availableSimdBackends()) {
             for (FusionPolicy fusion :
-                 {FusionPolicy::Off, FusionPolicy::Full,
-                  FusionPolicy::Partial}) {
+                 {FusionPolicy::Off, FusionPolicy::Partial}) {
                 auto got = runKernel(k, c, {in}, backend, fusion);
                 EXPECT_EQ(got.outputs[0].words, want.outputs[0].words)
                     << "C=" << c << " " << simdBackendName(backend)
@@ -431,8 +428,7 @@ TEST(LoweredCacheTest, OneEntryServesEveryBackend)
                                      SimdBackend::Scalar);
     for (SimdBackend backend : availableSimdBackends()) {
         for (FusionPolicy fusion :
-             {FusionPolicy::Off, FusionPolicy::Full,
-              FusionPolicy::Partial}) {
+             {FusionPolicy::Off, FusionPolicy::Partial}) {
             const LoweredKernel &entry = cache.get(k);
             EXPECT_EQ(&entry, &lk);
             EXPECT_EQ(entry.coreBegin, core_begin);

@@ -411,8 +411,7 @@ runCase(const GenKernel &gk, uint64_t seed, int c,
             continue;
         }
         for (FusionPolicy fusion :
-             {FusionPolicy::Off, FusionPolicy::Full,
-              FusionPolicy::Partial}) {
+             {FusionPolicy::Off, FusionPolicy::Partial}) {
             const ExecResult got =
                 sps::interp::runKernel(gk.k, c, inputs, backend,
                                        fusion);

@@ -280,8 +280,7 @@ TEST(SimdDispatchTest, ParseAndNameRoundTrip)
 
 TEST(FusionDispatchTest, ParseAndNameRoundTrip)
 {
-    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Full,
-                           FusionPolicy::Partial}) {
+    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Partial}) {
         FusionPolicy parsed;
         ASSERT_TRUE(parseFusionPolicy(fusionPolicyName(p), &parsed));
         EXPECT_EQ(parsed, p);
@@ -301,11 +300,12 @@ TEST(FusionDispatchTest, EnvResolutionPolicy)
     // Partial default (fusion never changes results, so the safe
     // default is the fast one).
     EXPECT_EQ(resolveFusionPolicy("off"), FusionPolicy::Off);
-    EXPECT_EQ(resolveFusionPolicy("full"), FusionPolicy::Full);
     EXPECT_EQ(resolveFusionPolicy("partial"), FusionPolicy::Partial);
     EXPECT_EQ(resolveFusionPolicy(nullptr), FusionPolicy::Partial);
     EXPECT_EQ(resolveFusionPolicy(""), FusionPolicy::Partial);
     EXPECT_EQ(resolveFusionPolicy("bogus"), FusionPolicy::Partial);
+    // The retired all-or-nothing "full" policy is an unknown name.
+    EXPECT_EQ(resolveFusionPolicy("full"), FusionPolicy::Partial);
 }
 
 /** Every backend x fusion-policy combination must be bit-identical on
@@ -326,8 +326,7 @@ TEST(FusionDispatchTest, PoliciesBitIdenticalAcrossBackends)
         ExecResult want = runKernelReference(k, c, inputs);
         for (SimdBackend backend : availableSimdBackends()) {
             for (FusionPolicy fusion :
-                 {FusionPolicy::Off, FusionPolicy::Full,
-                  FusionPolicy::Partial}) {
+                 {FusionPolicy::Off, FusionPolicy::Partial}) {
                 SCOPED_TRACE(std::string(simdBackendName(backend)) +
                              "/" + fusionPolicyName(fusion) +
                              " C=" + std::to_string(c));

@@ -197,34 +197,6 @@ TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
     EXPECT_GT(service.eval(kPoint).cycles, 0);
 }
 
-TEST(EvalServiceTest, SimConfigHashSeparatesConfigurations)
-{
-    sim::SimConfig base;
-    base.size = {8, 5};
-    uint64_t h = simConfigHash(base);
-    EXPECT_EQ(h, simConfigHash(base));
-
-    sim::SimConfig size = base;
-    size.size = {16, 5};
-    EXPECT_NE(simConfigHash(size), h);
-
-    sim::SimConfig mem = base;
-    mem.memConfig.channels += 1;
-    EXPECT_NE(simConfigHash(mem), h);
-
-    sim::SimConfig host = base;
-    host.hostIssueCycles += 1;
-    EXPECT_NE(simConfigHash(host), h);
-
-    sim::SimConfig en = base;
-    en.energyConfig.idleFraction += 0.125;
-    EXPECT_NE(simConfigHash(en), h);
-
-    sim::SimConfig tech = base;
-    tech.tech.fo4Ps *= 2.0;
-    EXPECT_NE(simConfigHash(tech), h);
-}
-
 TEST(EvalServiceTest, EffectiveConfigPointSizeWins)
 {
     sim::SimConfig cfg;
