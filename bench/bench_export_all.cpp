@@ -15,14 +15,15 @@
  *                    computed entries persist, so a second process
  *                    pointed at a warm DIR re-exports everything with
  *                    0 schedule compiles and 0 re-simulations --
- *                    byte-identical CSVs. Also writes cache_stats.csv
- *                    (per-tier hit/miss/dedup counters).
+ *                    byte-identical CSVs. Also writes metrics.prom
+ *                    (the run's schedule-cache, store and service
+ *                    metrics in the Prometheus text format).
  *   --expect-warm    exit nonzero if the run compiled any schedule or
  *                    simulated any app (the warm-cache CI assertion).
  *   --max-cache-bytes N  bound the --cache-dir store: writes that
  *                    cross the budget evict least-recently-used
  *                    entries (eviction counters land in
- *                    cache_stats.csv).
+ *                    metrics.prom).
  *
  * Client mode:
  *   --server SOCK    evaluate the Figure-15 app grid through a
@@ -33,10 +34,10 @@
  *                    are byte-identical to an in-process run; many
  *                    concurrent client processes share the daemon's
  *                    warm tiers and dedup against each other.
- *                    cache_stats.csv then records the daemon's
- *                    cumulative per-tier counters, and --expect-warm
- *                    asserts the daemon simulated nothing for *this*
- *                    run (the delta while we were connected).
+ *                    metrics.prom then is a scrape of the daemon's
+ *                    cumulative metrics, and --expect-warm asserts
+ *                    the daemon simulated nothing for *this* run (the
+ *                    compute-tier delta while we were connected).
  *   --metrics [prom|json]  scrape verb (requires --server): fetch a
  *                    live metrics snapshot from the daemon
  *                    (MetricsRequest round trip), print it to stdout
@@ -50,12 +51,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/csv.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
+#include "obs/metrics.h"
 #include "svc/eval_client.h"
 #include "svc/eval_service.h"
 #include "trace/counters_csv.h"
@@ -68,21 +71,24 @@ sps::core::EvalEngine *g_engine = nullptr;
 sps::svc::EvalService *g_service = nullptr;
 sps::svc::EvalClient *g_client = nullptr;
 
-/** Value of one (tier, counter) row in a stats snapshot, or 0. */
-uint64_t
-statsValue(const std::vector<std::vector<std::string>> &rows,
-           const char *tier, const char *counter)
-{
-    for (const auto &row : rows)
-        if (row.size() == 3 && row[0] == tier && row[1] == counter)
-            return std::strtoull(row[2].c_str(), nullptr, 10);
-    return 0;
-}
-
 std::string
 path(const char *name)
 {
     return g_dir + "/" + name;
+}
+
+void
+writeMetrics(const sps::obs::MetricsSnapshot &snap)
+{
+    std::ofstream(path("metrics.prom"))
+        << sps::obs::renderPrometheus(snap);
+}
+
+/** Requests the daemon simulated, per its scraped tier counter. */
+int64_t
+computeTier(const sps::obs::MetricsSnapshot &snap)
+{
+    return snap.value("sps_requests_tier_total", "tier=\"compute\"");
 }
 
 void
@@ -191,15 +197,10 @@ exportFig15()
     // its grid twin) dedup, and results read/write the disk store. In
     // --server mode the same sweep plan rides the socket to the
     // daemon instead; the result bytes are identical either way.
-    auto pts =
-        g_client
-            ? g_client->appPerformance({8, 16, 32, 64, 128},
-                                       {2, 5, 10, 14})
-        : g_service
-            ? g_service->appPerformance({8, 16, 32, 64, 128},
-                                        {2, 5, 10, 14})
-            : sps::core::appPerformance({8, 16, 32, 64, 128},
-                                        {2, 5, 10, 14}, g_engine);
+    auto pts = g_client ? g_client->appPerformance({8, 16, 32, 64, 128},
+                                                   {2, 5, 10, 14})
+                        : g_service->appPerformance(
+                              {8, 16, 32, 64, 128}, {2, 5, 10, 14});
     sps::CsvWriter w;
     w.header({"app", "C", "N", "cycles", "speedup", "gops"});
     for (const auto &pt : pts) {
@@ -300,29 +301,36 @@ main(int argc, char **argv)
     g_engine = serial ? &serial_engine
                       : &sps::core::EvalEngine::global();
 
-    // The store outlives every consumer -- including the global
-    // schedule cache, whose destructor order against locals is not
-    // ours to control -- so it is deliberately leaked.
+    // The store and the registry outlive every consumer -- including
+    // the global schedule cache, whose destructor order against
+    // locals is not ours to control -- so both are deliberately
+    // leaked.
     sps::store::ResultStore *store = nullptr;
+    sps::obs::MetricsRegistry *registry = nullptr;
     if (!cache_dir.empty()) {
         store = new sps::store::ResultStore(cache_dir,
                                             max_cache_bytes);
+        registry = new sps::obs::MetricsRegistry();
         g_engine->cache().attachStore(store);
+        g_engine->cache().attachMetrics(registry);
+        store->attachMetrics(registry);
     }
     sps::svc::EvalService service(g_engine, store);
+    if (registry)
+        service.attachMetrics(registry);
     g_service = &service;
 
     // --server: the Figure-15 app grid evaluates in the daemon; the
     // figure-12-and-earlier sweeps and kernel exports stay local
     // (they are pure cost-model / schedule work, not app sims). The
-    // starting stats snapshot turns the daemon's cumulative counters
-    // into this run's delta for --expect-warm.
+    // starting scrape turns the daemon's cumulative counters into
+    // this run's delta for --expect-warm.
     sps::svc::EvalClient *client = nullptr;
-    std::vector<std::vector<std::string>> server_stats_before;
+    sps::obs::MetricsSnapshot server_before;
     if (!server_sock.empty()) {
         try {
             client = new sps::svc::EvalClient(server_sock);
-            server_stats_before = client->stats();
+            server_before = client->metrics();
         } catch (const std::exception &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
@@ -359,33 +367,26 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(svc_ctr.computed),
                 static_cast<unsigned long long>(svc_ctr.diskHits));
     if (client) {
-        // The daemon's cumulative per-tier counters: a second
-        // concurrent client shows up here as in-flight dedup and
-        // memory hits, which is the observable proof of cross-client
-        // sharing.
-        std::vector<std::vector<std::string>> after;
+        // The daemon's cumulative metrics: a second concurrent client
+        // shows up here as mem-tier requests and in-flight dedup,
+        // which is the observable proof of cross-client sharing.
+        sps::obs::MetricsSnapshot after;
         try {
-            after = client->stats();
+            after = client->metrics();
         } catch (const std::exception &e) {
-            std::fprintf(stderr, "stats query failed: %s\n", e.what());
+            std::fprintf(stderr, "metrics scrape failed: %s\n",
+                         e.what());
             return 1;
         }
-        sps::CsvWriter stats;
-        stats.header({"tier", "counter", "value"});
-        for (const auto &row : after)
-            stats.row(row);
-        stats.writeFile(path("cache_stats.csv"));
+        writeMetrics(after);
         if (expect_warm) {
-            uint64_t sims =
-                statsValue(after, "eval_service", "sims") -
-                statsValue(server_stats_before, "eval_service",
-                           "sims");
+            int64_t sims = computeTier(after) - computeTier(server_before);
             if (sims > 0) {
                 std::fprintf(
                     stderr,
-                    "--expect-warm: daemon simulated %llu app(s) "
+                    "--expect-warm: daemon simulated %lld app(s) "
                     "for this run\n",
-                    static_cast<unsigned long long>(sims));
+                    static_cast<long long>(sims));
                 g_client = nullptr;
                 g_service = nullptr;
                 return 1;
@@ -393,11 +394,8 @@ main(int argc, char **argv)
         }
         g_client = nullptr;
         delete client;
-    } else if (store) {
-        sps::CsvWriter stats;
-        stats.header({"tier", "counter", "value"});
-        sps::svc::appendCacheStatsRows(stats, ctr, store, &service);
-        stats.writeFile(path("cache_stats.csv"));
+    } else if (registry) {
+        writeMetrics(registry->snapshot());
     }
     if (!client && expect_warm &&
         (ctr.misses > 0 || svc_ctr.computed > 0)) {

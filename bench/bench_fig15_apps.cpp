@@ -29,6 +29,7 @@
 #include "core/design.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
+#include "obs/metrics.h"
 #include "svc/eval_service.h"
 #include "trace/chrome_trace.h"
 #include "trace/counters_csv.h"
@@ -193,13 +194,17 @@ main(int argc, char **argv)
                 g.toString().c_str());
 
     if (store) {
-        auto rows = sps::svc::cacheStatsRows(
-            engine->cache().counters(), store, &service);
+        // Leaked like the store: the global schedule cache keeps a
+        // pointer into it past the end of main.
+        auto *registry = new sps::obs::MetricsRegistry();
+        engine->cache().attachMetrics(registry);
+        store->attachMetrics(registry);
+        service.attachMetrics(registry);
         std::printf("cache tiers (--cache-dir %s):\n",
                     cache_dir.c_str());
-        for (const auto &r : rows)
-            std::printf("  %-16s %-16s %s\n", r[0].c_str(),
-                        r[1].c_str(), r[2].c_str());
+        for (const auto &line :
+             sps::obs::counterLines(registry->snapshot()))
+            std::printf("  %s\n", line.c_str());
         std::printf("\n");
     }
 

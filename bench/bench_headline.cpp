@@ -41,6 +41,7 @@
 #include "interp/interpreter.h"
 #include "interp/lowered.h"
 #include "interp_bench_util.h"
+#include "obs/metrics.h"
 #include "svc/eval_service.h"
 #include "vlsi/cost_model.h"
 #include "vlsi/sweep.h"
@@ -381,15 +382,21 @@ main(int argc, char **argv)
                 warm_serial > 0.0 ? cold_serial / warm_serial : 0.0);
 
     // --- Cache tiers: where every request was answered ---
+    // Attached after the timed runs, which pay nothing for it: the
+    // registry reads each component's own counters in place. Leaked
+    // like the store, since the global schedule cache keeps a pointer
+    // into it past the end of main.
+    auto *registry = new sps::obs::MetricsRegistry();
+    cache.attachMetrics(registry);
+    if (store)
+        store->attachMetrics(registry);
+    parallel_svc.attachMetrics(registry);
     std::printf("\nCache tiers%s%s (schedule cache + result store + "
                 "parallel eval service):\n",
                 cache_dir.empty() ? "" : ", --cache-dir ",
                 cache_dir.c_str());
-    for (const auto &r : sps::svc::cacheStatsRows(cache.counters(),
-                                                  store,
-                                                  &parallel_svc))
-        std::printf("  %-16s %-16s %s\n", r[0].c_str(), r[1].c_str(),
-                    r[2].c_str());
+    for (const auto &line : sps::obs::counterLines(registry->snapshot()))
+        std::printf("  %s\n", line.c_str());
 
     // --- Interpreter throughput: reference vs scalar vs SIMD ---
     const int interp_c = 8;

@@ -33,8 +33,8 @@
  * trace_event file on shutdown (open in Perfetto, one track per
  * pipeline stage).
  *
- * The daemon runs until SIGINT/SIGTERM, then prints its cumulative
- * cache-tier counters and exits cleanly.
+ * The daemon runs until SIGINT/SIGTERM, then logs every counter of
+ * its metrics snapshot and exits cleanly.
  */
 #include <atomic>
 #include <chrono>
@@ -163,10 +163,10 @@ main(int argc, char **argv)
 
     sps::core::EvalEngine engine(threads);
 
-    // The registry is read by store/cache/service hot paths and by
-    // collector callbacks at snapshot time; like the store below it
-    // must outlive the global schedule cache, so it is deliberately
-    // leaked.
+    // Store/cache/service hot paths record into the registry's
+    // histograms, and its snapshots read their counters in place;
+    // like the store below it must outlive the global schedule cache,
+    // so it is deliberately leaked.
     auto *registry = new sps::obs::MetricsRegistry();
 
     // The store must outlive the global schedule cache, whose
@@ -233,10 +233,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(sc.connections),
                     static_cast<unsigned long long>(
                         sc.protocolErrors));
-        for (const auto &row : sps::svc::cacheStatsRows(
-                 engine.cache().counters(), store, &service))
-            sps::inform("  %s %s = %s", row[0].c_str(),
-                        row[1].c_str(), row[2].c_str());
+        for (const auto &line :
+             sps::obs::counterLines(registry->snapshot()))
+            sps::inform("  %s", line.c_str());
     } catch (const std::exception &e) {
         sps::warn("sps_evald: %s", e.what());
         return 1;

@@ -63,23 +63,48 @@ MetricsRegistry::findOrNull(const std::string &name,
     return nullptr;
 }
 
+MetricsRegistry::Entry *
+MetricsRegistry::add(const std::string &name, const std::string &labels,
+                     const std::string &help, MetricKind kind)
+{
+    auto e = std::make_unique<Entry>();
+    e->name = name;
+    e->labels = labels;
+    e->help = help;
+    e->kind = kind;
+    entries_.push_back(std::move(e));
+    return entries_.back().get();
+}
+
 Counter *
 MetricsRegistry::counter(const std::string &name,
                          const std::string &labels,
                          const std::string &help)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Counter))
-        return e->c.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Counter;
-    e->c = std::make_unique<Counter>();
-    Counter *out = e->c.get();
-    entries_.push_back(std::move(e));
-    return out;
+    Entry *e = findOrNull(name, labels, MetricKind::Counter);
+    if (!e) {
+        e = add(name, labels, help, MetricKind::Counter);
+        e->ownedC = std::make_unique<Counter>();
+        e->c = e->ownedC.get();
+    }
+    SPS_ASSERT(e->ownedC, "metric %s is exposed by its owner",
+               name.c_str());
+    return e->ownedC.get();
+}
+
+void
+MetricsRegistry::expose(const std::string &name,
+                        const std::string &labels,
+                        const std::string &help, const Counter *c)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (Entry *e = findOrNull(name, labels, MetricKind::Counter)) {
+        SPS_ASSERT(e->c == c, "metric %s is already registered",
+                   name.c_str());
+        return;
+    }
+    add(name, labels, help, MetricKind::Counter)->c = c;
 }
 
 Gauge *
@@ -88,17 +113,12 @@ MetricsRegistry::gauge(const std::string &name,
                        const std::string &help)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Gauge))
-        return e->g.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Gauge;
-    e->g = std::make_unique<Gauge>();
-    Gauge *out = e->g.get();
-    entries_.push_back(std::move(e));
-    return out;
+    Entry *e = findOrNull(name, labels, MetricKind::Gauge);
+    if (!e) {
+        e = add(name, labels, help, MetricKind::Gauge);
+        e->g = std::make_unique<Gauge>();
+    }
+    return e->g.get();
 }
 
 Histogram *
@@ -107,39 +127,17 @@ MetricsRegistry::histogram(const std::string &name,
                            const std::string &help)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Histogram))
-        return e->h.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Histogram;
-    e->h = std::make_unique<Histogram>();
-    Histogram *out = e->h.get();
-    entries_.push_back(std::move(e));
-    return out;
-}
-
-void
-MetricsRegistry::addCollector(std::function<void()> fn)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    collectors_.push_back(std::move(fn));
+    Entry *e = findOrNull(name, labels, MetricKind::Histogram);
+    if (!e) {
+        e = add(name, labels, help, MetricKind::Histogram);
+        e->h = std::make_unique<Histogram>();
+    }
+    return e->h.get();
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    // Collectors may register new gauges and set values; run them
-    // outside the lock so they can call gauge() themselves.
-    std::vector<std::function<void()>> collectors;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        collectors = collectors_;
-    }
-    for (const auto &fn : collectors)
-        fn();
-
     MetricsSnapshot snap;
     std::lock_guard<std::mutex> lock(mu_);
     snap.metrics.reserve(entries_.size());
@@ -157,14 +155,14 @@ MetricsRegistry::snapshot() const
             m.value = e->g->value();
             break;
         case MetricKind::Histogram: {
-            // Buckets first, then count/sum: each atomic is read
-            // once, and a racing observe() can only make count/sum
-            // run *ahead* of the bucket total, never behind, so
-            // sum-of-buckets <= count holds in every snapshot.
+            // Buckets first (acquire), then count/sum: observe() adds
+            // to count before it releases the bucket, so every bucket
+            // increment read here brings its count increment along,
+            // and sum-of-buckets <= count holds in every snapshot.
             m.buckets.resize(Histogram::kBuckets);
             for (int i = 0; i < Histogram::kBuckets; ++i)
                 m.buckets[static_cast<size_t>(i)] =
-                    e->h->buckets_[i].load(std::memory_order_relaxed);
+                    e->h->buckets_[i].load(std::memory_order_acquire);
             m.count = e->h->count();
             m.sum = e->h->sum();
             break;
@@ -272,6 +270,21 @@ renderPrometheus(const MetricsSnapshot &snap)
                          static_cast<int64_t>(m.count));
     }
     return out;
+}
+
+std::vector<std::string>
+counterLines(const MetricsSnapshot &snap)
+{
+    std::vector<std::string> lines;
+    for (const auto &m : snap.metrics) {
+        if (m.kind != MetricKind::Counter)
+            continue;
+        std::string line;
+        appendSampleLine(&line, m.name, m.labels, "", "", m.value);
+        line.pop_back(); // the newline
+        lines.push_back(std::move(line));
+    }
+    return lines;
 }
 
 std::string

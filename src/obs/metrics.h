@@ -7,29 +7,30 @@
  * observes the *daemon itself* while it serves traffic.
  *
  * Three metric kinds:
- *  - Counter:   monotonically increasing u64 (requests, hits, errors);
- *  - Gauge:     last-write-wins i64 (active connections, queue depth),
- *               also settable at snapshot time by collector callbacks
- *               so cheap cumulative counters owned by other subsystems
- *               (store tiers, schedule cache) appear in every scrape
- *               without paying anything on their hot paths;
+ *  - Counter:   monotonically increasing u64 (requests, hits, errors),
+ *               either owned by the registry or owned by the component
+ *               that counts and exposed to the registry, which reads
+ *               that same object at snapshot time -- so a count the
+ *               store, schedule cache, service, or server keeps has
+ *               exactly one home and costs nothing extra to scrape;
+ *  - Gauge:     last-write-wins i64 (active connections, queue depth);
  *  - Histogram: log2-bucketed latency/size distribution with exact
  *               count and sum, and p50/p95/p99 extraction from the
  *               bucket boundaries.
  *
- * Cost model: the hot path is one relaxed atomic fetch_add (Counter,
- * Histogram bucket+count+sum) or store (Gauge) on a pre-resolved
- * handle -- registration resolves the name once, recording never
- * touches the registry lock, a map, or a string. snapshot() is the
- * only reader and pays the whole cost of consistency: it runs the
- * collectors, then copies every metric under the registration lock.
+ * Cost model: the hot path is one relaxed atomic fetch_add (Counter)
+ * or store (Gauge), or three fetch_adds (Histogram), on a
+ * pre-resolved handle -- registration resolves the name once,
+ * recording never touches the registry lock, a map, or a string.
+ * snapshot() is the only reader and pays the whole cost of
+ * consistency: it copies every metric under the registration lock.
  *
  * Because recording is lock-free, a snapshot taken under concurrent
  * load is a *near-point-in-time* view: each individual atomic is read
  * once, so per-metric values are exact, and cross-metric invariants
  * that hold monotonically (e.g. requests_total >= sum of per-tier
- * outcomes, histogram count >= completed observations) hold in every
- * snapshot; exact conservation holds in any quiescent snapshot.
+ * outcomes, histogram count >= bucket total) hold in every snapshot;
+ * exact conservation holds in any quiescent snapshot.
  *
  * Exposition: renderPrometheus() emits the Prometheus text format
  * (counters/gauges as plain samples, histograms as cumulative
@@ -43,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,8 +51,9 @@
 
 namespace sps::obs {
 
-/** Monotonic counter. Obtain from MetricsRegistry::counter(); the
- *  handle stays valid for the registry's lifetime. */
+/** Monotonic counter. Obtain from MetricsRegistry::counter() (the
+ *  handle stays valid for the registry's lifetime), or own one and
+ *  publish it with MetricsRegistry::expose(). */
 class Counter
 {
   public:
@@ -63,6 +64,10 @@ class Counter
     }
 
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+
+    /** Back to zero: only for an owner whose own contract resets its
+     *  counts (ScheduleCache::clear()); a scrape sees the drop. */
+    void reset() { v_.store(0, std::memory_order_relaxed); }
 
   private:
     std::atomic<uint64_t> v_{0};
@@ -92,7 +97,9 @@ class Gauge
  * upperBound(i-1) < v <= upperBound(i), where upperBound(i) =
  * 2^(i+1) - 2 for i < kBuckets-1 (bucket 0 is exactly {0}) and +inf
  * for the last bucket; count and sum are exact. observe() is three
- * relaxed fetch_adds.
+ * fetch_adds: count and sum first, the bucket last with release, so a
+ * snapshot that acquire-loads a bucket also sees the count that
+ * observation added (bucket total <= count in every snapshot).
  */
 class Histogram
 {
@@ -102,10 +109,10 @@ class Histogram
     void
     observe(uint64_t v)
     {
-        buckets_[bucketIndex(v)].fetch_add(1,
-                                           std::memory_order_relaxed);
         count_.fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(v, std::memory_order_relaxed);
+        buckets_[bucketIndex(v)].fetch_add(1,
+                                           std::memory_order_release);
     }
 
     /** Index of the bucket v falls into: floor(log2(v+1)) capped. */
@@ -190,8 +197,9 @@ struct MetricsSnapshot
  * Registry of named metrics. counter()/gauge()/histogram() register
  * on first use and return the existing handle on repeated calls with
  * the same (name, labels) -- handles are stable for the registry's
- * lifetime. Registration takes a mutex; recording through a handle
- * never does.
+ * lifetime. expose() registers a counter some component owns.
+ * Registration takes a mutex; recording through a handle never does.
+ * A snapshot reads metrics in registration order.
  */
 class MetricsRegistry
 {
@@ -211,16 +219,16 @@ class MetricsRegistry
                          const std::string &help = "");
 
     /**
-     * Register a callback run at the start of every snapshot(),
-     * before metric values are read -- the hook by which subsystems
-     * with their own cheap atomic counters (result store, schedule
-     * cache, server) publish them as gauges without any hot-path
-     * cost. The objects a collector touches must outlive the
-     * registry's last snapshot().
+     * Publish a counter owned by the caller under (name, labels): a
+     * snapshot reads `c` in place, exactly like an owned counter, so
+     * the owner keeps its one copy of the count. Exposing the same
+     * counter again is a no-op; any other clash panics. `c` must
+     * outlive the registry's last snapshot().
      */
-    void addCollector(std::function<void()> fn);
+    void expose(const std::string &name, const std::string &labels,
+                const std::string &help, const Counter *c);
 
-    /** Point-in-time copy of every metric (runs collectors first). */
+    /** Point-in-time copy of every metric, in registration order. */
     MetricsSnapshot snapshot() const;
 
     size_t size() const;
@@ -232,17 +240,20 @@ class MetricsRegistry
         std::string labels;
         std::string help;
         MetricKind kind;
-        std::unique_ptr<Counter> c;
+        /** The counter a snapshot reads: ownedC, or an exposed one. */
+        const Counter *c = nullptr;
+        std::unique_ptr<Counter> ownedC;
         std::unique_ptr<Gauge> g;
         std::unique_ptr<Histogram> h;
     };
 
     Entry *findOrNull(const std::string &name,
                       const std::string &labels, MetricKind kind);
+    Entry *add(const std::string &name, const std::string &labels,
+               const std::string &help, MetricKind kind);
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<Entry>> entries_;
-    std::vector<std::function<void()>> collectors_;
 };
 
 /** Render a snapshot in the Prometheus text exposition format. */
@@ -250,6 +261,11 @@ std::string renderPrometheus(const MetricsSnapshot &snap);
 
 /** Render a snapshot as a JSON object keyed by metric name. */
 std::string renderJson(const MetricsSnapshot &snap);
+
+/** One `name{labels} value` line per counter of a snapshot, in
+ *  snapshot order: the compact counter report of the bench mains and
+ *  the daemon's shutdown log. */
+std::vector<std::string> counterLines(const MetricsSnapshot &snap);
 
 /** Monotonic now() in microseconds (steady clock), the canonical
  *  unit for every duration histogram in this subsystem. */

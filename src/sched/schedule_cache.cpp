@@ -2,7 +2,6 @@
 
 #include "common/fnv.h"
 #include "kernel/fingerprint.h"
-#include "obs/metrics.h"
 #include "store/result_store.h"
 
 namespace sps::sched {
@@ -80,13 +79,13 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m,
     });
     switch (outcome) {
     case kCompiled:
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.inc();
         break;
     case kDisk:
-        diskHits_.fetch_add(1, std::memory_order_relaxed);
+        diskHits_.inc();
         break;
     case kMemory:
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        hits_.inc();
         break;
     }
     return entry->ck;
@@ -117,27 +116,19 @@ ScheduleCache::attachMetrics(obs::MetricsRegistry *registry)
         registry->histogram("sps_sched_compile_duration_us", "",
                             "Kernel compilation latency (us)"),
         std::memory_order_relaxed);
-    registry->addCollector([this, registry] {
-        Counters c = counters();
-        registry
-            ->gauge("sps_sched_cache_hits", "",
-                    "Schedule cache in-memory hits")
-            ->set(static_cast<int64_t>(c.hits));
-        registry->gauge("sps_sched_cache_disk_hits", "")
-            ->set(static_cast<int64_t>(c.diskHits));
-        registry->gauge("sps_sched_cache_compiles", "")
-            ->set(static_cast<int64_t>(c.misses));
-        registry->gauge("sps_sched_cache_entries", "")
-            ->set(static_cast<int64_t>(size()));
-    });
+    registry->expose("sps_sched_cache_hits", "",
+                     "Schedule cache in-memory hits", &hits_);
+    registry->expose("sps_sched_cache_disk_hits", "",
+                     "Schedules decoded from the result store",
+                     &diskHits_);
+    registry->expose("sps_sched_cache_compiles", "",
+                     "Kernel schedules compiled", &misses_);
 }
 
 ScheduleCache::Counters
 ScheduleCache::counters() const
 {
-    return Counters{hits_.load(std::memory_order_relaxed),
-                    misses_.load(std::memory_order_relaxed),
-                    diskHits_.load(std::memory_order_relaxed)};
+    return Counters{hits_.value(), misses_.value(), diskHits_.value()};
 }
 
 size_t
@@ -157,9 +148,9 @@ ScheduleCache::clear()
     // in-flight get() calls or invalidate outstanding references.
     retired_.push_back(std::move(map_));
     map_ = Map{};
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    diskHits_.store(0, std::memory_order_relaxed);
+    hits_.reset();
+    misses_.reset();
+    diskHits_.reset();
 }
 
 ScheduleCache &

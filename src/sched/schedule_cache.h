@@ -33,15 +33,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sched/kernel_perf.h"
 
 namespace sps::store {
 class ResultStore;
-}
-
-namespace sps::obs {
-class MetricsRegistry;
-class Histogram;
 }
 
 namespace sps::sched {
@@ -104,12 +100,13 @@ class ScheduleCache
     /**
      * Publish this cache's telemetry into `registry`: a compile
      * duration histogram (observed on every true compile from then
-     * on) and a snapshot collector exporting the cumulative Counters
-     * plus the entry count as gauges. Same lifetime contract as
+     * on) and the cache's own hit / disk-hit / compile counters,
+     * which a snapshot reads in place. Same lifetime contract as
      * ResultStore::attachMetrics; nullptr detaches the histogram.
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
+    /** The counts since construction or the last clear(). */
     Counters counters() const;
     size_t size() const;
 
@@ -160,9 +157,9 @@ class ScheduleCache
     std::vector<Map> retired_;
     /** Optional persistent tier (guarded by mu_ for pointer access). */
     store::ResultStore *store_ = nullptr;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> diskHits_{0};
+    obs::Counter hits_;
+    obs::Counter misses_;
+    obs::Counter diskHits_;
     /** Compile-duration histogram (null until attachMetrics). */
     std::atomic<obs::Histogram *> compileUs_{nullptr};
 };

@@ -1,8 +1,6 @@
 #include "store/result_store.h"
 
 #include <algorithm>
-
-#include "obs/metrics.h"
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -85,6 +83,20 @@ ResultStore::entryPath(const Key &key) const
 bool
 ResultStore::get(const Key &key, std::vector<uint8_t> *payload)
 {
+    // No payload to parse: a verified entry is a hit.
+    return fetch(key, payload) && countDecode(true);
+}
+
+bool
+ResultStore::countDecode(bool decoded)
+{
+    (decoded ? hits_ : corrupt_).inc();
+    return decoded;
+}
+
+bool
+ResultStore::fetch(const Key &key, std::vector<uint8_t> *payload)
+{
     if (!getHitUs_.load(std::memory_order_relaxed))
         return get_(key, payload);
     uint64_t t0 = obs::monotonicMicros();
@@ -129,24 +141,21 @@ ResultStore::attachMetrics(obs::MetricsRegistry *registry)
         registry->histogram("sps_store_put_duration_us", "",
                             "Result store put() latency (us)"),
         std::memory_order_relaxed);
-    // Cumulative counters ride as collector-refreshed gauges: zero
-    // hot-path cost, always current at snapshot time.
-    registry->addCollector([this, registry] {
-        StoreCounters c = counters();
-        auto pub = [&](const char *name, uint64_t v,
-                       const char *help = "") {
-            registry->gauge(name, "", help)
-                ->set(static_cast<int64_t>(v));
-        };
-        pub("sps_store_hits", c.hits,
-            "Verified result-store entries served");
-        pub("sps_store_misses", c.misses);
-        pub("sps_store_corrupt", c.corrupt);
-        pub("sps_store_writes", c.writes);
-        pub("sps_store_write_errors", c.writeErrors);
-        pub("sps_store_evicted", c.evicted);
-        pub("sps_store_reclaimed_bytes", c.reclaimedBytes);
-    });
+    registry->expose("sps_store_hits", "",
+                     "Verified result-store entries served", &hits_);
+    registry->expose("sps_store_misses", "", "Absent entries",
+                     &misses_);
+    registry->expose("sps_store_corrupt", "",
+                     "Damaged or undecodable entries", &corrupt_);
+    registry->expose("sps_store_writes", "", "Entries written",
+                     &writes_);
+    registry->expose("sps_store_write_errors", "", "Failed writes",
+                     &writeErrors_);
+    registry->expose("sps_store_evicted", "",
+                     "Entries evicted by the LRU sweep", &evicted_);
+    registry->expose("sps_store_reclaimed_bytes", "",
+                     "Bytes freed by sweeps and temp reaps",
+                     &reclaimedBytes_);
 }
 
 bool
@@ -154,13 +163,13 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
 {
     std::ifstream in(entryPath(key), std::ios::binary);
     if (!in) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.inc();
         return false;
     }
     std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                std::istreambuf_iterator<char>());
     if (!in.good() && !in.eof()) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
+        corrupt_.inc();
         return false;
     }
 
@@ -175,11 +184,10 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
         kind != static_cast<uint32_t>(key.kind) ||
         bytes.size() != kHeaderBytes + length ||
         checksum != fnv1aBytes(bytes.data() + kHeaderBytes, length)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
+        corrupt_.inc();
         return false;
     }
     payload->assign(bytes.begin() + kHeaderBytes, bytes.end());
-    hits_.fetch_add(1, std::memory_order_relaxed);
     // Refresh the entry's file time so the LRU sweep orders entries
     // by *access* recency. Best effort: an entry evicted between the
     // read and the touch was still served correctly.
@@ -218,17 +226,17 @@ ResultStore::put_(const Key &key, const std::vector<uint8_t> &payload)
         // A partial write (e.g. disk full) leaves a temp file behind;
         // remove it so failed puts never accumulate `.tmp.*` residue.
         // When the open itself failed the remove is a no-op.
-        writeErrors_.fetch_add(1, std::memory_order_relaxed);
+        writeErrors_.inc();
         std::filesystem::remove(temp_path, ec);
         return false;
     }
     std::filesystem::rename(temp_path, final_path, ec);
     if (ec) {
-        writeErrors_.fetch_add(1, std::memory_order_relaxed);
+        writeErrors_.inc();
         std::filesystem::remove(temp_path, ec);
         return false;
     }
-    writes_.fetch_add(1, std::memory_order_relaxed);
+    writes_.inc();
     if (maxCacheBytes_ != 0)
         sweepToBudget();
     return true;
@@ -237,16 +245,11 @@ ResultStore::put_(const Key &key, const std::vector<uint8_t> &payload)
 bool
 ResultStore::loadSchedule(const Key &key, sched::CompiledKernel *out)
 {
+    // A payload that verifies but does not parse is a schema drift
+    // that forgot the version bump: corrupt, never a wrong hit.
     std::vector<uint8_t> payload;
-    if (!get(key, &payload))
-        return false;
-    if (decodeCompiledKernel(payload, out))
-        return true;
-    // Checksum passed but the payload does not parse: a schema drift
-    // that forgot the version bump. Still a miss, never a wrong hit.
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
+    return fetch(key, &payload) &&
+           countDecode(decodeCompiledKernel(payload, out));
 }
 
 bool
@@ -262,13 +265,8 @@ bool
 ResultStore::loadSimResult(const Key &key, sim::SimResult *out)
 {
     std::vector<uint8_t> payload;
-    if (!get(key, &payload))
-        return false;
-    if (decodeSimResult(payload, out))
-        return true;
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
+    return fetch(key, &payload) &&
+           countDecode(decodeSimResult(payload, out));
 }
 
 bool
@@ -364,8 +362,8 @@ ResultStore::sweepToBudget()
             continue; // already evicted by someone else
         total -= f.bytes;
         reclaimed += f.bytes;
-        evicted_.fetch_add(1, std::memory_order_relaxed);
-        reclaimedBytes_.fetch_add(f.bytes, std::memory_order_relaxed);
+        evicted_.inc();
+        reclaimedBytes_.inc(f.bytes);
     }
     return reclaimed;
 }
@@ -385,7 +383,7 @@ ResultStore::reapOrphanTemps(uint64_t minAgeSeconds)
         if (!std::filesystem::remove(f.path, ec) || ec)
             continue;
         ++reaped;
-        reclaimedBytes_.fetch_add(f.bytes, std::memory_order_relaxed);
+        reclaimedBytes_.inc(f.bytes);
     }
     return reaped;
 }
@@ -393,16 +391,10 @@ ResultStore::reapOrphanTemps(uint64_t minAgeSeconds)
 StoreCounters
 ResultStore::counters() const
 {
-    StoreCounters c;
-    c.hits = hits_.load(std::memory_order_relaxed);
-    c.misses = misses_.load(std::memory_order_relaxed);
-    c.corrupt = corrupt_.load(std::memory_order_relaxed);
-    c.writes = writes_.load(std::memory_order_relaxed);
-    c.writeErrors = writeErrors_.load(std::memory_order_relaxed);
-    c.evicted = evicted_.load(std::memory_order_relaxed);
-    c.reclaimedBytes =
-        reclaimedBytes_.load(std::memory_order_relaxed);
-    return c;
+    return StoreCounters{hits_.value(),        misses_.value(),
+                         corrupt_.value(),     writes_.value(),
+                         writeErrors_.value(), evicted_.value(),
+                         reclaimedBytes_.value()};
 }
 
 } // namespace sps::store

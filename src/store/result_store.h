@@ -20,7 +20,7 @@
  *    `corrupt`), never decoded into a wrong result.
  *
  * Thread safety: get()/put() may be called concurrently from any
- * number of threads (and processes); counters are atomics.
+ * number of threads (and processes); counters are obs::Counters.
  *
  * Eviction/GC: a nonzero byte budget turns the store into a bounded
  * LRU cache. Every put() that leaves the entry files over budget
@@ -41,12 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "store/codec.h"
-
-namespace sps::obs {
-class MetricsRegistry;
-class Histogram;
-}
 
 namespace sps::store {
 
@@ -115,12 +111,12 @@ class ResultStore
 
     /**
      * Publish this store's telemetry into `registry`: get/put latency
-     * histograms (observed on every call from then on) and a snapshot
-     * collector exporting the cumulative StoreCounters as gauges.
-     * Attach once, at wiring time, before concurrent traffic; the
-     * registry must outlive the store's last get()/put(), and this
-     * store must outlive the registry's last snapshot(). nullptr
-     * detaches the histograms (the collector stays registered).
+     * histograms (observed on every call from then on) and the
+     * store's own counters behind StoreCounters, which a snapshot
+     * reads in place. Attach once, at wiring time, before concurrent
+     * traffic; the registry must outlive the store's last get()/put(),
+     * and this store must outlive the registry's last snapshot().
+     * nullptr detaches the histograms (the counters stay exposed).
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
@@ -152,17 +148,24 @@ class ResultStore
     std::string root_;
     uint64_t maxCacheBytes_ = 0;
     std::mutex sweepMu_; ///< one sweep/reap at a time
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> corrupt_{0};
-    std::atomic<uint64_t> writes_{0};
-    std::atomic<uint64_t> writeErrors_{0};
-    std::atomic<uint64_t> evicted_{0};
-    std::atomic<uint64_t> reclaimedBytes_{0};
+    obs::Counter hits_;
+    obs::Counter misses_;
+    obs::Counter corrupt_;
+    obs::Counter writes_;
+    obs::Counter writeErrors_;
+    obs::Counter evicted_;
+    obs::Counter reclaimedBytes_;
     std::atomic<uint64_t> tempSeq_{0};
 
+    /** A verified entry's payload, timed into the get histograms;
+     *  counts misses and corrupt entries but leaves the hit to the
+     *  caller, which may still reject the payload. */
+    bool fetch(const Key &key, std::vector<uint8_t> *payload);
     bool get_(const Key &key, std::vector<uint8_t> *payload);
     bool put_(const Key &key, const std::vector<uint8_t> &payload);
+    /** Count a fetched payload as a hit when it decoded, as corrupt
+     *  otherwise; returns `decoded`. */
+    bool countDecode(bool decoded);
 
     /** Latency histograms (null until attachMetrics): get is split by
      *  result so a cold directory's misses don't skew hit latency. */

@@ -178,38 +178,6 @@ EvalClient::appPerformance(const std::vector<int> &c_values,
     return assembleAppPoints(plan, base, std::move(grid));
 }
 
-std::vector<std::vector<std::string>>
-EvalClient::stats()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ensureAlive();
-    if (!writeFrame(fd_, FrameKind::StatsRequest, {})) {
-        markDead("write failed");
-        throw std::runtime_error("EvalClient: cannot write to " +
-                                 socketPath_);
-    }
-    Frame frame;
-    if (readFrame(fd_, &frame) != ReadStatus::Ok) {
-        markDead("connection lost reading stats");
-        throw std::runtime_error(
-            "EvalClient: connection lost reading stats");
-    }
-    if (frame.kind == FrameKind::Error) {
-        std::string message;
-        decodeErrorString(frame.payload, &message);
-        throw std::runtime_error("EvalClient: server error: " +
-                                 message);
-    }
-    std::vector<std::vector<std::string>> rows;
-    if (frame.kind != FrameKind::StatsReply ||
-        !decodeStatsRows(frame.payload, &rows)) {
-        markDead("undecodable stats payload");
-        throw std::runtime_error(
-            "EvalClient: undecodable stats payload");
-    }
-    return rows;
-}
-
 obs::MetricsSnapshot
 EvalClient::metrics()
 {

@@ -69,10 +69,6 @@ class EvalClient
     appPerformance(const std::vector<int> &c_values,
                    const std::vector<int> &n_values);
 
-    /** The server's cumulative cache-tier counters
-     *  (svc::cacheStatsRows of the daemon's service). */
-    std::vector<std::vector<std::string>> stats();
-
     /**
      * A live metrics snapshot from the server (MetricsRequest round
      * trip). Throws the server's Error message when the daemon runs

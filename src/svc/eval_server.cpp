@@ -22,7 +22,7 @@ namespace sps::svc {
 
 namespace {
 
-/** One queued response: either an immediate frame (stats, errors) or
+/** One queued response: either an immediate frame (metrics, errors) or
  *  a pending evaluation whose result frame is produced on delivery. */
 struct PendingResponse
 {
@@ -60,18 +60,12 @@ EvalServer::EvalServer(EvalService *service, std::string socketPath,
             "End-to-end request latency incl. delivery (us)");
         activeConns_ = reg->gauge("sps_server_active_connections", "",
                                   "Connections currently being served");
-        reg->addCollector([this, reg] {
-            Counters c = counters();
-            reg->gauge("sps_server_connections", "",
-                       "Connections accepted")
-                ->set(static_cast<int64_t>(c.connections));
-            reg->gauge("sps_server_requests", "",
-                       "Well-formed frames handled")
-                ->set(static_cast<int64_t>(c.requests));
-            reg->gauge("sps_server_protocol_errors", "",
-                       "Malformed frames/streams")
-                ->set(static_cast<int64_t>(c.protocolErrors));
-        });
+        reg->expose("sps_server_connections", "", "Connections accepted",
+                    &connections_);
+        reg->expose("sps_server_requests", "",
+                    "Well-formed frames handled", &requests_);
+        reg->expose("sps_server_protocol_errors", "",
+                    "Malformed frames/streams", &protocolErrors_);
     }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -142,19 +136,12 @@ EvalServer::acceptLoop()
             ::close(fd);
             return;
         }
-        connections_.fetch_add(1, std::memory_order_relaxed);
+        connections_.inc();
         std::lock_guard<std::mutex> lock(mu_);
         connFds_.insert(fd);
         conns_.emplace_back(
             [this, fd] { serveConnection(fd); });
     }
-}
-
-std::vector<std::vector<std::string>>
-EvalServer::statsRows() const
-{
-    return cacheStatsRows(service_->engine().cache().counters(),
-                          service_->store(), service_);
 }
 
 void
@@ -245,7 +232,7 @@ EvalServer::serveConnection(int fd)
             // the peer (best effort) and drop the connection. Only
             // this connection dies -- the listener and every other
             // client keep going.
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             PendingResponse r;
             r.immediate = true;
             r.kind = FrameKind::Error;
@@ -257,8 +244,7 @@ EvalServer::serveConnection(int fd)
         case FrameKind::EvalRequest: {
             EvalPoint pt;
             if (!decodeEvalRequest(frame.payload, &pt)) {
-                protocolErrors_.fetch_add(1,
-                                          std::memory_order_relaxed);
+                protocolErrors_.inc();
                 PendingResponse r;
                 r.immediate = true;
                 r.kind = FrameKind::Error;
@@ -266,7 +252,7 @@ EvalServer::serveConnection(int fd)
                 enqueue(std::move(r));
                 break;
             }
-            requests_.fetch_add(1, std::memory_order_relaxed);
+            requests_.inc();
             PendingResponse r;
             if (telemetry_.registry || telemetry_.slowRequestUs) {
                 r.span = std::make_shared<obs::RequestSpan>(
@@ -281,19 +267,8 @@ EvalServer::serveConnection(int fd)
             enqueue(std::move(r));
             break;
         }
-        case FrameKind::StatsRequest: {
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            store::ByteWriter w;
-            encodeStatsRows(statsRows(), &w);
-            PendingResponse r;
-            r.immediate = true;
-            r.kind = FrameKind::StatsReply;
-            r.payload = w.bytes();
-            enqueue(std::move(r));
-            break;
-        }
         case FrameKind::MetricsRequest: {
-            requests_.fetch_add(1, std::memory_order_relaxed);
+            requests_.inc();
             PendingResponse r;
             r.immediate = true;
             if (telemetry_.registry) {
@@ -316,7 +291,7 @@ EvalServer::serveConnection(int fd)
             // A response kind arriving at the server is a confused
             // peer; answer with an error but keep the stream (the
             // frame itself was well-formed).
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             PendingResponse r;
             r.immediate = true;
             r.kind = FrameKind::Error;
@@ -354,12 +329,8 @@ EvalServer::metricsSnapshot() const
 EvalServer::Counters
 EvalServer::counters() const
 {
-    Counters c;
-    c.connections = connections_.load(std::memory_order_relaxed);
-    c.requests = requests_.load(std::memory_order_relaxed);
-    c.protocolErrors =
-        protocolErrors_.load(std::memory_order_relaxed);
-    return c;
+    return Counters{connections_.value(), requests_.value(),
+                    protocolErrors_.value()};
 }
 
 } // namespace sps::svc

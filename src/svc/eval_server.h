@@ -38,8 +38,8 @@ namespace sps::svc {
 /**
  * Telemetry wiring for one EvalServer. With a registry the server
  * registers its own metrics (end-to-end request latency, active
- * connections, cumulative counters as collector gauges), attaches the
- * service's metrics (the single wiring point for the request tiers),
+ * connections) and exposes its own counters, attaches the service's
+ * metrics (the single wiring point for the request tiers),
  * creates a RequestSpan per EvalRequest, and answers MetricsRequest
  * frames with a live snapshot. Without one, every telemetry path is
  * compiled to a null check and MetricsRequest answers with an Error
@@ -98,7 +98,6 @@ class EvalServer
   private:
     void acceptLoop();
     void serveConnection(int fd);
-    std::vector<std::vector<std::string>> statsRows() const;
 
     EvalService *service_;
     std::string socketPath_;
@@ -116,9 +115,9 @@ class EvalServer
     std::vector<std::thread> conns_;
     std::unordered_set<int> connFds_;
 
-    std::atomic<uint64_t> connections_{0};
-    std::atomic<uint64_t> requests_{0};
-    std::atomic<uint64_t> protocolErrors_{0};
+    obs::Counter connections_;
+    obs::Counter requests_;
+    obs::Counter protocolErrors_;
 
     std::thread acceptor_;
 };

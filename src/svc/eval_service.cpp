@@ -98,29 +98,26 @@ EvalService::submit(const EvalPoint &pt,
 {
     Metrics *m = metrics_.load(std::memory_order_acquire);
     uint64_t t0 = m ? obs::monotonicMicros() : 0;
-    if (m)
-        m->requests->inc();
     std::string key = requestKey(pt);
     std::shared_future<sim::SimResult> future;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        requests_.inc();
         auto it = results_.find(key);
         if (it != results_.end()) {
-            bool ready = it->second.wait_for(std::chrono::seconds(0)) ==
-                         std::future_status::ready;
-            (ready ? memHits_ : inflightDedup_)
-                .fetch_add(1, std::memory_order_relaxed);
             // Both flavors count as the memory tier: the request was
             // served without touching disk or the engine (a dedup'd
             // in-flight twin rides the winner's work).
             constexpr int kMem = static_cast<int>(obs::Tier::Mem);
+            tier_[kMem].inc();
+            if (it->second.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+                inflightDedup_.inc();
             if (span)
                 span->setTier(obs::Tier::Mem);
-            if (m) {
-                m->tier[kMem]->inc();
+            if (m)
                 m->durationTier[kMem]->observe(obs::monotonicMicros() -
                                                t0);
-            }
             return it->second;
         }
         Job job;
@@ -130,7 +127,6 @@ EvalService::submit(const EvalPoint &pt,
         future = job.promise.get_future().share();
         results_.emplace(std::move(key), future);
         pending_.push_back(std::move(job));
-        submitted_.fetch_add(1, std::memory_order_relaxed);
     }
     wake_.notify_one();
     return future;
@@ -193,11 +189,16 @@ EvalService::runJob(Job &job)
         for (const auto &app : apps)
             if (app.name == job.pt.app)
                 entry = &app;
+        // Delivered through the requester's future, not fatal(): a
+        // bad request must not take the whole service down.
         if (!entry)
-            // Delivered through the requester's future, not fatal():
-            // a bad request must not take the whole service down.
             throw std::runtime_error(
                 "EvalService: unknown application " + job.pt.app);
+        if (job.pt.size.clusters <= 0 || job.pt.size.alusPerCluster <= 0)
+            throw std::runtime_error(
+                "EvalService: machine size must be positive, got C=" +
+                std::to_string(job.pt.size.clusters) +
+                " N=" + std::to_string(job.pt.size.alusPerCluster));
 
         // The processor is built from the same effective config the
         // request key hashed; StreamProcessor carries it verbatim, so
@@ -220,7 +221,6 @@ EvalService::runJob(Job &job)
             from_disk = store_->loadSimResult(key, &res);
         }
         if (from_disk) {
-            diskHits_.fetch_add(1, std::memory_order_relaxed);
             tier = obs::Tier::Disk;
         } else {
             uint64_t tSim = obs::monotonicMicros();
@@ -230,7 +230,6 @@ EvalService::runJob(Job &job)
                 span->stage("sim", tSim, tSimEnd);
             if (m)
                 m->simDuration->observe(tSimEnd - tSim);
-            computed_.fetch_add(1, std::memory_order_relaxed);
             tier = obs::Tier::Compute;
             if (store_) {
                 obs::StageTimer t(span, "store_put");
@@ -247,14 +246,13 @@ EvalService::runJob(Job &job)
     // resolves: the waiter's get() is the caller's quiescence point,
     // so a snapshot taken after eval() returns must already include
     // this request's outcome.
+    int ti = static_cast<int>(tier);
+    tier_[ti].inc();
     if (span)
         span->setTier(tier);
-    if (m) {
-        int ti = static_cast<int>(tier);
-        m->tier[ti]->inc();
+    if (m)
         m->durationTier[ti]->observe(obs::monotonicMicros() -
                                      job.enqueueUs);
-    }
     if (err)
         job.promise.set_exception(std::move(err));
     else
@@ -360,48 +358,39 @@ EvalService::attachMetrics(obs::MetricsRegistry *registry)
         metrics_.store(nullptr, std::memory_order_release);
         return;
     }
+    constexpr obs::Tier kTiers[] = {obs::Tier::Mem, obs::Tier::Disk,
+                                    obs::Tier::Compute,
+                                    obs::Tier::Error};
+    auto label = [](obs::Tier t) {
+        return std::string("tier=\"") + obs::tierName(t) + "\"";
+    };
+    // The tier counters are exposed (and therefore snapshot-read)
+    // *before* the request total: a request counts in requests_total
+    // first and in its tier later, so reading outcomes before the
+    // total keeps sum(tiers) <= requests_total in every concurrent
+    // snapshot.
+    for (obs::Tier t : kTiers)
+        registry->expose(
+            "sps_requests_tier_total", label(t),
+            "Requests resolved per tier (mem / disk / compute / error)",
+            &tier_[static_cast<int>(t)]);
+    registry->expose("sps_requests_total", "",
+                     "Evaluation requests submitted to the service",
+                     &requests_);
+    registry->expose("sps_service_inflight_dedup", "",
+                     "Mem-tier requests that joined an in-flight twin",
+                     &inflightDedup_);
     auto m = std::make_unique<Metrics>();
-    const char *durationHelp =
-        "Submit-to-resolution request latency (us)";
-    const char *tierHelp =
-        "Requests resolved per tier (mem / disk / compute / error)";
-    for (obs::Tier t : {obs::Tier::Mem, obs::Tier::Disk,
-                        obs::Tier::Compute, obs::Tier::Error}) {
-        int i = static_cast<int>(t);
-        std::string label =
-            std::string("tier=\"") + obs::tierName(t) + "\"";
-        m->tier[i] = registry->counter("sps_requests_tier_total",
-                                       label, tierHelp);
-        m->durationTier[i] = registry->histogram(
-            "sps_request_duration_us", label, durationHelp);
-    }
-    // Registered (and therefore snapshot-read) *after* the tier
-    // counters: a request increments requests_total first and its
-    // tier outcome later, so reading outcomes before the total keeps
-    // sum(tiers) <= requests_total in every concurrent snapshot.
-    m->requests = registry->counter(
-        "sps_requests_total", "",
-        "Evaluation requests submitted to the service");
+    for (obs::Tier t : kTiers)
+        m->durationTier[static_cast<int>(t)] = registry->histogram(
+            "sps_request_duration_us", label(t),
+            "Submit-to-resolution request latency (us)");
     m->queueWait = registry->histogram(
         "sps_queue_wait_us", "",
         "Submit-to-dispatch queue wait (us)");
     m->simDuration = registry->histogram(
         "sps_sim_duration_us", "",
         "Simulation wall time of computed requests (us)");
-    registry->addCollector([this, registry] {
-        ServiceCounters c = counters();
-        auto pub = [&](const char *name, uint64_t v,
-                       const char *help = "") {
-            registry->gauge(name, "", help)
-                ->set(static_cast<int64_t>(v));
-        };
-        pub("sps_service_submitted", c.submitted,
-            "Distinct requests queued (post-dedup)");
-        pub("sps_service_mem_hits", c.memHits);
-        pub("sps_service_inflight_dedup", c.inflightDedup);
-        pub("sps_service_disk_hits", c.diskHits);
-        pub("sps_service_sims", c.computed);
-    });
     metricsStorage_ = std::move(m);
     metrics_.store(metricsStorage_.get(), std::memory_order_release);
 }
@@ -409,57 +398,17 @@ EvalService::attachMetrics(obs::MetricsRegistry *registry)
 ServiceCounters
 EvalService::counters() const
 {
+    // Under mu_, where submit() counts a request together with its
+    // mem-tier outcome, so the differences never see half a request.
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t mem = tier_[static_cast<int>(obs::Tier::Mem)].value();
     ServiceCounters c;
-    c.submitted = submitted_.load(std::memory_order_relaxed);
-    c.memHits = memHits_.load(std::memory_order_relaxed);
-    c.inflightDedup = inflightDedup_.load(std::memory_order_relaxed);
-    c.diskHits = diskHits_.load(std::memory_order_relaxed);
-    c.computed = computed_.load(std::memory_order_relaxed);
+    c.submitted = requests_.value() - mem;
+    c.inflightDedup = inflightDedup_.value();
+    c.memHits = mem - c.inflightDedup;
+    c.diskHits = tier_[static_cast<int>(obs::Tier::Disk)].value();
+    c.computed = tier_[static_cast<int>(obs::Tier::Compute)].value();
     return c;
-}
-
-std::vector<std::vector<std::string>>
-cacheStatsRows(const sched::ScheduleCache::Counters &sched,
-               const store::ResultStore *store,
-               const EvalService *service)
-{
-    auto n = [](uint64_t v) { return std::to_string(v); };
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"schedule_cache", "mem_hits", n(sched.hits)});
-    rows.push_back({"schedule_cache", "disk_hits", n(sched.diskHits)});
-    rows.push_back({"schedule_cache", "compiles", n(sched.misses)});
-    if (store) {
-        store::StoreCounters sc = store->counters();
-        rows.push_back({"result_store", "hits", n(sc.hits)});
-        rows.push_back({"result_store", "misses", n(sc.misses)});
-        rows.push_back({"result_store", "corrupt", n(sc.corrupt)});
-        rows.push_back({"result_store", "writes", n(sc.writes)});
-        rows.push_back(
-            {"result_store", "write_errors", n(sc.writeErrors)});
-        rows.push_back({"result_store", "evicted", n(sc.evicted)});
-        rows.push_back({"result_store", "reclaimed_bytes",
-                        n(sc.reclaimedBytes)});
-    }
-    if (service) {
-        ServiceCounters vc = service->counters();
-        rows.push_back({"eval_service", "submitted", n(vc.submitted)});
-        rows.push_back({"eval_service", "mem_hits", n(vc.memHits)});
-        rows.push_back(
-            {"eval_service", "inflight_dedup", n(vc.inflightDedup)});
-        rows.push_back({"eval_service", "disk_hits", n(vc.diskHits)});
-        rows.push_back({"eval_service", "sims", n(vc.computed)});
-    }
-    return rows;
-}
-
-void
-appendCacheStatsRows(CsvWriter &w,
-                     const sched::ScheduleCache::Counters &sched,
-                     const store::ResultStore *store,
-                     const EvalService *service)
-{
-    for (auto &r : cacheStatsRows(sched, store, service))
-        w.row(r);
 }
 
 } // namespace sps::svc

@@ -39,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/csv.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
 #include "obs/span.h"
@@ -105,7 +104,8 @@ assembleAppPoints(const AppSweepPlan &plan,
                   const std::vector<sim::SimResult> &base_by_app,
                   std::vector<sim::SimResult> grid_results);
 
-/** Monotonic per-tier counters of one service instance. */
+/** Monotonic per-tier counts of one service instance: a view over
+ *  the service's own counters (EvalService::counters()). */
 struct ServiceCounters
 {
     uint64_t submitted = 0;     ///< distinct requests queued
@@ -172,21 +172,26 @@ class EvalService
      */
     void clearMemory();
 
+    /** The counts so far, read from the service's own counters
+     *  (memHits = mem tier - inflightDedup, submitted = requests -
+     *  mem tier). Counted with or without a registry attached. */
     ServiceCounters counters() const;
     store::ResultStore *store() const { return store_; }
     core::EvalEngine &engine() const { return *engine_; }
 
     /**
-     * Publish this service's telemetry into `registry`:
-     * sps_requests_total, per-tier sps_requests_tier_total counters
-     * and sps_request_duration_us histograms (tier = mem / disk /
-     * compute / error), sps_queue_wait_us, sps_sim_duration_us, plus
-     * a collector exporting ServiceCounters as gauges. Conservation:
-     * every submit() increments requests_total and resolves to
-     * exactly one tier, so at quiescence requests_total equals the
-     * sum of the tier counters and of the per-tier histogram counts.
-     * Attach once, at wiring time; the registry must outlive the
-     * service. nullptr detaches.
+     * Publish this service's telemetry into `registry`: its own
+     * counters, read in place -- per-tier sps_requests_tier_total
+     * (tier = mem / disk / compute / error), sps_requests_total and
+     * sps_service_inflight_dedup -- plus per-tier
+     * sps_request_duration_us, sps_queue_wait_us and
+     * sps_sim_duration_us histograms. Conservation: every submit()
+     * counts one request and resolves to exactly one tier, so at
+     * quiescence requests_total equals the sum of the tier counters
+     * and of the per-tier histogram counts. Attach once, at wiring
+     * time; the registry must outlive the service's last submit(),
+     * and the service must outlive the registry's last snapshot().
+     * nullptr detaches the histograms.
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
@@ -201,13 +206,11 @@ class EvalService
         uint64_t enqueueUs = 0;
     };
 
-    /** Pre-resolved metric handles, indexed by obs::Tier where
-     *  per-tier. Published via an atomic pointer so the hot path is
-     *  one acquire load plus relaxed counter bumps. */
+    /** Pre-resolved histogram handles, per-tier ones indexed by
+     *  obs::Tier. Published via an atomic pointer so the hot path is
+     *  one acquire load plus relaxed bumps. */
     struct Metrics
     {
-        obs::Counter *requests = nullptr;
-        obs::Counter *tier[5] = {};
         obs::Histogram *durationTier[5] = {};
         obs::Histogram *queueWait = nullptr;
         obs::Histogram *simDuration = nullptr;
@@ -220,7 +223,7 @@ class EvalService
     core::EvalEngine *engine_;
     store::ResultStore *store_;
 
-    std::mutex mu_;
+    mutable std::mutex mu_;
     std::condition_variable wake_;
     bool stop_ = false;
     std::deque<Job> pending_;
@@ -229,35 +232,19 @@ class EvalService
     std::unordered_map<std::string, std::shared_future<sim::SimResult>>
         results_;
 
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> memHits_{0};
-    std::atomic<uint64_t> inflightDedup_{0};
-    std::atomic<uint64_t> diskHits_{0};
-    std::atomic<uint64_t> computed_{0};
+    /** The one copy of every count, with or without a registry:
+     *  requests, their tier outcomes indexed by obs::Tier, and the
+     *  mem-tier requests that joined an in-flight twin. requests_ and
+     *  the mem tier move together under mu_ (see counters()). */
+    obs::Counter requests_;
+    obs::Counter tier_[5];
+    obs::Counter inflightDedup_;
 
     std::unique_ptr<Metrics> metricsStorage_;
     std::atomic<Metrics *> metrics_{nullptr};
 
     std::thread dispatcher_;
 };
-
-/**
- * Append the cache-tier observability rows (tier, counter, value) for
- * the schedule cache, the store, and the service to a CSV started
- * with header {"tier", "counter", "value"}. Null store/service are
- * skipped. This is the canonical export behind cache_stats.csv and
- * the bench_headline cache section.
- */
-void appendCacheStatsRows(CsvWriter &w,
-                          const sched::ScheduleCache::Counters &sched,
-                          const store::ResultStore *store,
-                          const EvalService *service);
-
-/** The same rows as (tier, counter, value) string triples. */
-std::vector<std::vector<std::string>>
-cacheStatsRows(const sched::ScheduleCache::Counters &sched,
-               const store::ResultStore *store,
-               const EvalService *service);
 
 } // namespace sps::svc
 

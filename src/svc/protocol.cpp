@@ -17,8 +17,6 @@ knownKind(uint32_t kind)
     case FrameKind::EvalRequest:
     case FrameKind::EvalResult:
     case FrameKind::Error:
-    case FrameKind::StatsRequest:
-    case FrameKind::StatsReply:
     case FrameKind::MetricsRequest:
     case FrameKind::MetricsReply:
         return true;
@@ -141,48 +139,6 @@ decodeEvalRequest(const std::vector<uint8_t> &bytes, EvalPoint *out)
     if (!r.done())
         return false; // trailing bytes are as bad as missing ones
     *out = std::move(pt);
-    return true;
-}
-
-void
-encodeStatsRows(const std::vector<std::vector<std::string>> &rows,
-                store::ByteWriter *w)
-{
-    w->u64(rows.size());
-    for (const auto &row : rows) {
-        w->u64(row.size());
-        for (const auto &cell : row)
-            w->str(cell);
-    }
-}
-
-bool
-decodeStatsRows(const std::vector<uint8_t> &bytes,
-                std::vector<std::vector<std::string>> *out)
-{
-    store::ByteReader r(bytes);
-    uint64_t n_rows = 0;
-    if (!r.u64(&n_rows) || n_rows > bytes.size())
-        return false;
-    std::vector<std::vector<std::string>> rows;
-    rows.reserve(static_cast<size_t>(n_rows));
-    for (uint64_t i = 0; i < n_rows; ++i) {
-        uint64_t n_cells = 0;
-        if (!r.u64(&n_cells) || n_cells > bytes.size())
-            return false;
-        std::vector<std::string> row;
-        row.reserve(static_cast<size_t>(n_cells));
-        for (uint64_t j = 0; j < n_cells; ++j) {
-            std::string cell;
-            if (!r.str(&cell))
-                return false;
-            row.push_back(std::move(cell));
-        }
-        rows.push_back(std::move(row));
-    }
-    if (!r.done())
-        return false;
-    *out = std::move(rows);
     return true;
 }
 

@@ -12,7 +12,6 @@
  *
  * Conversation shape (client-initiated, ordered per connection):
  *   EvalRequest    -> EvalResult | Error
- *   StatsRequest   -> StatsReply | Error
  *   MetricsRequest -> MetricsReply | Error
  * Responses come back in request order, so a client may pipeline any
  * number of requests before reading the first response; the server
@@ -55,8 +54,12 @@ inline constexpr uint32_t kProtocolMagic = 0x50535053;
  *      client's MetricsRequest would otherwise kill its connection to
  *      a v1 server mid-conversation instead of failing the version
  *      check up front.
+ *  3 = drops StatsRequest/StatsReply (kinds 4 and 5, now unassigned):
+ *      MetricsReply carries every count the stats rows did. Bumped so
+ *      a v2 client's StatsRequest fails the version check instead of
+ *      arriving as an unknown kind.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** Frame header size: magic, version, kind, reserved, payload
  *  length (u64), checksum (u64) -- the same 32-byte shape as a store
@@ -69,12 +72,11 @@ inline constexpr size_t kFrameHeaderBytes = 32;
  *  is malformed (protects the reader from allocating garbage). */
 inline constexpr uint64_t kMaxFramePayloadBytes = uint64_t(1) << 30;
 
+/** Kinds 4 and 5 (the retired stats pair) stay unassigned. */
 enum class FrameKind : uint32_t {
     EvalRequest = 1,    ///< payload: encodeEvalRequest
     EvalResult = 2,     ///< payload: store::encodeSimResult
     Error = 3,          ///< payload: one string (the error message)
-    StatsRequest = 4,   ///< payload: empty
-    StatsReply = 5,     ///< payload: encodeStatsRows
     MetricsRequest = 6, ///< payload: empty
     MetricsReply = 7,   ///< payload: encodeMetricsSnapshot
 };
@@ -113,12 +115,6 @@ void encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w);
 /** False on truncation, trailing bytes, or malformed fields. */
 bool decodeEvalRequest(const std::vector<uint8_t> &bytes,
                        EvalPoint *out);
-
-/** The (tier, counter, value) triples of svc::cacheStatsRows. */
-void encodeStatsRows(const std::vector<std::vector<std::string>> &rows,
-                     store::ByteWriter *w);
-bool decodeStatsRows(const std::vector<uint8_t> &bytes,
-                     std::vector<std::vector<std::string>> *out);
 
 void encodeErrorString(const std::string &message,
                        store::ByteWriter *w);

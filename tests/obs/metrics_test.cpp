@@ -1,12 +1,13 @@
 // Tests for the service-telemetry metrics registry: handle
 // idempotence, the log2 bucket math, exact count/sum accounting,
-// quantile extraction, collector gauges, both render formats, and the
+// quantile extraction, exposed counters, both render formats, and the
 // consistency contract of a snapshot taken under concurrent recording
 // (run under TSan in CI).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -144,19 +145,33 @@ TEST(HistogramTest, EmptyHistogramQuantileIsZero)
     EXPECT_EQ(m->quantile(0.99), 0u);
 }
 
-TEST(MetricsRegistryTest, CollectorPublishesAtSnapshotTime)
+TEST(MetricsRegistryTest, ExposedCounterIsReadInPlace)
 {
-    // The collector pattern: a subsystem keeps its own cheap counter
-    // and publishes it as a gauge only when someone snapshots.
+    // A component owns its counter and keeps counting into it; the
+    // registry holds no copy, so every snapshot reads the owner's
+    // current value -- including a reset().
     MetricsRegistry reg;
-    std::atomic<int64_t> external{11};
-    reg.addCollector([&] {
-        reg.gauge("sps_external_things", "", "externally counted")
-            ->set(external.load());
-    });
-    EXPECT_EQ(reg.snapshot().value("sps_external_things"), 11);
-    external.store(42);
+    Counter owned;
+    owned.inc(11);
+    reg.expose("sps_external_things", "", "externally counted", &owned);
+    reg.expose("sps_external_things", "", "externally counted", &owned);
+    EXPECT_EQ(reg.size(), 1u) << "re-exposing the same counter is a no-op";
+
+    MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.value("sps_external_things"), 11);
+    ASSERT_NE(snap.find("sps_external_things"), nullptr);
+    EXPECT_EQ(snap.find("sps_external_things")->kind,
+              MetricKind::Counter);
+    EXPECT_NE(renderPrometheus(snap).find(
+                  "# TYPE sps_external_things counter\n"),
+              std::string::npos);
+
+    owned.inc(31);
     EXPECT_EQ(reg.snapshot().value("sps_external_things"), 42);
+    owned.reset();
+    EXPECT_EQ(reg.snapshot().value("sps_external_things"), 0);
+    EXPECT_EQ(counterLines(reg.snapshot()),
+              std::vector<std::string>{"sps_external_things 0"});
 }
 
 TEST(MetricsRenderTest, PrometheusEmitsHelpAndTypeOncePerFamily)
@@ -275,17 +290,23 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
     // The registration-order contract the service relies on for
     // conservation: an "outcome" counter registered (and therefore
     // snapshot-read) before the "started" counter it never exceeds,
-    // plus the histogram's buckets-before-count read order, keep
-    // every snapshot internally consistent while writers hammer the
-    // handles. CI runs this under TSan.
+    // plus the histogram's count-then-bucket write order against its
+    // bucket-then-count read order, keep every snapshot internally
+    // consistent while writers hammer the handles. Four writers per
+    // core get preempted mid-record, which is what exposes a wrong
+    // order; snapshots run until the last writer is done. CI runs
+    // this under TSan.
     MetricsRegistry reg;
     Counter *done = reg.counter("sps_done_total");
     Counter *started = reg.counter("sps_started_total");
     Histogram *lat = reg.histogram("sps_lat_us");
 
-    constexpr int kThreads = 4;
+    const int kThreads =
+        4 * static_cast<int>(
+                std::max(1u, std::thread::hardware_concurrency()));
     constexpr uint64_t kPerThread = 20000;
     std::atomic<bool> go{false};
+    std::atomic<int> running{kThreads};
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t)
         writers.emplace_back([&] {
@@ -296,24 +317,32 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
                 lat->observe(i % 1024);
                 done->inc();
             }
+            running.fetch_sub(1);
         });
     go.store(true);
 
-    for (int round = 0; round < 50; ++round) {
+    int snapshots = 0, overtaken = 0, overcounted = 0;
+    while (running.load() > 0) {
         MetricsSnapshot snap = reg.snapshot();
-        int64_t s = snap.value("sps_started_total");
-        int64_t d = snap.value("sps_done_total");
-        EXPECT_GE(s, d) << "outcome overtook its start";
+        ++snapshots;
+        if (snap.value("sps_started_total") < snap.value("sps_done_total"))
+            ++overtaken;
         const MetricSample *m = snap.find("sps_lat_us");
         ASSERT_NE(m, nullptr);
         uint64_t bucket_total = 0;
         for (uint64_t b : m->buckets)
             bucket_total += b;
-        EXPECT_LE(bucket_total, m->count)
-            << "bucket total overtook the observation count";
+        if (bucket_total > m->count)
+            ++overcounted;
     }
     for (auto &t : writers)
         t.join();
+    EXPECT_EQ(overtaken, 0)
+        << "snapshots where an outcome overtook its start, of "
+        << snapshots;
+    EXPECT_EQ(overcounted, 0)
+        << "snapshots where the bucket total overtook the count, of "
+        << snapshots;
 
     // Quiescent: everything is exact.
     MetricsSnapshot snap = reg.snapshot();

@@ -206,7 +206,6 @@ TEST(ClientFailureTest, ErrorMidPipelineNeverServesTheStaleResponse)
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(client.stats(), std::runtime_error);
     EXPECT_THROW(client.metrics(), std::runtime_error);
     fake.join();
 }
@@ -249,13 +248,13 @@ TEST(ClientFailureTest, UndecodableResultPayloadGoesDead)
 
 TEST(ClientFailureTest, UnexpectedFrameKindGoesDead)
 {
-    // A StatsReply answering an EvalRequest means the conversation
+    // A MetricsReply answering an EvalRequest means the conversation
     // lost sync; the client must refuse to guess.
     std::string sock = freshSock("badkind");
     FakeServer fake(sock);
     store::ByteWriter w;
-    encodeStatsRows({{"a", "b", "c"}}, &w);
-    fake.play({{FrameKind::StatsReply, w.bytes()}}, /*linger=*/true);
+    encodeMetricsSnapshot(obs::MetricsSnapshot{}, &w);
+    fake.play({{FrameKind::MetricsReply, w.bytes()}}, /*linger=*/true);
 
     EvalClient client(sock);
     EXPECT_THROW(client.eval({"DEPTH", {8, 5}, {}}),

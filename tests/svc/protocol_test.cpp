@@ -31,8 +31,7 @@ TEST(EvalProtocolTest, FrameRoundTripEveryKind)
 {
     for (FrameKind kind :
          {FrameKind::EvalRequest, FrameKind::EvalResult,
-          FrameKind::Error, FrameKind::StatsRequest,
-          FrameKind::StatsReply, FrameKind::MetricsRequest,
+          FrameKind::Error, FrameKind::MetricsRequest,
           FrameKind::MetricsReply}) {
         std::vector<uint8_t> payload{1, 2, 3, 0xff, 0};
         std::vector<uint8_t> bytes = frameBytes(kind, payload);
@@ -46,10 +45,11 @@ TEST(EvalProtocolTest, FrameRoundTripEveryKind)
 
 TEST(EvalProtocolTest, EmptyPayloadRoundTrips)
 {
-    std::vector<uint8_t> bytes = frameBytes(FrameKind::StatsRequest, {});
+    std::vector<uint8_t> bytes =
+        frameBytes(FrameKind::MetricsRequest, {});
     Frame back;
     ASSERT_TRUE(decodeFrame(bytes, &back));
-    EXPECT_EQ(back.kind, FrameKind::StatsRequest);
+    EXPECT_EQ(back.kind, FrameKind::MetricsRequest);
     EXPECT_TRUE(back.payload.empty());
 }
 
@@ -111,8 +111,9 @@ TEST(EvalProtocolTest, VersionMismatchRejected)
 TEST(EvalProtocolTest, UnknownKindRejected)
 {
     std::vector<uint8_t> bytes = frameBytes(FrameKind::Error, {1});
-    // Kind u32 lives at offset 8; 0 and 99 are not assigned.
-    for (uint8_t bad : {uint8_t{0}, uint8_t{99}}) {
+    // Kind u32 lives at offset 8; 0, 99, and the retired stats kinds
+    // 4 and 5 are not assigned.
+    for (uint8_t bad : {uint8_t{0}, uint8_t{4}, uint8_t{5}, uint8_t{99}}) {
         std::vector<uint8_t> damaged = bytes;
         damaged[8] = bad;
         Frame out;
@@ -209,21 +210,6 @@ TEST(EvalProtocolTest, EvalRequestEveryTruncationRejected)
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0);
     EXPECT_FALSE(decodeEvalRequest(padded, &out));
-}
-
-TEST(EvalProtocolTest, StatsRowsRoundTrip)
-{
-    std::vector<std::vector<std::string>> rows{
-        {"result_store", "hits", "12"},
-        {"eval_service", "sims", "0"},
-        {},
-        {"one"},
-    };
-    store::ByteWriter w;
-    encodeStatsRows(rows, &w);
-    std::vector<std::vector<std::string>> back;
-    ASSERT_TRUE(decodeStatsRows(w.bytes(), &back));
-    EXPECT_EQ(back, rows);
 }
 
 TEST(EvalProtocolTest, ErrorStringRoundTrip)

@@ -1,6 +1,7 @@
 // End-to-end telemetry tests: the conservation invariant
 // (requests_total == mem + disk + compute + error, per-tier histogram
-// counts matching tier counters), snapshot consistency under a
+// counts matching tier counters), each component's counters() reading
+// the same counts a scrape does, snapshot consistency under a
 // concurrent submit storm (TSan-covered in CI), the MetricsRequest
 // round trip through server and client, and the server-side span
 // pipeline behind the slow-request log and the Chrome-trace export.
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/eval_engine.h"
@@ -47,11 +49,17 @@ freshSock(const char *name)
 const EvalPoint kPoint{"DEPTH", vlsi::MachineSize{8, 5}, {}};
 
 uint64_t
+scraped(const obs::MetricsSnapshot &snap, const char *name,
+        const std::string &labels = "")
+{
+    return static_cast<uint64_t>(snap.value(name, labels));
+}
+
+uint64_t
 tierCounter(const obs::MetricsSnapshot &snap, const char *tier)
 {
-    return static_cast<uint64_t>(
-        snap.value("sps_requests_tier_total",
-                   std::string("tier=\"") + tier + "\""));
+    return scraped(snap, "sps_requests_tier_total",
+                   std::string("tier=\"") + tier + "\"");
 }
 
 uint64_t
@@ -69,6 +77,7 @@ TEST(ServiceTelemetryTest, ConservationAcrossMemComputeAndError)
     core::EvalEngine engine(2);
     EvalService service(&engine);
     service.attachMetrics(&reg);
+    engine.cache().attachMetrics(&reg);
 
     service.eval(kPoint);                            // compute
     service.eval(kPoint);                            // mem
@@ -76,6 +85,15 @@ TEST(ServiceTelemetryTest, ConservationAcrossMemComputeAndError)
                  std::runtime_error);                // error
 
     obs::MetricsSnapshot snap = reg.snapshot();
+    // The shared schedule cache's counters() reads what the scrape
+    // read. Detach first: the process-wide cache outlives `reg`.
+    sched::ScheduleCache::Counters cache = engine.cache().counters();
+    engine.cache().attachMetrics(nullptr);
+    EXPECT_EQ(cache.hits, scraped(snap, "sps_sched_cache_hits"));
+    EXPECT_EQ(cache.diskHits, scraped(snap, "sps_sched_cache_disk_hits"));
+    EXPECT_EQ(cache.misses, scraped(snap, "sps_sched_cache_compiles"));
+    EXPECT_GT(cache.hits + cache.misses, 0u);
+
     EXPECT_EQ(snap.value("sps_requests_total"), 3);
     EXPECT_EQ(tierCounter(snap, "compute"), 1u);
     EXPECT_EQ(tierCounter(snap, "mem"), 1u);
@@ -102,14 +120,15 @@ TEST(ServiceTelemetryTest, ConservationAcrossMemComputeAndError)
     ASSERT_NE(sim, nullptr);
     EXPECT_EQ(sim->count, 1u);
 
-    // The collector gauges mirror the service's own counters.
+    // ServiceCounters is a view over the counters the scrape read.
     ServiceCounters c = service.counters();
-    EXPECT_EQ(snap.value("sps_service_submitted"),
-              static_cast<int64_t>(c.submitted));
-    EXPECT_EQ(snap.value("sps_service_mem_hits"),
-              static_cast<int64_t>(c.memHits));
-    EXPECT_EQ(snap.value("sps_service_sims"),
-              static_cast<int64_t>(c.computed));
+    EXPECT_EQ(c.memHits + c.inflightDedup, tierCounter(snap, "mem"));
+    EXPECT_EQ(c.inflightDedup,
+              scraped(snap, "sps_service_inflight_dedup"));
+    EXPECT_EQ(c.diskHits, tierCounter(snap, "disk"));
+    EXPECT_EQ(c.computed, tierCounter(snap, "compute"));
+    EXPECT_EQ(c.submitted, scraped(snap, "sps_requests_total") -
+                               tierCounter(snap, "mem"));
 }
 
 TEST(ServiceTelemetryTest, DiskTierCountsInConservation)
@@ -145,6 +164,18 @@ TEST(ServiceTelemetryTest, DiskTierCountsInConservation)
     ASSERT_NE(get, nullptr);
     EXPECT_GE(get->count, 1u);
     EXPECT_GE(snap.value("sps_store_hits"), 1);
+
+    // The store's counters() reads what the scrape read.
+    store::StoreCounters sc = warm.counters();
+    for (auto [name, value] :
+         {std::pair{"sps_store_hits", sc.hits},
+          std::pair{"sps_store_misses", sc.misses},
+          std::pair{"sps_store_corrupt", sc.corrupt},
+          std::pair{"sps_store_writes", sc.writes},
+          std::pair{"sps_store_write_errors", sc.writeErrors},
+          std::pair{"sps_store_evicted", sc.evicted},
+          std::pair{"sps_store_reclaimed_bytes", sc.reclaimedBytes}})
+        EXPECT_EQ(scraped(snap, name), value) << name;
 }
 
 TEST(ServiceTelemetryTest, SnapshotsStayConsistentUnderSubmitStorm)
@@ -252,6 +283,14 @@ TEST(ServerTelemetryTest, MetricsRoundTripThroughTheSocket)
     ASSERT_NE(e2e, nullptr);
     EXPECT_EQ(e2e->count, 3u);
     EXPECT_GE(snap.value("sps_server_connections"), 1);
+    // The server's counters() reads what the scrape read (the scrape
+    // itself is the fourth request).
+    EvalServer::Counters sc = server.counters();
+    EXPECT_EQ(sc.requests, 4u);
+    EXPECT_EQ(sc.connections, scraped(snap, "sps_server_connections"));
+    EXPECT_EQ(sc.requests, scraped(snap, "sps_server_requests"));
+    EXPECT_EQ(sc.protocolErrors,
+              scraped(snap, "sps_server_protocol_errors"));
     // The decoded snapshot renders exactly like a local one.
     std::string text = obs::renderPrometheus(snap);
     EXPECT_NE(text.find("sps_requests_total 3\n"), std::string::npos);
