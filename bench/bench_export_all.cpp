@@ -6,7 +6,9 @@
  * through the evaluation engine: design points run concurrently
  * (pass --serial to force one thread) and kernel compilations memoize
  * in the shared schedule cache; the deterministic axis-order
- * collection keeps the CSVs byte-identical to a serial export.
+ * collection keeps the CSVs byte-identical to a serial export. An
+ * unknown flag, a flag missing its value or a --max-cache-bytes that
+ * is not a number exits 2 with the usage line before any work.
  *
  * Persistence:
  *   --cache-dir DIR  attach the disk-backed result store rooted at
@@ -46,15 +48,16 @@
  *                    `bench_export_all --server SOCK --metrics` is
  *                    the command-line scrape for a running daemon.
  */
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_cli.h"
 #include "common/csv.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
@@ -162,19 +165,17 @@ exportKernelSpeedups()
         }
         w.writeFile(path(file));
     };
-    dump(sps::core::kernelIntraSpeedups({2, 5, 10, 14}, 8, g_engine),
+    dump(sps::core::kernelIntraSpeedups(sps::core::kGridN, 8, g_engine),
          "N", "fig13_kernel_intra.csv");
-    dump(sps::core::kernelInterSpeedups({8, 16, 32, 64, 128}, 5,
-                                        g_engine),
+    dump(sps::core::kernelInterSpeedups(sps::core::kGridC, 5, g_engine),
          "C", "fig14_kernel_inter.csv");
 }
 
 void
 exportTable5()
 {
-    auto t = sps::core::table5PerfPerArea({2, 5, 10, 14},
-                                          {8, 16, 32, 64, 128},
-                                          g_engine);
+    auto t = sps::core::table5PerfPerArea(sps::core::kGridN,
+                                          sps::core::kGridC, g_engine);
     sps::CsvWriter w;
     std::vector<std::string> head{"N"};
     for (int c : t.cValues)
@@ -197,10 +198,9 @@ exportFig15()
     // its grid twin) dedup, and results read/write the disk store. In
     // --server mode the same sweep plan rides the socket to the
     // daemon instead; the result bytes are identical either way.
-    auto pts = g_client ? g_client->appPerformance({8, 16, 32, 64, 128},
-                                                   {2, 5, 10, 14})
-                        : g_service->appPerformance(
-                              {8, 16, 32, 64, 128}, {2, 5, 10, 14});
+    const auto &cs = sps::core::kGridC, &ns = sps::core::kGridN;
+    auto pts = g_client ? g_client->appPerformance(cs, ns)
+                        : g_service->appPerformance(cs, ns);
     sps::CsvWriter w;
     w.header({"app", "C", "N", "cycles", "speedup", "gops"});
     for (const auto &pt : pts) {
@@ -248,6 +248,10 @@ main(int argc, char **argv)
     std::string cache_dir;
     std::string server_sock;
     unsigned long long max_cache_bytes = 0;
+    const std::string usage =
+        "bench_export_all [OUTDIR] [--serial] [--expect-warm] "
+        "[--cache-dir DIR] [--max-cache-bytes N] [--server SOCK] "
+        "[--metrics [prom|json]]";
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--serial") == 0)
             serial = true;
@@ -262,15 +266,22 @@ main(int argc, char **argv)
                  std::strcmp(argv[i + 1], "json") == 0))
                 metrics_json = std::strcmp(argv[++i], "json") == 0;
         }
-        else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
-                 i + 1 < argc)
-            cache_dir = argv[++i];
-        else if (std::strcmp(argv[i], "--server") == 0 && i + 1 < argc)
-            server_sock = argv[++i];
-        else if (std::strcmp(argv[i], "--max-cache-bytes") == 0 &&
-                 i + 1 < argc)
-            max_cache_bytes =
-                std::strtoull(argv[++i], nullptr, 10);
+        else if (std::strcmp(argv[i], "--cache-dir") == 0)
+            cache_dir = sps::bench::flagValue(argc, argv, &i, usage);
+        else if (std::strcmp(argv[i], "--server") == 0)
+            server_sock = sps::bench::flagValue(argc, argv, &i, usage);
+        else if (std::strcmp(argv[i], "--max-cache-bytes") == 0) {
+            std::string v = sps::bench::flagValue(argc, argv, &i, usage);
+            const char *end = v.data() + v.size();
+            auto [stop, ec] =
+                std::from_chars(v.data(), end, max_cache_bytes);
+            if (ec != std::errc() || stop != end)
+                sps::bench::usageExit(
+                    usage, "--max-cache-bytes: not a number: " + v);
+        }
+        else if (sps::bench::isFlag(argv[i]))
+            sps::bench::usageExit(usage, std::string("unknown option ") +
+                                             argv[i]);
         else
             g_dir = argv[i];
     }

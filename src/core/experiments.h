@@ -28,6 +28,11 @@ class EvalEngine;
 /** The reference machine all speedups are measured against. */
 constexpr vlsi::MachineSize kBaseline{8, 5};
 
+/** The (C, N) grid of Figures 13-15 and Table 5: the N values of the
+ *  intracluster axis and the C values of the intercluster axis. */
+inline const std::vector<int> kGridN{2, 5, 10, 14};
+inline const std::vector<int> kGridC{8, 16, 32, 64, 128};
+
 /** One kernel's speedup series over an axis of machine sizes. */
 struct SpeedupSeries
 {
@@ -46,12 +51,12 @@ struct KernelSpeedupData
 
 /** Figure 13: intracluster kernel speedups (C fixed). */
 KernelSpeedupData kernelIntraSpeedups(
-    const std::vector<int> &n_values = {2, 5, 10, 14}, int c = 8,
+    const std::vector<int> &n_values = kGridN, int c = 8,
     EvalEngine *engine = nullptr);
 
 /** Figure 14: intercluster kernel speedups (N fixed). */
 KernelSpeedupData kernelInterSpeedups(
-    const std::vector<int> &c_values = {8, 16, 32, 64, 128}, int n = 5,
+    const std::vector<int> &c_values = kGridC, int n = 5,
     EvalEngine *engine = nullptr);
 
 /** Table 5: kernel performance per unit area. */
@@ -64,9 +69,8 @@ struct PerfPerAreaData
 };
 
 PerfPerAreaData
-table5PerfPerArea(const std::vector<int> &n_values = {2, 5, 10, 14},
-                  const std::vector<int> &c_values = {8, 16, 32, 64,
-                                                      128},
+table5PerfPerArea(const std::vector<int> &n_values = kGridN,
+                  const std::vector<int> &c_values = kGridC,
                   EvalEngine *engine = nullptr);
 
 /** One application measurement at one machine size. */
@@ -83,8 +87,8 @@ struct AppPoint
 
 /** Figure 15: application performance across the (C, N) grid. */
 std::vector<AppPoint>
-appPerformance(const std::vector<int> &c_values = {8, 16, 32, 64, 128},
-               const std::vector<int> &n_values = {2, 5, 10, 14},
+appPerformance(const std::vector<int> &c_values = kGridC,
+               const std::vector<int> &n_values = kGridN,
                EvalEngine *engine = nullptr);
 
 /** Run one app at one size (helper for tests and examples). */
