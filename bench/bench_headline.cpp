@@ -8,8 +8,10 @@
  *
  * Also reports evaluation-engine throughput: wall-clock for the full
  * figure-suite computation serial vs parallel and cold vs warm
- * caches, with the recompilation and re-simulation counts that prove
- * the warm runs compile and simulate nothing. App runs route through
+ * caches, each the min of three runs, with the recompilation and
+ * re-simulation counts that prove the warm runs compile and simulate
+ * nothing, and the slowest single kernel compile of the suite --
+ * written to BENCH_suite.json. App runs route through
  * svc::EvalService; pass --cache-dir DIR to add the disk tier (a warm
  * DIR makes even the "cold" rows compile/simulate nothing) and a
  * cache-tier counter section prints at the end.
@@ -27,9 +29,11 @@
  * C = 8, next to the analytical Figure 10 curve -- written to
  * BENCH_energy.json with the per-point measured/analytic ratios.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,6 +47,7 @@
 #include "interp/lowered.h"
 #include "interp_bench_util.h"
 #include "obs/metrics.h"
+#include "sched/kernel_perf.h"
 #include "svc/eval_service.h"
 #include "vlsi/cost_model.h"
 #include "vlsi/sweep.h"
@@ -71,6 +76,70 @@ runFigureSuite(sps::core::EvalEngine &eng,
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     return dt.count();
+}
+
+/** One figure-suite row: the fastest of kSuiteRepeats runs. */
+struct SuiteRow
+{
+    const char *name = "";
+    int threads = 0;
+    double seconds = 0.0;
+    uint64_t compiles = 0;
+    uint64_t sims = 0;
+};
+
+constexpr int kSuiteRepeats = 3;
+
+/**
+ * Run the figure suite kSuiteRepeats times and keep the fastest. A
+ * cold repeat starts from empty in-process tiers (schedule cache and
+ * service memory); a warm one runs over what the runs before it left.
+ * Every repeat does the same work, so the counts are one run's.
+ */
+SuiteRow
+timeSuite(const char *name, sps::core::EvalEngine &eng,
+          sps::svc::EvalService &service, bool cold)
+{
+    auto &cache = eng.cache();
+    SuiteRow row{name, eng.threadCount(),
+                 std::numeric_limits<double>::infinity()};
+    for (int r = 0; r < kSuiteRepeats; ++r) {
+        if (cold) {
+            cache.clear();
+            service.clearMemory();
+        }
+        uint64_t compiles0 = cache.counters().misses;
+        uint64_t sims0 = service.counters().computed;
+        row.seconds = std::min(row.seconds, runFigureSuite(eng, service));
+        row.compiles = cache.counters().misses - compiles0;
+        row.sims = service.counters().computed - sims0;
+    }
+    return row;
+}
+
+/** The slowest of the suite's distinct (kernel, machine) compiles. */
+struct SlowestCompile
+{
+    const sps::core::SuiteCompile *pair = nullptr;
+    double seconds = 0.0;
+};
+
+/** Time sched::compileKernel once per pair, bypassing every cache. */
+SlowestCompile
+slowestCompile(const std::vector<sps::core::SuiteCompile> &pairs)
+{
+    SlowestCompile slowest;
+    for (const auto &p : pairs) {
+        sps::sched::MachineModel m =
+            sps::sched::MachineModel::forSize(p.size);
+        auto t0 = std::chrono::steady_clock::now();
+        sps::sched::compileKernel(*p.kernel, m);
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        if (dt.count() > slowest.seconds)
+            slowest = {&p, dt.count()};
+    }
+    return slowest;
 }
 
 /** Seconds per call of `fn`, measured over at least 0.1 s. */
@@ -238,6 +307,39 @@ writeEnergyJson(const char *path,
 }
 
 void
+writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
+               size_t pairs, const SlowestCompile &slowest)
+{
+    std::FILE *f = std::fopen(path, "w");
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return;
+    }
+    std::fprintf(f, "{\n  \"repeats\": %d,\n  \"suite\": [\n",
+                 kSuiteRepeats);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const SuiteRow &r = rows[i];
+        std::fprintf(f,
+                     "    {\"run\": \"%s\", \"threads\": %d, "
+                     "\"min_wall_s\": %.3f, \"kernel_compiles\": %llu, "
+                     "\"app_sims\": %llu}%s\n",
+                     r.name, r.threads, r.seconds,
+                     static_cast<unsigned long long>(r.compiles),
+                     static_cast<unsigned long long>(r.sims),
+                     i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n  \"compile_pairs\": %zu,\n"
+                 "  \"slowest_compile\": {\"kernel\": \"%s\", "
+                 "\"clusters\": %d, \"alus_per_cluster\": %d, "
+                 "\"seconds\": %.4f}\n}\n",
+                 pairs, slowest.pair->kernel->name.c_str(),
+                 slowest.pair->size.clusters,
+                 slowest.pair->size.alusPerCluster, slowest.seconds);
+    std::fclose(f);
+}
+
+void
 writeInterpJson(const char *path, int c, int64_t records,
                 const std::vector<InterpRow> &rows, double aggregate)
 {
@@ -337,53 +439,46 @@ main(int argc, char **argv)
     // "cold" empties the in-process tiers (schedule cache + service
     // memory); with --cache-dir the disk tier stays warm, which is
     // exactly what the cold rows then demonstrate.
-    auto sims = [](const sps::svc::EvalService &s) {
-        return s.counters().computed;
+    const std::vector<SuiteRow> suite_rows{
+        timeSuite("serial, cold cache", serial, serial_svc, true),
+        timeSuite("serial, warm cache", serial, serial_svc, false),
+        timeSuite("parallel, cold cache", parallel, parallel_svc, true),
+        timeSuite("parallel, warm cache", parallel, parallel_svc, false),
     };
-    cache.clear();
-    serial_svc.clearMemory();
-    double cold_serial = runFigureSuite(serial, serial_svc);
-    auto after_cold = cache.counters();
-    uint64_t sims_cold = sims(serial_svc);
-    double warm_serial = runFigureSuite(serial, serial_svc);
-    auto after_warm = cache.counters();
-    uint64_t sims_warm = sims(serial_svc) - sims_cold;
-
-    cache.clear();
-    parallel_svc.clearMemory();
-    double cold_parallel = runFigureSuite(parallel, parallel_svc);
-    auto after_cold_p = cache.counters();
-    uint64_t sims_cold_p = sims(parallel_svc);
-    double warm_parallel = runFigureSuite(parallel, parallel_svc);
-    auto after_warm_p = cache.counters();
-    uint64_t sims_warm_p = sims(parallel_svc) - sims_cold_p;
+    const SuiteRow &cold_serial = suite_rows[0];
+    const SuiteRow &warm_serial = suite_rows[1];
+    const SuiteRow &cold_parallel = suite_rows[2];
 
     TextTable e;
     e.header({"Figure-suite run", "threads", "wall (s)",
               "kernel compiles", "app sims"});
-    auto row = [&](const char *name, int threads, double secs,
-                   uint64_t compiles, uint64_t sim_count) {
-        e.row({name, std::to_string(threads),
-               TextTable::num(secs, 3), std::to_string(compiles),
-               std::to_string(sim_count)});
-    };
-    row("serial, cold cache", serial.threadCount(), cold_serial,
-        after_cold.misses, sims_cold);
-    row("serial, warm cache", serial.threadCount(), warm_serial,
-        after_warm.misses - after_cold.misses, sims_warm);
-    row("parallel, cold cache", parallel.threadCount(), cold_parallel,
-        after_cold_p.misses, sims_cold_p);
-    row("parallel, warm cache", parallel.threadCount(), warm_parallel,
-        after_warm_p.misses - after_cold_p.misses, sims_warm_p);
+    for (const SuiteRow &r : suite_rows)
+        e.row({r.name, std::to_string(r.threads),
+               TextTable::num(r.seconds, 3), std::to_string(r.compiles),
+               std::to_string(r.sims)});
 
-    std::printf("Evaluation engine: full figure-suite wall-clock\n\n"
+    const std::vector<sps::core::SuiteCompile> pairs =
+        sps::core::suiteCompiles();
+    const SlowestCompile slowest = slowestCompile(pairs);
+    std::printf("Evaluation engine: full figure-suite wall-clock "
+                "(min of %d runs)\n\n"
                 "%s\n"
                 "parallel speedup over serial (cold): %.2fx; "
-                "warm-cache speedup (serial): %.2fx\n",
-                e.toString().c_str(),
-                cold_parallel > 0.0 ? cold_serial / cold_parallel
-                                    : 0.0,
-                warm_serial > 0.0 ? cold_serial / warm_serial : 0.0);
+                "warm-cache speedup (serial): %.2fx\n"
+                "slowest of %zu kernel compiles: %s at C=%d N=%d, "
+                "%.4f s (written to BENCH_suite.json)\n",
+                kSuiteRepeats, e.toString().c_str(),
+                cold_parallel.seconds > 0.0
+                    ? cold_serial.seconds / cold_parallel.seconds
+                    : 0.0,
+                warm_serial.seconds > 0.0
+                    ? cold_serial.seconds / warm_serial.seconds
+                    : 0.0,
+                pairs.size(), slowest.pair->kernel->name.c_str(),
+                slowest.pair->size.clusters,
+                slowest.pair->size.alusPerCluster, slowest.seconds);
+    writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
+                   slowest);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

@@ -1,5 +1,8 @@
 #include "core/experiments.h"
 
+#include <set>
+#include <tuple>
+
 #include "common/log.h"
 #include "common/stats.h"
 #include "core/eval_engine.h"
@@ -56,6 +59,33 @@ kernelSpeedups(const std::vector<vlsi::MachineSize> &sizes,
 }
 
 } // namespace
+
+std::vector<SuiteCompile>
+suiteCompiles()
+{
+    std::vector<vlsi::MachineSize> sizes{kBaseline};
+    for (int n : kGridN)
+        for (int c : kGridC)
+            sizes.push_back({c, n});
+    std::vector<SuiteCompile> out;
+    std::set<std::tuple<const kernel::Kernel *, int, int>> seen;
+    auto add = [&](const kernel::Kernel *k, vlsi::MachineSize s) {
+        if (seen.emplace(k, s.clusters, s.alusPerCluster).second)
+            out.push_back({k, s});
+    };
+    for (const auto &entry : workloads::kernelSuite())
+        for (vlsi::MachineSize s : sizes)
+            add(entry.kernel, s);
+    for (const auto &app : workloads::appSuite()) {
+        for (vlsi::MachineSize s : sizes) {
+            stream::StreamProgram prog = app.build(
+                s, srf::SrfModel::forMachine(s, vlsi::Params::imagine()));
+            for (const kernel::Kernel *k : prog.kernels())
+                add(k, s);
+        }
+    }
+    return out;
+}
 
 KernelSpeedupData
 kernelIntraSpeedups(const std::vector<int> &n_values, int c,

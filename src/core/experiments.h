@@ -33,6 +33,21 @@ constexpr vlsi::MachineSize kBaseline{8, 5};
 inline const std::vector<int> kGridN{2, 5, 10, 14};
 inline const std::vector<int> kGridC{8, 16, 32, 64, 128};
 
+/** One (kernel, machine size) pair the figure suite compiles. */
+struct SuiteCompile
+{
+    const kernel::Kernel *kernel = nullptr;
+    vlsi::MachineSize size;
+};
+
+/**
+ * Every distinct (kernel, machine size) pair the figure suite
+ * compiles, in first-use order: the Table-4 kernels at the baseline
+ * and at every kGridC x kGridN size (Figures 13/14, Table 5), then
+ * every kernel the applications call at those sizes (Figure 15).
+ */
+std::vector<SuiteCompile> suiteCompiles();
+
 /** One kernel's speedup series over an axis of machine sizes. */
 struct SpeedupSeries
 {

@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "sched/depgraph.h"
 #include "sched/list_sched.h"
+#include "sched/mii.h"
 #include "sched/unroll.h"
 
 namespace sps::sched {
@@ -53,6 +54,15 @@ compileKernel(const kernel::Kernel &k, const MachineModel &m,
             continue;
         kernel::Kernel body = unrollKernel(k, u);
         DepGraph g = buildDepGraph(body, m);
+        // moduloSchedule never returns an II below minII, so
+        // u*aluOps/minII bounds this factor's throughput. When that
+        // bound cannot beat the best so far by the pick's 1e-9
+        // margin, scheduling the factor could not change the choice.
+        // u=1 is always scheduled: it supplies the short-call fields.
+        if (u > 1 && have_best &&
+            static_cast<double>(u) * census.aluOps / minII(g, m) <=
+                best.aluOpsPerCycle() + 1e-9)
+            continue;
         ModuloSchedule s = moduloSchedule(g, m);
 
         if (u == 1) {

@@ -96,6 +96,8 @@ struct CompileOptions
 /**
  * Compile `k` for machine `m`: pick the unroll factor with the best
  * per-original-iteration throughput (ties go to the smaller factor).
+ * A factor above 1 whose MII bound cannot beat the best so far is
+ * skipped without modulo scheduling; the choice is the same.
  */
 CompiledKernel compileKernel(const kernel::Kernel &k,
                              const MachineModel &m,

@@ -120,6 +120,11 @@ executeProgram(const stream::StreamProgram &prog,
     const auto &ops = prog.ops();
     const auto &streams = prog.streams();
     trace::Tracer *tracer = opts.tracer;
+    // One lookup per distinct kernel, not per call.
+    std::vector<const sched::CompiledKernel *> compiled;
+    compiled.reserve(prog.kernels().size());
+    for (const kernel::Kernel *k : prog.kernels())
+        compiled.push_back(&compile(*k));
 
     SimResult result;
     SimCounters &ctr = result.counters;
@@ -310,7 +315,8 @@ executeProgram(const stream::StreamProgram &prog,
                 ensure_resident(s, ready);
             for (int s : deps.reads[i])
                 ensure_resident(s, ready);
-            const sched::CompiledKernel &ck = compile(*op.k);
+            const sched::CompiledKernel &ck =
+                *compiled[static_cast<size_t>(op.kernelSlot)];
             int64_t start = std::max(ready, uc_free);
             ctr.ucPipeStallCycles += start - ready;
             Microcontroller::CallTiming t = uc.call(

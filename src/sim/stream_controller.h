@@ -27,7 +27,9 @@
 
 namespace sps::sim {
 
-/** Callback type: compiled-kernel lookup provided by the processor. */
+/** Callback type: compiled-kernel lookup provided by the processor.
+ *  executeProgram calls it once per entry of the program's kernels(),
+ *  before the first op issues; the references must outlive the run. */
 using CompileFn =
     std::function<const sched::CompiledKernel &(const kernel::Kernel &)>;
 

@@ -1,5 +1,7 @@
 #include "stream/program.h"
 
+#include <algorithm>
+
 #include "common/fnv.h"
 #include "common/log.h"
 #include "kernel/fingerprint.h"
@@ -126,6 +128,10 @@ StreamProgram::callKernel(const kernel::Kernel *k, std::vector<int> args,
     StreamOp op;
     op.kind = OpKind::Kernel;
     op.k = k;
+    auto slot = std::find(kernels_.begin(), kernels_.end(), k);
+    op.kernelSlot = static_cast<int>(slot - kernels_.begin());
+    if (slot == kernels_.end())
+        kernels_.push_back(k);
     op.args = std::move(args);
     op.records = driver_records >= 0
                      ? driver_records
@@ -147,6 +153,10 @@ StreamProgram::totalKernelRecords() const
 uint64_t
 programFingerprint(const StreamProgram &p)
 {
+    std::vector<uint64_t> kernel_fps;
+    kernel_fps.reserve(p.kernels().size());
+    for (const kernel::Kernel *k : p.kernels())
+        kernel_fps.push_back(kernel::fingerprint(*k));
     Fnv f;
     f.mix(p.name());
     f.mix(static_cast<uint64_t>(p.streams().size()));
@@ -163,7 +173,8 @@ programFingerprint(const StreamProgram &p)
     for (const StreamOp &op : p.ops()) {
         f.mix(static_cast<uint64_t>(op.kind));
         f.mix(static_cast<uint64_t>(op.stream));
-        f.mix(op.k ? kernel::fingerprint(*op.k) : 0);
+        f.mix(op.k ? kernel_fps[static_cast<size_t>(op.kernelSlot)]
+                   : 0);
         f.mix(static_cast<uint64_t>(op.args.size()));
         for (int a : op.args)
             f.mix(static_cast<uint64_t>(a));

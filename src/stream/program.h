@@ -67,6 +67,8 @@ struct StreamOp
     /** Kernel: the kernel and its stream arguments in port order. */
     const kernel::Kernel *k = nullptr;
     std::vector<int> args;
+    /** Kernel: index of `k` in StreamProgram::kernels(). */
+    int kernelSlot = -1;
     /** Records processed (driver-stream records for kernel calls). */
     int64_t records = 0;
     std::string label;
@@ -92,6 +94,15 @@ class StreamProgram
     const std::string &name() const { return name_; }
     const std::vector<StreamInfo> &streams() const { return streams_; }
     const std::vector<StreamOp> &ops() const { return ops_; }
+    /**
+     * The distinct kernels the program calls, in first-call order. A
+     * program calls few kernels many times (QRD: 2 kernels, 2,240
+     * calls), so per-kernel work is done once per entry.
+     */
+    const std::vector<const kernel::Kernel *> &kernels() const
+    {
+        return kernels_;
+    }
 
     /** Declare a stream; returns its id. */
     int declareStream(const std::string &name, int record_words,
@@ -134,6 +145,7 @@ class StreamProgram
     std::string name_;
     std::vector<StreamInfo> streams_;
     std::vector<StreamOp> ops_;
+    std::vector<const kernel::Kernel *> kernels_;
     /** Next free external-memory word (bump allocator). */
     int64_t memCursor_ = 0;
 };

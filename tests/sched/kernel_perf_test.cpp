@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiments.h"
 #include "kernel/builder.h"
+#include "sched/depgraph.h"
+#include "sched/list_sched.h"
+#include "sched/unroll.h"
 #include "workloads/suite.h"
 
 namespace sps::sched {
@@ -80,6 +84,60 @@ TEST(KernelPerfTest, GopsAccountingUsesSubwordFactor)
     CompiledKernel fft = compileKernel(workloads::fftKernel(), m);
     EXPECT_DOUBLE_EQ(fft.gopsOpsPerIteration,
                      1.0 * fft.aluOpsPerIteration);
+}
+
+// compileKernel skips an unroll factor whose MII bound cannot beat the
+// best so far. Over every (kernel, machine) pair the figure suite
+// compiles, schedule each factor instead and pick the winner by the
+// same strict margin: the compiled kernel must be that schedule.
+TEST(KernelPerfTest, UnrollPruningIsExactOverTheFigureSuite)
+{
+    struct Sched
+    {
+        int unroll = 0, ii = 0, stages = 0, length = 0;
+    };
+    const int max_ops = CompileOptions{}.maxOps;
+    bool saw_housegen_c128_n5 = false;
+    for (const core::SuiteCompile &p : core::suiteCompiles()) {
+        const kernel::Kernel &k = *p.kernel;
+        MachineModel m = MachineModel::forSize(p.size);
+        const int alu_ops = kernel::takeCensus(k).aluOps;
+        Sched best, one;
+        double best_rate = 0.0;
+        int list_len = 0;
+        for (int u : {1, 2, 4}) {
+            if (static_cast<int>(k.ops.size()) * u > max_ops)
+                continue;
+            DepGraph g = buildDepGraph(unrollKernel(k, u), m);
+            ModuloSchedule s = moduloSchedule(g, m);
+            Sched cur{u, s.ii, s.stages, s.length};
+            double rate = static_cast<double>(u) * alu_ops / s.ii;
+            if (u == 1) {
+                one = cur;
+                list_len = std::max(1, listSchedule(g, m).length);
+            }
+            if (best.unroll == 0 || rate > best_rate + 1e-9) {
+                best = cur;
+                best_rate = rate;
+            }
+        }
+        CompiledKernel ck = compileKernel(k, m);
+        std::string where = k.name + " at C=" +
+                            std::to_string(p.size.clusters) + " N=" +
+                            std::to_string(p.size.alusPerCluster);
+        EXPECT_EQ(ck.unroll, best.unroll) << where;
+        EXPECT_EQ(ck.ii, best.ii) << where;
+        EXPECT_EQ(ck.stages, best.stages) << where;
+        EXPECT_EQ(ck.length, best.length) << where;
+        EXPECT_EQ(ck.ii1, one.ii) << where;
+        EXPECT_EQ(ck.stages1, one.stages) << where;
+        EXPECT_EQ(ck.length1, one.length) << where;
+        EXPECT_EQ(ck.listLength, list_len) << where;
+        if (&k == &workloads::housegenKernel(128) &&
+            p.size.clusters == 128 && p.size.alusPerCluster == 5)
+            saw_housegen_c128_n5 = true;
+    }
+    EXPECT_TRUE(saw_housegen_c128_n5);
 }
 
 TEST(KernelPerfDeathTest, UnexecutableKernelPanics)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "kernel/builder.h"
+#include "store/codec.h"
+#include "workloads/suite.h"
 
 namespace sps::sim {
 namespace {
@@ -174,6 +178,50 @@ TEST(SimTest, CompilationCachedByKernelName)
     const auto &a = proc.compile(workKernel());
     const auto &b = proc.compile(workKernel());
     EXPECT_EQ(&a, &b);
+}
+
+// executeProgram looks each distinct kernel up once per program, not
+// once per call, and gives the same result as StreamProcessor::run.
+TEST(SimTest, LooksUpEachDistinctKernelOnce)
+{
+    StreamProcessor proc(config(8, 5));
+    const SimConfig &cfg = proc.config();
+    stream::StreamProgram prog = workloads::buildQrd(cfg.size, proc.srf());
+    std::set<const kernel::Kernel *> distinct;
+    size_t calls = 0;
+    for (const stream::StreamOp &op : prog.ops()) {
+        if (op.k) {
+            distinct.insert(op.k);
+            ++calls;
+        }
+    }
+    ASSERT_EQ(distinct.size(), 2u);
+    ASSERT_EQ(calls, 2240u);
+
+    ControllerConfig ctrl;
+    ctrl.clusters = cfg.size.clusters;
+    ctrl.alusPerCluster = cfg.size.alusPerCluster;
+    ctrl.hostIssueCycles = cfg.hostIssueCycles;
+    ctrl.scoreboardDepth = cfg.scoreboardDepth;
+    ctrl.srfPeakWordsPerCycle = proc.srf().peakWordsPerCycle;
+    Microcontroller uc(cfg.ucConfig, cfg.size.clusters);
+    srf::Allocator alloc(proc.srf().capacityWords);
+    mem::StreamMemSystem memsys(cfg.memConfig);
+    size_t lookups = 0;
+    CompileFn compile =
+        [&](const kernel::Kernel &k) -> const sched::CompiledKernel & {
+        ++lookups;
+        return proc.compile(k);
+    };
+    SimResult direct =
+        executeProgram(prog, ctrl, memsys, uc, alloc, compile);
+    EXPECT_EQ(lookups, distinct.size());
+    direct.energy = proc.accountant().account(direct);
+
+    store::ByteWriter a, b;
+    store::encodeSimResult(direct, &a);
+    store::encodeSimResult(proc.run(prog), &b);
+    EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(SimTest, HostIssueBoundsManyTinyOps)

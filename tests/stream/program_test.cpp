@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kernel/builder.h"
+#include "srf/srf.h"
+#include "workloads/suite.h"
 
 namespace sps::stream {
 namespace {
@@ -102,6 +106,66 @@ TEST(ProgramTest, Packed16MemRecordAndFootprint)
     EXPECT_EQ(p.streams()[s].memFootprintWords(), 400);
     p.load(s);
     EXPECT_EQ(p.ops()[0].memRecordWords, 4);
+}
+
+TEST(ProgramTest, KernelsInternedInFirstCallOrder)
+{
+    static kernel::Kernel a = copyKernel();
+    static kernel::Kernel b = copyKernel();
+    StreamProgram p("app");
+    int in = p.declareStream("in", 1, 64, true);
+    int out = p.declareStream("out", 1, 64);
+    p.load(in);
+    p.callKernel(&b, {in, out});
+    p.callKernel(&a, {in, out});
+    p.callKernel(&b, {in, out});
+    EXPECT_EQ(p.kernels(),
+              (std::vector<const kernel::Kernel *>{&b, &a}));
+    EXPECT_EQ(p.ops()[0].kernelSlot, -1);
+    EXPECT_EQ(p.ops()[1].kernelSlot, 0);
+    EXPECT_EQ(p.ops()[2].kernelSlot, 1);
+    EXPECT_EQ(p.ops()[3].kernelSlot, 0);
+}
+
+// The program fingerprint keys every simulation result in a result
+// store: changing its value orphans every existing store, so it must
+// be deliberate.
+TEST(ProgramTest, AppFingerprintsArePinned)
+{
+    struct Pin
+    {
+        const char *app;
+        vlsi::MachineSize size;
+        uint64_t fingerprint;
+    };
+    const Pin pins[] = {
+        {"RENDER", {8, 5}, 0x932c87615e3f76d7ull},
+        {"DEPTH", {8, 5}, 0x3cda4ef2d1b52c5bull},
+        {"CONV", {8, 5}, 0xc09e0fcd0fccb0a1ull},
+        {"QRD", {8, 5}, 0x43a2da18954f5988ull},
+        {"FFT1K", {8, 5}, 0x7db373521168489full},
+        {"FFT4K", {8, 5}, 0xf6f9470f3c01ecafull},
+        {"RENDER", {128, 10}, 0x55ba310334d36ab8ull},
+        {"DEPTH", {128, 10}, 0x5a8b8ac972ff5150ull},
+        {"CONV", {128, 10}, 0x85413eeefec36b82ull},
+        {"QRD", {128, 10}, 0xff19b6b3d818d4f9ull},
+        {"FFT1K", {128, 10}, 0x7db373521168489full},
+        {"FFT4K", {128, 10}, 0x6189c45057155613ull},
+    };
+    const auto apps = workloads::appSuite();
+    for (const Pin &pin : pins) {
+        auto app = std::find_if(apps.begin(), apps.end(),
+                                [&](const workloads::AppEntry &e) {
+                                    return e.name == pin.app;
+                                });
+        ASSERT_NE(app, apps.end()) << pin.app;
+        StreamProgram prog = app->build(
+            pin.size,
+            srf::SrfModel::forMachine(pin.size, vlsi::Params::imagine()));
+        EXPECT_EQ(programFingerprint(prog), pin.fingerprint)
+            << pin.app << " C=" << pin.size.clusters
+            << " N=" << pin.size.alusPerCluster;
+    }
 }
 
 TEST(ProgramDeathTest, RecordWidthMismatchPanics)
