@@ -20,6 +20,9 @@
  * kernel: reference engine, lowered engine forced scalar, and lowered
  * engine on the host's best SIMD backend) and writes the numbers to
  * BENCH_interp.json so the perf trajectory is recorded across PRs.
+ * Each kernel calls the three engines in turn for a fixed number of
+ * rounds and keeps each engine's fastest call, so a change in host
+ * load falls on all three alike instead of on one engine's block.
  * The SIMD aggregate speedup is gated (>= 10x over the reference) via
  * the exit code, alongside the energy within-2x gate.
  *
@@ -31,6 +34,7 @@
  */
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -39,18 +43,19 @@
 #include <vector>
 
 #include "bench_cli.h"
+#include "common/prng.h"
 #include "common/table.h"
 #include "core/design.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
 #include "interp/interpreter.h"
 #include "interp/lowered.h"
-#include "interp_bench_util.h"
 #include "obs/metrics.h"
 #include "sched/kernel_perf.h"
 #include "svc/eval_service.h"
 #include "vlsi/cost_model.h"
 #include "vlsi/sweep.h"
+#include "workloads/kernels/kernels.h"
 #include "workloads/suite.h"
 
 namespace {
@@ -142,23 +147,85 @@ slowestCompile(const std::vector<sps::core::SuiteCompile> &pairs)
     return slowest;
 }
 
-/** Seconds per call of `fn`, measured over at least 0.1 s. */
+/** Deterministic inputs for one Table-4 kernel. */
+std::vector<sps::interp::StreamData>
+makeTable4Inputs(const std::string &name, int64_t records)
+{
+    using namespace sps;
+    using interp::StreamData;
+    Prng rng{0xBE7C4ull};
+    auto ints = [&](int per_record, int32_t lo, int32_t hi) {
+        std::vector<int32_t> v;
+        v.reserve(static_cast<size_t>(records) * per_record);
+        for (int64_t i = 0; i < records * per_record; ++i)
+            v.push_back(lo + static_cast<int32_t>(rng.below(
+                                 static_cast<uint32_t>(hi - lo))));
+        return StreamData::fromInts(v, per_record);
+    };
+    auto floats = [&](int per_record, float lo, float hi) {
+        std::vector<float> v;
+        v.reserve(static_cast<size_t>(records) * per_record);
+        for (int64_t i = 0; i < records * per_record; ++i)
+            v.push_back(rng.uniform(lo, hi));
+        return StreamData::fromFloats(v, per_record);
+    };
+
+    if (name == "blocksad")
+        return {ints(workloads::kPixelsPerRecord, 0, 255),
+                ints(workloads::kPixelsPerRecord, 0, 255)};
+    if (name == "convolve")
+        return {ints(workloads::kPixelsPerRecord, -512, 512)};
+    if (name == "update")
+        return {floats(2, -2.0f, 2.0f),
+                floats(workloads::kUpdateRank, -1.0f, 1.0f)};
+    if (name == "fft") {
+        StreamData x = floats(8, -1.0f, 1.0f);
+        std::vector<float> tw;
+        tw.reserve(static_cast<size_t>(records) * 6);
+        for (int64_t i = 0; i < records; ++i) {
+            for (int q = 0; q < 3; ++q) {
+                float ang = rng.uniform(0.0f, 6.283f);
+                tw.push_back(std::cos(ang));
+                tw.push_back(std::sin(ang));
+            }
+        }
+        return {x, StreamData::fromFloats(tw, 6)};
+    }
+    if (name == "noise")
+        return {floats(2, -20.0f, 20.0f)};
+    if (name == "irast")
+        return {ints(5, 0, 256)};
+    return {};
+}
+
+/** Stream words moved by one run: all input plus all output words. */
+int64_t
+wordsPerRun(const std::vector<sps::interp::StreamData> &inputs,
+            const sps::interp::ExecResult &result)
+{
+    int64_t words = 0;
+    for (const auto &s : inputs)
+        words += static_cast<int64_t>(s.words.size());
+    for (const auto &s : result.outputs)
+        words += static_cast<int64_t>(s.words.size());
+    return words;
+}
+
+/** Rounds of the interleaved interpreter timing, fixed so every run
+ *  does the same work. Each engine keeps its fastest call; with too
+ *  few rounds that minimum still follows the host's load. */
+constexpr int kInterpRounds = 60;
+
+/** Wall-clock seconds of one call of `fn`. */
 template <typename Fn>
 double
-secondsPerRun(Fn &&fn)
+secondsOf(Fn &&fn)
 {
-    fn(); // warm caches outside the timed region
-    int reps = 0;
-    double secs = 0.0;
     auto t0 = std::chrono::steady_clock::now();
-    do {
-        fn();
-        ++reps;
-        secs = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    } while (secs < 0.1 && reps < 10000);
-    return secs / reps;
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 struct InterpRow
@@ -177,36 +244,43 @@ struct InterpRow
  * Interpreter throughput per Table-4 kernel at C = 8: stream words
  * moved per second (inputs + outputs) through the reference engine,
  * the lowered engine forced scalar, and the lowered engine on the
- * host's best SIMD backend. The aggregate speedup is total reference
- * time over total SIMD time for the whole suite (one run each).
+ * host's best SIMD backend. Each round calls the three engines once
+ * each, in that order; each engine's time is its fastest call over
+ * kInterpRounds rounds. The aggregate speedup is total reference time
+ * over total SIMD time for the whole suite.
  */
 std::vector<InterpRow>
 interpThroughput(int c, int64_t records, double *aggregate)
 {
-    const sps::interp::SimdBackend best =
-        sps::interp::bestSimdBackend();
+    using namespace sps;
+    const interp::SimdBackend best = interp::bestSimdBackend();
     std::vector<InterpRow> rows;
     double ref_total = 0.0, simd_total = 0.0;
-    for (const auto &entry : sps::workloads::kernelSuite()) {
-        auto inputs = sps::bench::makeTable4Inputs(entry.name, records);
+    for (const auto &entry : workloads::kernelSuite()) {
+        auto inputs = makeTable4Inputs(entry.name, records);
         InterpRow row;
         row.name = entry.name;
-        row.words = sps::bench::wordsPerRun(
-            inputs, sps::interp::runKernel(*entry.kernel, c, inputs));
+        // Also lowers the kernel, outside the timed rounds.
+        row.words = wordsPerRun(
+            inputs, interp::runKernel(*entry.kernel, c, inputs));
         row.fusedFraction =
-            sps::interp::LoweredCache::global()
+            interp::LoweredCache::global()
                 .get(*entry.kernel)
-                .fusedOpFraction(sps::interp::FusionPolicy::Partial);
-        double ref = secondsPerRun([&] {
-            sps::interp::runKernelReference(*entry.kernel, c, inputs);
-        });
-        double scalar = secondsPerRun([&] {
-            sps::interp::runKernel(*entry.kernel, c, inputs,
-                                   sps::interp::SimdBackend::Scalar);
-        });
-        double simd = secondsPerRun([&] {
-            sps::interp::runKernel(*entry.kernel, c, inputs, best);
-        });
+                .fusedOpFraction(interp::FusionPolicy::Partial);
+        double ref = std::numeric_limits<double>::infinity();
+        double scalar = ref, simd = ref;
+        for (int r = 0; r < kInterpRounds; ++r) {
+            ref = std::min(ref, secondsOf([&] {
+                interp::runKernelReference(*entry.kernel, c, inputs);
+            }));
+            scalar = std::min(scalar, secondsOf([&] {
+                interp::runKernel(*entry.kernel, c, inputs,
+                                  interp::SimdBackend::Scalar);
+            }));
+            simd = std::min(simd, secondsOf([&] {
+                interp::runKernel(*entry.kernel, c, inputs, best);
+            }));
+        }
         row.refWps = static_cast<double>(row.words) / ref;
         row.scalarWps = static_cast<double>(row.words) / scalar;
         row.simdWps = static_cast<double>(row.words) / simd;
@@ -350,8 +424,9 @@ writeInterpJson(const char *path, int c, int64_t records,
     }
     std::fprintf(f,
                  "{\n  \"clusters\": %d,\n  \"records\": %lld,\n"
+                 "  \"rounds\": %d,\n"
                  "  \"simd_backend\": \"%s\",\n  \"kernels\": [\n",
-                 c, static_cast<long long>(records),
+                 c, static_cast<long long>(records), kInterpRounds,
                  sps::interp::simdBackendName(
                      sps::interp::bestSimdBackend()));
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -519,10 +594,12 @@ main(int argc, char **argv)
     const double interp_gate = 10.0;
     const bool interp_fast = aggregate >= interp_gate;
     std::printf("\nInterpreter throughput: Table-4 kernels at C=%d, "
-                "%lld records (simd backend: %s)\n\n%s\n"
+                "%lld records, fastest of %d interleaved rounds "
+                "(simd backend: %s)\n\n%s\n"
                 "aggregate simd-vs-reference speedup: %.2fx "
                 "(gate: >= %.0fx: %s; written to BENCH_interp.json)\n",
                 interp_c, static_cast<long long>(interp_records),
+                kInterpRounds,
                 sps::interp::simdBackendName(
                     sps::interp::bestSimdBackend()),
                 it.toString().c_str(), aggregate, interp_gate,

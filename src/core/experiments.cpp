@@ -167,47 +167,6 @@ runApp(const std::string &app_name, vlsi::MachineSize size)
     fatal("unknown application %s", app_name.c_str());
 }
 
-std::vector<AppPoint>
-appPerformance(const std::vector<int> &c_values,
-               const std::vector<int> &n_values, EvalEngine *engine)
-{
-    EvalEngine &eng = resolveEngine(engine);
-    auto apps = workloads::appSuite();
-
-    // Baseline simulation once per app, then one job per grid point;
-    // index order matches the old nested app -> n -> c loops.
-    std::vector<int64_t> base_cycles =
-        eng.map(apps.size(), [&](size_t a) {
-            StreamProcessorDesign base(kBaseline);
-            sim::StreamProcessor bproc = base.makeProcessor();
-            stream::StreamProgram bprog =
-                apps[a].build(kBaseline, bproc.srf());
-            return bproc.run(bprog).cycles;
-        });
-
-    const size_t per_app = n_values.size() * c_values.size();
-    return eng.map(apps.size() * per_app, [&](size_t idx) {
-        const auto &app = apps[idx / per_app];
-        size_t rem = idx % per_app;
-        int n = n_values[rem / c_values.size()];
-        int c = c_values[rem % c_values.size()];
-        vlsi::MachineSize size{c, n};
-        StreamProcessorDesign d(size);
-        sim::StreamProcessor proc = d.makeProcessor();
-        stream::StreamProgram prog = app.build(size, proc.srf());
-        sim::SimResult res = proc.run(prog);
-        AppPoint pt;
-        pt.app = app.name;
-        pt.size = size;
-        pt.cycles = res.cycles;
-        pt.speedup = static_cast<double>(base_cycles[idx / per_app]) /
-                     static_cast<double>(res.cycles);
-        pt.gops = res.gops(d.tech().clockGHz());
-        pt.result = std::move(res);
-        return pt;
-    });
-}
-
 Headline
 headlineNumbers(bool include_apps, EvalEngine *engine)
 {

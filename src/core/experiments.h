@@ -1,9 +1,10 @@
 /**
  * @file
- * Experiment runners: the data series behind every performance table
- * and figure in the paper's evaluation (Figures 13-15, Table 5, plus
- * the headline comparisons). The bench binaries format these; the
- * integration tests assert their shapes.
+ * Experiment runners: the data series behind the paper's performance
+ * tables and figures (Figures 13 and 14, Table 5, plus the headline
+ * comparisons; the Figure-15 app grid runs through
+ * svc::EvalService::appPerformance). The bench binaries format these;
+ * the integration tests assert their shapes.
  *
  * Every runner routes through an EvalEngine: design points evaluate
  * concurrently on its thread pool and kernel compilations memoize in
@@ -88,7 +89,8 @@ table5PerfPerArea(const std::vector<int> &n_values = kGridN,
                   const std::vector<int> &c_values = kGridC,
                   EvalEngine *engine = nullptr);
 
-/** One application measurement at one machine size. */
+/** One application measurement at one machine size: a Figure-15
+ *  point. */
 struct AppPoint
 {
     std::string app;
@@ -99,12 +101,6 @@ struct AppPoint
     /** Full simulation result (hardware counters, timeline). */
     sim::SimResult result;
 };
-
-/** Figure 15: application performance across the (C, N) grid. */
-std::vector<AppPoint>
-appPerformance(const std::vector<int> &c_values = kGridC,
-               const std::vector<int> &n_values = kGridN,
-               EvalEngine *engine = nullptr);
 
 /** Run one app at one size (helper for tests and examples). */
 AppPoint runApp(const std::string &app_name, vlsi::MachineSize size);

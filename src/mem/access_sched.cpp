@@ -1,6 +1,5 @@
 #include "mem/access_sched.h"
 
-#include <algorithm>
 #include <cstddef>
 
 namespace sps::mem {
@@ -40,35 +39,6 @@ AccessWindow::serviceNext()
     win_.erase(win_.begin() +
                static_cast<std::deque<Entry>::difference_type>(pick));
     return s;
-}
-
-SchedRunStats
-AccessScheduler::runStats(const std::vector<MemRequest> &requests)
-{
-    SchedRunStats stats;
-    size_t next = 0;
-    AccessWindow window(channel_, window_, maxBypass_);
-    auto fill = [&] {
-        while (window.wantsMore() && next < requests.size())
-            window.push(requests[next++], 0);
-    };
-    fill();
-    while (!window.empty()) {
-        WindowService s = window.serviceNext();
-        stats.busyCycles += s.cycles;
-        stats.reorderSum += s.pickIndex;
-        stats.reorderMax = std::max(stats.reorderMax, s.pickIndex);
-        stats.maxBypassed = std::max(stats.maxBypassed, s.bypassed);
-        stats.bankConflicts += s.bankConflict ? 1 : 0;
-        fill();
-    }
-    return stats;
-}
-
-int64_t
-AccessScheduler::run(const std::vector<MemRequest> &requests)
-{
-    return runStats(requests).busyCycles;
 }
 
 } // namespace sps::mem

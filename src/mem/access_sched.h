@@ -7,9 +7,8 @@
  * cap bounds starvation: once the oldest request has been bypassed
  * maxBypass times, it is serviced next regardless of row state.
  *
- * AccessWindow is the reusable scheduling core: callers (the
- * list-based AccessScheduler here, and StreamMemSystem's interleaved
- * per-channel service loop) push requests in arrival order and pop
+ * AccessWindow is the scheduling core: StreamMemSystem's interleaved
+ * per-channel service loop pushes requests in arrival order and pops
  * them in scheduled order, so concurrent stream transfers share one
  * window per channel.
  */
@@ -18,7 +17,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <vector>
 
 #include "mem/dram.h"
 
@@ -91,53 +89,6 @@ class AccessWindow
     };
     DramChannel &channel_;
     std::deque<Entry> win_;
-    int window_;
-    int maxBypass_;
-};
-
-/** Statistics of one scheduled request-list run. */
-struct SchedRunStats
-{
-    /** Total busy cycles on the channel's pins. */
-    int64_t busyCycles = 0;
-    /** Sum over picks of how many older requests each bypassed. */
-    int64_t reorderSum = 0;
-    /** Largest number of older requests one pick bypassed. */
-    int64_t reorderMax = 0;
-    /** Most times any single request was bypassed before service (the
-     *  observed starvation bound; <= the scheduler's maxBypass). */
-    int64_t maxBypassed = 0;
-    /** Row misses that had to precharge an open row first. */
-    int64_t bankConflicts = 0;
-};
-
-/**
- * FR-FCFS scheduler over one channel: first-ready (row hit) requests
- * are serviced before older row misses, within a bounded window and
- * subject to the starvation age cap.
- */
-class AccessScheduler
-{
-  public:
-    AccessScheduler(DramChannel &channel, int window = kSchedWindow,
-                    int max_bypass = kSchedMaxBypass)
-        : channel_(channel), window_(window), maxBypass_(max_bypass)
-    {}
-
-    /**
-     * Run the request list to completion in scheduled order; returns
-     * total busy cycles on the channel's pins.
-     */
-    int64_t run(const std::vector<MemRequest> &requests);
-
-    /**
-     * Like run(), but also reports how far the scheduler reordered
-     * requests (its pick's index within the in-order window).
-     */
-    SchedRunStats runStats(const std::vector<MemRequest> &requests);
-
-  private:
-    DramChannel &channel_;
     int window_;
     int maxBypass_;
 };

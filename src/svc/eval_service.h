@@ -84,7 +84,7 @@ sim::SimConfig effectiveSimConfig(const EvalPoint &pt);
  * The canonical Figure-15 submission order: one baseline point per
  * app, then the app -> n -> c grid. Both EvalService::appPerformance
  * and the socket client submit in exactly this order, which is what
- * keeps their CSVs byte-identical to core::appPerformance.
+ * keeps their CSVs byte-identical to each other.
  */
 struct AppSweepPlan
 {
@@ -154,9 +154,9 @@ class EvalService
     sim::SimResult eval(const EvalPoint &pt);
 
     /**
-     * Figure 15 through the service: same output as
-     * core::appPerformance (deterministic axis order, identical
-     * values), but every (app, size) simulation -- baselines included
+     * Figure 15 through the service: one AppPoint per grid point in
+     * app -> n -> c order, each equal to core::runApp for its (app,
+     * size), but every (app, size) simulation -- baselines included
      * -- is submitted through the tiered, dedup'd queue. The baseline
      * point dedups against its grid twin when the grid contains
      * core::kBaseline.

@@ -75,22 +75,6 @@ TEST(EvalEngineTest, ParallelTable5MatchesSerial)
     }
 }
 
-TEST(EvalEngineTest, ParallelAppGridMatchesSerial)
-{
-    EvalEngine serial(1), parallel(4);
-    auto a = appPerformance({8, 16}, {2, 5}, &serial);
-    auto b = appPerformance({8, 16}, {2, 5}, &parallel);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].app, b[i].app);
-        EXPECT_EQ(a[i].size.clusters, b[i].size.clusters);
-        EXPECT_EQ(a[i].size.alusPerCluster, b[i].size.alusPerCluster);
-        EXPECT_EQ(a[i].cycles, b[i].cycles);
-        EXPECT_EQ(a[i].speedup, b[i].speedup);
-        EXPECT_EQ(a[i].gops, b[i].gops);
-    }
-}
-
 TEST(EvalEngineTest, ParallelDesignSweepMatchesSerial)
 {
     EvalEngine serial(1), parallel(4);

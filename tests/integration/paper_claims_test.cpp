@@ -12,6 +12,7 @@
 
 #include "common/stats.h"
 #include "core/experiments.h"
+#include "svc/eval_service.h"
 
 namespace sps::core {
 namespace {
@@ -22,8 +23,9 @@ class AppPerformanceFixture : public ::testing::Test
     static void
     SetUpTestSuite()
     {
+        svc::EvalService service;
         points_ = new std::vector<AppPoint>(
-            appPerformance({8, 32, 128}, {5, 10}));
+            service.appPerformance({8, 32, 128}, {5, 10}));
     }
 
     static void

@@ -17,12 +17,45 @@ sequential(int64_t n)
     return reqs;
 }
 
+/** What one drained request list did to the channel. */
+struct DrainStats
+{
+    /** Total busy cycles on the channel's pins. */
+    int64_t busyCycles = 0;
+    /** Sum over picks of how many older requests each bypassed. */
+    int64_t reorderSum = 0;
+    /** Largest number of older requests one pick bypassed. */
+    int64_t reorderMax = 0;
+    /** Most times any single request was bypassed before service. */
+    int64_t maxBypassed = 0;
+};
+
+/** Feed `requests` through one AccessWindow in arrival order, keeping
+ *  it full, until every request has been serviced. */
+DrainStats
+drain(DramChannel &chan, const std::vector<MemRequest> &requests,
+      int window = kSchedWindow, int max_bypass = kSchedMaxBypass)
+{
+    DrainStats stats;
+    AccessWindow win(chan, window, max_bypass);
+    size_t next = 0;
+    while (next < requests.size() || !win.empty()) {
+        while (win.wantsMore() && next < requests.size())
+            win.push(requests[next++], 0);
+        WindowService s = win.serviceNext();
+        stats.busyCycles += s.cycles;
+        stats.reorderSum += s.pickIndex;
+        stats.reorderMax = std::max(stats.reorderMax, s.pickIndex);
+        stats.maxBypassed = std::max(stats.maxBypassed, s.bypassed);
+    }
+    return stats;
+}
+
 TEST(AccessSchedTest, SequentialStreamNearPeak)
 {
     DramChannel chan;
-    AccessScheduler sched(chan);
     int64_t n = 2048;
-    int64_t cycles = sched.run(sequential(n));
+    int64_t cycles = drain(chan, sequential(n)).busyCycles;
     // One activate per row plus tCol per word: overhead under 10%.
     EXPECT_LT(cycles, n * chan.timing().tCol * 11 / 10);
 }
@@ -40,12 +73,11 @@ TEST(AccessSchedTest, ReorderingBeatsFifoOnInterleavedRows)
         reqs.push_back(MemRequest{row_stride + i, false});
     }
     DramChannel fr_chan(t);
-    AccessScheduler fr(fr_chan, /*window=*/16);
-    int64_t fr_cycles = fr.run(reqs);
+    int64_t fr_cycles = drain(fr_chan, reqs, /*window=*/16).busyCycles;
 
     DramChannel fifo_chan(t);
-    AccessScheduler fifo(fifo_chan, /*window=*/1);
-    int64_t fifo_cycles = fifo.run(reqs);
+    int64_t fifo_cycles =
+        drain(fifo_chan, reqs, /*window=*/1).busyCycles;
 
     EXPECT_LT(fr_cycles, fifo_cycles / 2);
 }
@@ -53,8 +85,7 @@ TEST(AccessSchedTest, ReorderingBeatsFifoOnInterleavedRows)
 TEST(AccessSchedTest, EmptyRequestList)
 {
     DramChannel chan;
-    AccessScheduler sched(chan);
-    EXPECT_EQ(sched.run({}), 0);
+    EXPECT_EQ(drain(chan, {}).busyCycles, 0);
 }
 
 TEST(AccessSchedTest, AgeCapBoundsStarvationUnderRowHitFlood)
@@ -71,15 +102,12 @@ TEST(AccessSchedTest, AgeCapBoundsStarvationUnderRowHitFlood)
         reqs.push_back(MemRequest{i, false}); // row-0 hits
 
     DramChannel capped_chan(t);
-    SchedRunStats capped =
-        AccessScheduler(capped_chan, 16, /*max_bypass=*/4)
-            .runStats(reqs);
+    DrainStats capped = drain(capped_chan, reqs, 16, /*max_bypass=*/4);
     EXPECT_LE(capped.maxBypassed, 4);
 
     DramChannel uncapped_chan(t);
-    SchedRunStats uncapped =
-        AccessScheduler(uncapped_chan, 16, /*max_bypass=*/100000)
-            .runStats(reqs);
+    DrainStats uncapped =
+        drain(uncapped_chan, reqs, 16, /*max_bypass=*/100000);
     EXPECT_GT(uncapped.maxBypassed, 40);
     // The cap trades some locality for the latency bound.
     EXPECT_GE(capped.busyCycles, uncapped.busyCycles);
@@ -96,15 +124,13 @@ TEST(AccessSchedTest, ReorderStatsTrackPickDistance)
     }
     // A window of one is FIFO: nothing is ever bypassed.
     DramChannel fifo_chan(t);
-    SchedRunStats fifo =
-        AccessScheduler(fifo_chan, /*window=*/1).runStats(reqs);
+    DrainStats fifo = drain(fifo_chan, reqs, /*window=*/1);
     EXPECT_EQ(fifo.reorderSum, 0);
     EXPECT_EQ(fifo.reorderMax, 0);
     EXPECT_EQ(fifo.maxBypassed, 0);
     // FR-FCFS on alternating rows reorders, within the window bound.
     DramChannel fr_chan(t);
-    SchedRunStats fr =
-        AccessScheduler(fr_chan, /*window=*/16).runStats(reqs);
+    DrainStats fr = drain(fr_chan, reqs, /*window=*/16);
     EXPECT_GT(fr.reorderSum, 0);
     EXPECT_GE(fr.reorderMax, 1);
     EXPECT_LT(fr.reorderMax, 16);
@@ -125,9 +151,7 @@ TEST(AccessSchedTest, BusyCyclesInvariantUnderWindowPermutations)
 
     auto busy_of = [&](const std::vector<MemRequest> &reqs) {
         DramChannel chan(t);
-        return AccessScheduler(chan, /*window=*/16,
-                               /*max_bypass=*/1 << 20)
-            .runStats(reqs)
+        return drain(chan, reqs, /*window=*/16, /*max_bypass=*/1 << 20)
             .busyCycles;
     };
     int64_t want = busy_of(base);
@@ -148,7 +172,6 @@ TEST(AccessSchedTest, BusyCyclesInvariantUnderWindowPermutations)
 TEST(AccessSchedTest, StridedAccessSlowerThanDense)
 {
     DramChannel dense_chan, strided_chan;
-    AccessScheduler dense(dense_chan), strided(strided_chan);
     int64_t n = 1024;
     std::vector<MemRequest> far;
     for (int64_t i = 0; i < n; ++i)
@@ -156,7 +179,8 @@ TEST(AccessSchedTest, StridedAccessSlowerThanDense)
             i * dense_chan.timing().rowWords *
                 dense_chan.timing().banks,
             false});
-    EXPECT_GT(strided.run(far), dense.run(sequential(n)));
+    EXPECT_GT(drain(strided_chan, far).busyCycles,
+              drain(dense_chan, sequential(n)).busyCycles);
 }
 
 } // namespace

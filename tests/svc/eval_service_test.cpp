@@ -1,8 +1,8 @@
 // Tests for the evaluation service: the memory tier (completed and
 // in-flight dedup), the disk tier (cross-service warm hits,
 // bit-identical to computed results), the corruption contract, and
-// equivalence of the service's Figure-15 sweep with the direct
-// core::appPerformance path.
+// the service's Figure-15 sweep: every point equal to core::runApp,
+// and the same bytes on one thread as on four.
 #include "svc/eval_service.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "store/codec.h"
+#include "workloads/suite.h"
 
 namespace sps::svc {
 namespace {
@@ -162,29 +163,53 @@ TEST(EvalServiceTest, AppPerformanceMatchesDirectPath)
     std::vector<int> cs{8, 16};
     std::vector<int> ns{5};
     core::EvalEngine engine(2);
-    auto direct = core::appPerformance(cs, ns, &engine);
     EvalService service(&engine);
     auto via_service = service.appPerformance(cs, ns);
 
-    ASSERT_EQ(via_service.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_EQ(via_service[i].app, direct[i].app);
-        EXPECT_EQ(via_service[i].size.clusters,
-                  direct[i].size.clusters);
-        EXPECT_EQ(via_service[i].cycles, direct[i].cycles);
-        EXPECT_EQ(via_service[i].speedup, direct[i].speedup);
-        EXPECT_EQ(via_service[i].gops, direct[i].gops);
-        EXPECT_EQ(encodeRes(via_service[i].result),
-                  encodeRes(direct[i].result));
+    const auto apps = workloads::appSuite();
+    ASSERT_EQ(via_service.size(), apps.size() * cs.size() * ns.size());
+    size_t i = 0;
+    for (const auto &app : apps) {
+        for (int n : ns) {
+            for (int c : cs) {
+                const core::AppPoint &pt = via_service[i++];
+                EXPECT_EQ(pt.app, app.name);
+                EXPECT_EQ(pt.size.clusters, c);
+                EXPECT_EQ(pt.size.alusPerCluster, n);
+                core::AppPoint direct = core::runApp(pt.app, pt.size);
+                EXPECT_EQ(pt.cycles, direct.cycles);
+                EXPECT_EQ(pt.speedup, direct.speedup);
+                EXPECT_EQ(pt.gops, direct.gops);
+                EXPECT_EQ(encodeRes(pt.result), encodeRes(direct.result));
+            }
+        }
     }
     // Per app: one baseline submit plus two grid submits, of which
     // the C=8 N=5 grid point is the baseline's twin -- so exactly two
     // unique sims per app and one dedup'd request per app.
-    size_t apps = direct.size() / (cs.size() * ns.size());
     auto c = service.counters();
-    EXPECT_EQ(c.computed, apps * 2);
-    EXPECT_EQ(c.submitted, apps * 2);
-    EXPECT_EQ(c.memHits + c.inflightDedup, apps);
+    EXPECT_EQ(c.computed, apps.size() * 2);
+    EXPECT_EQ(c.submitted, apps.size() * 2);
+    EXPECT_EQ(c.memHits + c.inflightDedup, apps.size());
+}
+
+// The determinism guarantee for the Figure-15 grid: a sweep on four
+// threads is byte-identical to the serial one.
+TEST(EvalServiceTest, ParallelAppGridMatchesSerial)
+{
+    core::EvalEngine serial(1), parallel(4);
+    EvalService serial_svc(&serial), parallel_svc(&parallel);
+    auto a = serial_svc.appPerformance({8, 16}, {2, 5});
+    auto b = parallel_svc.appPerformance({8, 16}, {2, 5});
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].app, b[i].app);
+        EXPECT_EQ(a[i].size.clusters, b[i].size.clusters);
+        EXPECT_EQ(a[i].size.alusPerCluster, b[i].size.alusPerCluster);
+        EXPECT_EQ(a[i].speedup, b[i].speedup);
+        EXPECT_EQ(a[i].gops, b[i].gops);
+        EXPECT_EQ(encodeRes(a[i].result), encodeRes(b[i].result));
+    }
 }
 
 TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
