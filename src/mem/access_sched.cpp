@@ -1,10 +1,20 @@
 #include "mem/access_sched.h"
 
-#include <cstddef>
+#include <bit>
+
+#include "common/log.h"
 
 namespace sps::mem {
 
-using std::size_t;
+AccessWindow::AccessWindow(DramChannel &channel, int window,
+                           int max_bypass)
+    : channel_(channel),
+      ring_(std::bit_ceil(static_cast<size_t>(window))),
+      mask_(ring_.size() - 1), window_(static_cast<size_t>(window)),
+      maxBypass_(max_bypass)
+{
+    SPS_ASSERT(window >= 1 && max_bypass >= 1, "bad scheduler window");
+}
 
 WindowService
 AccessWindow::serviceNext()
@@ -17,27 +27,37 @@ AccessWindow::serviceNext()
     // entry always has the largest bypass count, so checking the head
     // suffices).
     size_t pick = 0;
-    if (win_.front().bypassed < maxBypass_) {
-        for (size_t i = 0; i < win_.size(); ++i) {
-            if (channel_.isRowHit(win_[i].req)) {
+    bool hit = false;
+    if (at(0).bypassed < maxBypass_) {
+        for (size_t i = 0; i < size_; ++i) {
+            if (channel_.isRowHit(at(i).addr)) {
                 pick = i;
+                hit = true;
                 break;
             }
         }
+    } else {
+        hit = channel_.isRowHit(at(0).addr);
     }
-    for (size_t i = 0; i < pick; ++i)
-        ++win_[i].bypassed;
 
-    Entry e = win_[pick];
+    Entry e = at(pick);
+    // Close the gap: every older entry moves one slot towards the
+    // pick, counting one more bypass, and the head advances past the
+    // vacated front slot.
+    for (size_t i = pick; i > 0; --i) {
+        at(i) = at(i - 1);
+        ++at(i).bypassed;
+    }
+    head_ = (head_ + 1) & mask_;
+    --size_;
+
     WindowService s;
     s.tag = e.tag;
     s.pickIndex = static_cast<int64_t>(pick);
     s.bypassed = e.bypassed;
-    s.rowHit = channel_.isRowHit(e.req);
-    s.bankConflict = !s.rowHit && channel_.isBankOpen(e.req);
-    s.cycles = channel_.service(e.req);
-    win_.erase(win_.begin() +
-               static_cast<std::deque<Entry>::difference_type>(pick));
+    s.rowHit = hit;
+    s.bankConflict = !hit && channel_.isBankOpen(e.addr);
+    s.cycles = channel_.service(e.addr);
     return s;
 }
 

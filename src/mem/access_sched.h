@@ -10,13 +10,17 @@
  * AccessWindow is the scheduling core: StreamMemSystem's interleaved
  * per-channel service loop pushes requests in arrival order and pops
  * them in scheduled order, so concurrent stream transfers share one
- * window per channel.
+ * window per channel. Requests arrive decoded into bank and row, and
+ * the window is a fixed ring: when the oldest request hits its open
+ * row (the usual case for a stream), a pick costs one bank-table
+ * lookup and no shifting.
  */
 #ifndef SPS_MEM_ACCESS_SCHED_H
 #define SPS_MEM_ACCESS_SCHED_H
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <vector>
 
 #include "mem/dram.h"
 
@@ -58,23 +62,19 @@ class AccessWindow
 {
   public:
     AccessWindow(DramChannel &channel, int window = kSchedWindow,
-                 int max_bypass = kSchedMaxBypass)
-        : channel_(channel), window_(window), maxBypass_(max_bypass)
-    {}
+                 int max_bypass = kSchedMaxBypass);
 
     /** True while the window has room for more arrivals. */
-    bool wantsMore() const
-    {
-        return static_cast<int>(win_.size()) < window_;
-    }
+    bool wantsMore() const { return size_ < window_; }
 
-    bool empty() const { return win_.empty(); }
-    size_t size() const { return win_.size(); }
+    bool empty() const { return size_ == 0; }
 
-    /** Add a request at the back (arrival order). */
-    void push(const MemRequest &req, int tag)
+    /** Add a request at the back (arrival order); the window must
+     *  want more. */
+    void push(const DramAddr &addr, int tag)
     {
-        win_.push_back(Entry{req, tag, 0});
+        at(size_) = Entry{addr, 0, tag};
+        ++size_;
     }
 
     /** Service the scheduled pick; the window must be non-empty. */
@@ -83,14 +83,21 @@ class AccessWindow
   private:
     struct Entry
     {
-        MemRequest req;
-        int tag = 0;
+        DramAddr addr;
         int64_t bypassed = 0;
+        int tag = 0;
     };
+    /** The i-th oldest entry. */
+    Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
+
     DramChannel &channel_;
-    std::deque<Entry> win_;
-    int window_;
-    int maxBypass_;
+    /** Ring storage, the window rounded up to a power of two. */
+    std::vector<Entry> ring_;
+    size_t mask_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+    size_t window_;
+    int64_t maxBypass_;
 };
 
 } // namespace sps::mem

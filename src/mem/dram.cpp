@@ -1,60 +1,29 @@
 #include "mem/dram.h"
 
-#include "common/log.h"
+#include <stdexcept>
+#include <string>
 
 namespace sps::mem {
 
 DramChannel::DramChannel(DramTiming timing) : timing_(timing)
 {
-    SPS_ASSERT(timing_.banks >= 1 && timing_.rowWords >= 1,
-               "bad DRAM geometry");
+    if (!(timing_.banks >= 1 && timing_.rowWords >= 1))
+        throw std::invalid_argument(
+            "bad DRAM geometry: banks " + std::to_string(timing_.banks) +
+            ", row words " + std::to_string(timing_.rowWords) +
+            " (both must be at least 1)");
     openRow_.assign(static_cast<size_t>(timing_.banks), -1);
 }
 
-int
-DramChannel::bankOf(int64_t word_addr) const
+DramAddr
+DramChannel::decode(int64_t word_addr) const
 {
-    // Banks are interleaved at row granularity so sequential streams
-    // walk banks round-robin, letting activates overlap.
-    return static_cast<int>((word_addr / timing_.rowWords) %
-                            timing_.banks);
-}
-
-int64_t
-DramChannel::rowOf(int64_t word_addr) const
-{
-    return word_addr / (static_cast<int64_t>(timing_.rowWords) *
-                        timing_.banks);
-}
-
-bool
-DramChannel::isRowHit(const MemRequest &req) const
-{
-    int bank = bankOf(req.wordAddr);
-    return openRow_[static_cast<size_t>(bank)] == rowOf(req.wordAddr);
-}
-
-bool
-DramChannel::isBankOpen(const MemRequest &req) const
-{
-    return openRow_[static_cast<size_t>(bankOf(req.wordAddr))] >= 0;
-}
-
-int
-DramChannel::service(const MemRequest &req)
-{
-    int bank = bankOf(req.wordAddr);
-    int64_t row = rowOf(req.wordAddr);
-    auto &open = openRow_[static_cast<size_t>(bank)];
-    int cycles = timing_.tCol;
-    if (open != row) {
-        cycles += (open >= 0 ? timing_.tPre : 0) + timing_.tRas;
-        open = row;
-        ++rowMisses_;
-    } else {
-        ++rowHits_;
-    }
-    return cycles;
+    int64_t rows = word_addr / timing_.rowWords;
+    DramAddr a;
+    a.col = static_cast<int>(word_addr - rows * timing_.rowWords);
+    a.row = rows / timing_.banks;
+    a.bank = static_cast<int>(rows - a.row * timing_.banks);
+    return a;
 }
 
 void

@@ -8,6 +8,7 @@
 #ifndef SPS_MEM_DRAM_H
 #define SPS_MEM_DRAM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,57 +42,85 @@ forEachField(S &t, F &&f)
     f("row_words", t.rowWords);
 }
 
-/** One memory request: a word address (word granularity). */
-struct MemRequest
+/**
+ * A channel-local word address decoded into the channel's DRAM
+ * coordinates. Banks interleave at row granularity, so sequential
+ * addresses fill a row, then move to the next bank, and wrap to the
+ * next row index after the last bank.
+ */
+struct DramAddr
 {
-    int64_t wordAddr = 0;
-    bool write = false;
+    int64_t row = 0;
+    int bank = 0;
+    /** Word within the row. */
+    int col = 0;
 };
 
 /**
  * One DRAM channel: tracks open rows per bank and charges timing for
- * a request stream presented in service order. Counts row hits and
- * misses so the memory system can report row-hit rate.
+ * a request stream presented in service order. Requests arrive
+ * decoded (decode() once, then step() to the following address), so
+ * the per-request checks are a bank-table lookup and no division.
  */
 class DramChannel
 {
   public:
+    /** Throws std::invalid_argument unless banks and rowWords are at
+     *  least 1 (the geometry can come from a client's config). */
     explicit DramChannel(DramTiming timing = DramTiming{});
 
     const DramTiming &timing() const { return timing_; }
 
-    int bankOf(int64_t word_addr) const;
-    int64_t rowOf(int64_t word_addr) const;
+    /** Decode a channel-local word address. */
+    DramAddr decode(int64_t word_addr) const;
+
+    /** Advance `a` to the next channel-local word address. */
+    void step(DramAddr &a) const
+    {
+        if (++a.col == timing_.rowWords) {
+            a.col = 0;
+            if (++a.bank == timing_.banks) {
+                a.bank = 0;
+                ++a.row;
+            }
+        }
+    }
 
     /** True if the request hits the currently open row of its bank. */
-    bool isRowHit(const MemRequest &req) const;
+    bool isRowHit(const DramAddr &a) const
+    {
+        return openRow_[static_cast<std::size_t>(a.bank)] == a.row;
+    }
 
     /** True if the request's bank has any row open (a miss here is a
      *  bank conflict: the open row must be precharged first). */
-    bool isBankOpen(const MemRequest &req) const;
+    bool isBankOpen(const DramAddr &a) const
+    {
+        return openRow_[static_cast<std::size_t>(a.bank)] >= 0;
+    }
 
     /**
      * Service one request now; returns the cycles the channel's data
      * pins are busy (row hits cost tCol; misses add precharge and
      * activate time).
      */
-    int service(const MemRequest &req);
+    int service(const DramAddr &a)
+    {
+        int64_t &open = openRow_[static_cast<std::size_t>(a.bank)];
+        if (open == a.row)
+            return timing_.tCol;
+        int cycles = timing_.tCol + (open >= 0 ? timing_.tPre : 0) +
+                     timing_.tRas;
+        open = a.row;
+        return cycles;
+    }
 
-    /** Requests serviced that hit an open row. */
-    int64_t rowHits() const { return rowHits_; }
-
-    /** Requests serviced that missed (activate, maybe precharge). */
-    int64_t rowMisses() const { return rowMisses_; }
-
-    /** Close all rows (e.g. between independent transfers); the
-     *  hit/miss counters keep accumulating across resets. */
+    /** Close all rows (e.g. between independent transfers). */
     void reset();
 
   private:
     DramTiming timing_;
     std::vector<int64_t> openRow_; // -1 = closed
-    int64_t rowHits_ = 0;
-    int64_t rowMisses_ = 0;
 };
 
 } // namespace sps::mem

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -18,14 +20,129 @@ scaleCount(int64_t sim_value, double factor)
 {
     return std::llround(static_cast<double>(sim_value) * factor);
 }
+
+/**
+ * Lazy address generator for one (transfer, channel) pair: yields, in
+ * transfer order, the DRAM coordinates of the transfer's simulated
+ * words that live on the channel (word address mod channels).
+ *
+ * A record's words on one channel sit `channels` apart, so their
+ * channel-local addresses are consecutive: the cursor decodes the
+ * first word of each such run once and steps through the rest. Record
+ * starts advance by a precomputed quotient and residue of the stride,
+ * so moving to the next record divides nothing either, and skipping a
+ * record with no word on the channel costs a few adds. A dense
+ * transfer is one record, hence one run per channel.
+ */
+class ChannelCursor
+{
+  public:
+    ChannelCursor(const TransferDesc &d, int64_t sim_words, int channel,
+                  int channels, const DramChannel &dram)
+        : dram_(&dram), channel_(channel), channels_(channels)
+    {
+        int64_t rec = std::max<int64_t>(1, d.recordWords);
+        int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
+        if (stride == rec)
+            rec = std::max<int64_t>(1, sim_words);
+        recWords_ = rec;
+        recsLeft_ = (sim_words + rec - 1) / rec;
+        lastWords_ = sim_words - (recsLeft_ - 1) * rec;
+        startQ_ = d.baseWord / channels;
+        startR_ = static_cast<int>(d.baseWord % channels);
+        strideQ_ = stride / channels;
+        strideR_ = static_cast<int>(stride % channels);
+        seek();
+    }
+
+    bool done() const { return left_ == 0; }
+
+    /** The current request; the cursor must not be done. */
+    const DramAddr &addr() const { return at_; }
+
+    void advance()
+    {
+        if (--left_ > 0) {
+            dram_->step(at_);
+        } else {
+            nextRecord();
+            seek();
+        }
+    }
+
+  private:
+    void nextRecord()
+    {
+        --recsLeft_;
+        startQ_ += strideQ_;
+        startR_ += strideR_;
+        if (startR_ >= channels_) {
+            startR_ -= channels_;
+            ++startQ_;
+        }
+    }
+
+    /** Position on the first run, from the current record on, that
+     *  has a word on this channel; done when there is none. */
+    void seek()
+    {
+        for (; recsLeft_ > 0; nextRecord()) {
+            int64_t len = recsLeft_ == 1 ? lastWords_ : recWords_;
+            int off = channel_ - startR_;
+            if (off < 0)
+                off += channels_;
+            if (off < len) {
+                left_ = (len - off - 1) / channels_ + 1;
+                at_ = dram_->decode(startQ_ +
+                                    (startR_ + off >= channels_ ? 1 : 0));
+                return;
+            }
+        }
+        left_ = 0;
+    }
+
+    const DramChannel *dram_;
+    int channel_;
+    int channels_;
+    /** Words per record (the whole prefix when dense). */
+    int64_t recWords_ = 0;
+    /** Records not yet passed, the current one included. */
+    int64_t recsLeft_ = 0;
+    /** Words in the final, possibly partial, record. */
+    int64_t lastWords_ = 0;
+    /** Current record's start address: quotient and residue by the
+     *  channel count, and the same split of the stride. */
+    int64_t startQ_ = 0;
+    int startR_ = 0;
+    int64_t strideQ_ = 0;
+    int strideR_ = 0;
+    /** This channel's words left in the current run; 0 when done. */
+    int64_t left_ = 0;
+    DramAddr at_;
+};
 } // namespace
 
 StreamMemSystem::StreamMemSystem(StreamMemConfig cfg) : cfg_(cfg)
 {
-    SPS_ASSERT(cfg_.channels >= 1, "need at least one channel");
-    SPS_ASSERT(cfg_.peakWordsPerCycle > 0, "bad peak bandwidth");
-    SPS_ASSERT(cfg_.schedWindow >= 1 && cfg_.schedMaxBypass >= 1,
-               "bad scheduler window");
+    // A client's config override reaches here, so a bad value is an
+    // exception the evaluation service returns as an error, not an
+    // abort. Each check is written so that NaN fails it.
+    if (!(cfg_.channels >= 1))
+        throw std::invalid_argument(
+            "bad memory config: need at least one channel, got " +
+            std::to_string(cfg_.channels));
+    if (!(std::isfinite(cfg_.peakWordsPerCycle) &&
+          cfg_.peakWordsPerCycle > 0))
+        throw std::invalid_argument(
+            "bad memory config: peak bandwidth must be finite and "
+            "positive, got " +
+            std::to_string(cfg_.peakWordsPerCycle));
+    if (!(cfg_.schedWindow >= 1 && cfg_.schedMaxBypass >= 1))
+        throw std::invalid_argument(
+            "bad memory config: scheduler window " +
+            std::to_string(cfg_.schedWindow) + " and bypass cap " +
+            std::to_string(cfg_.schedMaxBypass) +
+            " must both be at least 1");
     // Column access time so that all channels together sustain the
     // configured aggregate peak on row hits.
     double tcol = cfg_.channels / cfg_.peakWordsPerCycle;
@@ -112,15 +229,8 @@ StreamMemSystem::resolveAll()
     const size_t nt = pending_.size();
     constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
 
-    // --- Address generation: expand each transfer (capped at the
-    // simulation prefix) and assign requests to channels by word
-    // address. Channel-local addresses (wordAddr / channels) are what
-    // the per-channel DRAM geometry sees, the classic interleaved
-    // decomposition. Requests stay in per-transfer queues so the
-    // service loop can interleave concurrent transfers.
-    std::vector<std::vector<std::vector<MemRequest>>> chq(
-        static_cast<size_t>(C),
-        std::vector<std::vector<MemRequest>>(nt));
+    // Each transfer is simulated up to the cap; a longer one is
+    // extrapolated from that prefix by `factor`.
     std::vector<double> factor(nt, 1.0);
     std::vector<int64_t> simWords(nt, 0);
     for (size_t t = 0; t < nt; ++t) {
@@ -130,39 +240,39 @@ StreamMemSystem::resolveAll()
         factor[t] = sim > 0 ? static_cast<double>(d.words) /
                                   static_cast<double>(sim)
                             : 1.0;
-        int64_t rec = std::max<int64_t>(1, d.recordWords);
-        int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
-        for (int64_t i = 0; i < sim; ++i) {
-            int64_t addr = d.baseWord + (i / rec) * stride + i % rec;
-            auto ch = static_cast<size_t>(addr % C);
-            chq[ch][t].push_back(MemRequest{addr / C, d.write});
-        }
     }
 
     // --- Joint service: one FR-FCFS window per channel over all
-    // transfers in the batch.
-    std::vector<std::vector<int64_t>> busyTC(
-        nt, std::vector<int64_t>(static_cast<size_t>(C), 0));
-    std::vector<std::vector<int64_t>> lastEndTC(
-        nt, std::vector<int64_t>(static_cast<size_t>(C), -1));
-    std::vector<std::vector<int64_t>> doneTC = lastEndTC;
+    // transfers in the batch. Requests go to channel `wordAddr % C`
+    // at channel-local address `wordAddr / C`, the classic interleaved
+    // decomposition; one lazy cursor per transfer generates them, so
+    // the loop can interleave concurrent transfers.
+
+    // Per (transfer, channel) totals, indexed t * C + c.
+    const size_t ntc = nt * static_cast<size_t>(C);
+    std::vector<int64_t> busyTC(ntc, 0), lastEndTC(ntc, -1),
+        doneTC(ntc, -1);
     std::vector<int64_t> svcStart(nt, kFar);
     std::vector<int64_t> simHits(nt, 0), simConflicts(nt, 0),
-        simReorderSum(nt, 0);
+        simReorderSum(nt, 0), simReorderMax(nt, 0);
+    std::vector<ChannelCursor> cur;
+    cur.reserve(nt);
 
-    for (size_t c = 0; c < static_cast<size_t>(C); ++c) {
-        auto &q = chq[c];
-        size_t remaining = 0;
-        for (const auto &tq : q)
-            remaining += tq.size();
-        if (remaining == 0)
+    for (int c = 0; c < C; ++c) {
+        Channel &chan = ch_[static_cast<size_t>(c)];
+        ChannelStats &cs = chStats_[static_cast<size_t>(c)];
+        cur.clear();
+        size_t live = 0; // cursors with requests left
+        for (size_t t = 0; t < nt; ++t) {
+            cur.emplace_back(pending_[t].desc, simWords[t], c, C,
+                             chan.dram);
+            live += cur.back().done() ? 0 : 1;
+        }
+        if (live == 0)
             continue;
-        Channel &chan = ch_[c];
-        ChannelStats &cs = chStats_[c];
         AccessWindow window(chan.dram, cfg_.schedWindow,
                             cfg_.schedMaxBypass);
         int64_t now = chan.freeCycle;
-        std::vector<size_t> next(nt, 0);
         size_t rr = 0; // round-robin admission cursor
         int64_t runStart = -1;
         auto close_run = [&] {
@@ -170,7 +280,7 @@ StreamMemSystem::resolveAll()
                 busyIvs_.push_back(BusyInterval{runStart, now});
             runStart = -1;
         };
-        while (!window.empty() || remaining > 0) {
+        while (!window.empty() || live > 0) {
             // Admit requests round-robin across transfers that have
             // started, one per sweep, so concurrent transfers
             // interleave through the shared window instead of
@@ -178,24 +288,26 @@ StreamMemSystem::resolveAll()
             bool admitted = true;
             while (window.wantsMore() && admitted) {
                 admitted = false;
+                size_t t = rr;
                 for (size_t k = 0; k < nt; ++k) {
-                    size_t t = (rr + k) % nt;
-                    if (next[t] < q[t].size() &&
+                    ChannelCursor &q = cur[t];
+                    if (!q.done() &&
                         pending_[t].desc.startCycle <= now) {
-                        window.push(q[t][next[t]++],
-                                    static_cast<int>(t));
-                        --remaining;
-                        rr = (t + 1) % nt;
+                        window.push(q.addr(), static_cast<int>(t));
+                        q.advance();
+                        live -= q.done() ? 1 : 0;
+                        rr = t + 1 == nt ? 0 : t + 1;
                         admitted = true;
                         break;
                     }
+                    t = t + 1 == nt ? 0 : t + 1;
                 }
             }
             if (window.empty()) {
                 // Idle until the next transfer becomes ready.
                 int64_t nxt = kFar;
                 for (size_t t = 0; t < nt; ++t)
-                    if (next[t] < q[t].size())
+                    if (!cur[t].done())
                         nxt = std::min(nxt,
                                        pending_[t].desc.startCycle);
                 close_run();
@@ -206,17 +318,16 @@ StreamMemSystem::resolveAll()
                 runStart = now;
             WindowService s = window.serviceNext();
             auto t = static_cast<size_t>(s.tag);
+            size_t tc = t * static_cast<size_t>(C) +
+                        static_cast<size_t>(c);
             svcStart[t] = std::min(svcStart[t], now);
             now += s.cycles;
-            busyTC[t][c] += s.cycles;
-            lastEndTC[t][c] = now;
+            busyTC[tc] += s.cycles;
+            lastEndTC[tc] = now;
             simHits[t] += s.rowHit ? 1 : 0;
             simConflicts[t] += s.bankConflict ? 1 : 0;
             simReorderSum[t] += s.pickIndex;
-            TransferResult &r =
-                results_[static_cast<size_t>(pending_[t].ticket)];
-            r.dramReorderMax =
-                std::max(r.dramReorderMax, s.pickIndex);
+            simReorderMax[t] = std::max(simReorderMax[t], s.pickIndex);
             cs.busyCycles += s.cycles;
             ++cs.accesses;
             cs.rowHits += s.rowHit ? 1 : 0;
@@ -230,18 +341,19 @@ StreamMemSystem::resolveAll()
         // ordered by when each transfer's prefix finished.
         struct Stretch
         {
-            size_t t;
+            size_t tc;
             int64_t lastEnd;
             int64_t extra;
         };
         std::vector<Stretch> st;
         int64_t total_extra = 0;
         for (size_t t = 0; t < nt; ++t) {
-            if (lastEndTC[t][c] < 0)
+            size_t tc = t * static_cast<size_t>(C) +
+                        static_cast<size_t>(c);
+            if (lastEndTC[tc] < 0)
                 continue;
-            int64_t extra =
-                scaleCount(busyTC[t][c], factor[t] - 1.0);
-            st.push_back(Stretch{t, lastEndTC[t][c], extra});
+            int64_t extra = scaleCount(busyTC[tc], factor[t] - 1.0);
+            st.push_back(Stretch{tc, lastEndTC[tc], extra});
             total_extra += extra;
         }
         std::stable_sort(st.begin(), st.end(),
@@ -251,7 +363,7 @@ StreamMemSystem::resolveAll()
         int64_t prefix = 0;
         for (const Stretch &s : st) {
             prefix += s.extra;
-            doneTC[s.t][c] = s.lastEnd + prefix;
+            doneTC[s.tc] = s.lastEnd + prefix;
         }
         if (total_extra > 0) {
             chan.freeCycle = now + total_extra;
@@ -277,12 +389,13 @@ StreamMemSystem::resolveAll()
         }
         double f = factor[t];
         int64_t busy_total = 0, busy_max = 0, done = d.startCycle;
-        for (size_t c = 0; c < static_cast<size_t>(C); ++c) {
-            int64_t true_busy = scaleCount(busyTC[t][c], f);
+        for (size_t tc = t * static_cast<size_t>(C);
+             tc < (t + 1) * static_cast<size_t>(C); ++tc) {
+            int64_t true_busy = scaleCount(busyTC[tc], f);
             busy_total += true_busy;
             busy_max = std::max(busy_max, true_busy);
-            if (doneTC[t][c] >= 0)
-                done = std::max(done, doneTC[t][c]);
+            if (doneTC[tc] >= 0)
+                done = std::max(done, doneTC[tc]);
         }
         r.serviceStart = svcStart[t] == kFar ? d.startCycle
                                              : svcStart[t];
@@ -299,6 +412,7 @@ StreamMemSystem::resolveAll()
         r.bankConflicts = std::clamp<int64_t>(
             scaleCount(simConflicts[t], f), 0, r.dramRowMisses);
         r.dramReorderSum = scaleCount(simReorderSum[t], f);
+        r.dramReorderMax = simReorderMax[t];
         r.wordsPerCycle =
             r.cycles > 0 ? static_cast<double>(d.words) /
                                static_cast<double>(r.cycles)

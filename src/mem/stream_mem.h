@@ -3,12 +3,15 @@
  * The streaming memory system: stream loads and stores between
  * external DRAM and the SRF.
  *
- * Transfers carry real word addresses: a per-stream address generator
- * expands (base, record stride, record length) into MemRequests, and
- * each request is assigned to channel `wordAddr % channels` (word
- * interleaving by address, so stride-aliased streams collapse onto a
- * subset of the channels instead of being credited full aggregate
- * bandwidth). Channel state -- open rows, bank contents, and the
+ * Transfers carry real word addresses, (base, record stride, record
+ * length), and each word is assigned to channel `wordAddr % channels`
+ * (word interleaving by address, so stride-aliased streams collapse
+ * onto a subset of the channels instead of being credited full
+ * aggregate bandwidth). Requests are generated lazily by one cursor
+ * per (transfer, channel): it decodes the first word of each run of
+ * consecutive channel-local addresses into (bank, row) once and steps
+ * through the rest, so a request inside a run costs a few adds and no
+ * division. Channel state -- open rows, bank contents, and the
  * per-channel busy cursor -- is owned by the StreamMemSystem and
  * persists across transfers within one program run.
  *
@@ -156,6 +159,9 @@ struct TransferTrace
 class StreamMemSystem
 {
   public:
+    /** Throws std::invalid_argument unless channels, schedWindow and
+     *  schedMaxBypass are at least 1 and peakWordsPerCycle is finite
+     *  and positive (a client's config override reaches here). */
     explicit StreamMemSystem(StreamMemConfig cfg = StreamMemConfig{});
 
     const StreamMemConfig &config() const { return cfg_; }

@@ -8,12 +8,15 @@
 namespace sps::mem {
 namespace {
 
-std::vector<MemRequest>
+/** Requests are channel-local word addresses. */
+using Requests = std::vector<int64_t>;
+
+Requests
 sequential(int64_t n)
 {
-    std::vector<MemRequest> reqs;
+    Requests reqs;
     for (int64_t i = 0; i < n; ++i)
-        reqs.push_back(MemRequest{i, false});
+        reqs.push_back(i);
     return reqs;
 }
 
@@ -33,7 +36,7 @@ struct DrainStats
 /** Feed `requests` through one AccessWindow in arrival order, keeping
  *  it full, until every request has been serviced. */
 DrainStats
-drain(DramChannel &chan, const std::vector<MemRequest> &requests,
+drain(DramChannel &chan, const Requests &requests,
       int window = kSchedWindow, int max_bypass = kSchedMaxBypass)
 {
     DrainStats stats;
@@ -41,7 +44,7 @@ drain(DramChannel &chan, const std::vector<MemRequest> &requests,
     size_t next = 0;
     while (next < requests.size() || !win.empty()) {
         while (win.wantsMore() && next < requests.size())
-            win.push(requests[next++], 0);
+            win.push(chan.decode(requests[next++]), 0);
         WindowService s = win.serviceNext();
         stats.busyCycles += s.cycles;
         stats.reorderSum += s.pickIndex;
@@ -67,10 +70,10 @@ TEST(AccessSchedTest, ReorderingBeatsFifoOnInterleavedRows)
     DramTiming t;
     t.banks = 1;
     int64_t row_stride = t.rowWords;
-    std::vector<MemRequest> reqs;
+    Requests reqs;
     for (int i = 0; i < 16; ++i) {
-        reqs.push_back(MemRequest{i, false});
-        reqs.push_back(MemRequest{row_stride + i, false});
+        reqs.push_back(i);
+        reqs.push_back(row_stride + i);
     }
     DramChannel fr_chan(t);
     int64_t fr_cycles = drain(fr_chan, reqs, /*window=*/16).busyCycles;
@@ -95,11 +98,11 @@ TEST(AccessSchedTest, AgeCapBoundsStarvationUnderRowHitFlood)
     // through after at most maxBypass bypasses.
     DramTiming t;
     t.banks = 1;
-    std::vector<MemRequest> reqs;
-    reqs.push_back(MemRequest{0, false}); // opens row 0
-    reqs.push_back(MemRequest{t.rowWords * 4LL, false}); // the victim
+    Requests reqs;
+    reqs.push_back(0); // opens row 0
+    reqs.push_back(t.rowWords * 4LL); // the victim
     for (int i = 1; i <= 64; ++i)
-        reqs.push_back(MemRequest{i, false}); // row-0 hits
+        reqs.push_back(i); // row-0 hits
 
     DramChannel capped_chan(t);
     DrainStats capped = drain(capped_chan, reqs, 16, /*max_bypass=*/4);
@@ -117,10 +120,10 @@ TEST(AccessSchedTest, ReorderStatsTrackPickDistance)
 {
     DramTiming t;
     t.banks = 1;
-    std::vector<MemRequest> reqs;
+    Requests reqs;
     for (int i = 0; i < 16; ++i) {
-        reqs.push_back(MemRequest{i, false});
-        reqs.push_back(MemRequest{t.rowWords + i, false});
+        reqs.push_back(i);
+        reqs.push_back(t.rowWords + i);
     }
     // A window of one is FIFO: nothing is ever bypassed.
     DramChannel fifo_chan(t);
@@ -144,23 +147,23 @@ TEST(AccessSchedTest, BusyCyclesInvariantUnderWindowPermutations)
     // pin time depends only on the request set, not its order.
     DramTiming t;
     t.banks = 1;
-    std::vector<MemRequest> base;
+    Requests base;
     for (int64_t row = 0; row < 4; ++row)
         for (int64_t i = 0; i < 4; ++i)
-            base.push_back(MemRequest{row * t.rowWords + i, false});
+            base.push_back(row * t.rowWords + i);
 
-    auto busy_of = [&](const std::vector<MemRequest> &reqs) {
+    auto busy_of = [&](const Requests &reqs) {
         DramChannel chan(t);
         return drain(chan, reqs, /*window=*/16, /*max_bypass=*/1 << 20)
             .busyCycles;
     };
     int64_t want = busy_of(base);
 
-    std::vector<MemRequest> reversed(base.rbegin(), base.rend());
+    Requests reversed(base.rbegin(), base.rend());
     EXPECT_EQ(busy_of(reversed), want);
 
     Prng prng(42);
-    std::vector<MemRequest> shuffled = base;
+    Requests shuffled = base;
     for (int trial = 0; trial < 8; ++trial) {
         for (size_t i = shuffled.size() - 1; i > 0; --i)
             std::swap(shuffled[i],
@@ -173,12 +176,10 @@ TEST(AccessSchedTest, StridedAccessSlowerThanDense)
 {
     DramChannel dense_chan, strided_chan;
     int64_t n = 1024;
-    std::vector<MemRequest> far;
+    Requests far;
     for (int64_t i = 0; i < n; ++i)
-        far.push_back(MemRequest{
-            i * dense_chan.timing().rowWords *
-                dense_chan.timing().banks,
-            false});
+        far.push_back(i * dense_chan.timing().rowWords *
+                      dense_chan.timing().banks);
     EXPECT_GT(drain(strided_chan, far).busyCycles,
               drain(dense_chan, sequential(n)).busyCycles);
 }

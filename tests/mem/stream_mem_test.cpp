@@ -2,8 +2,116 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/fnv.h"
+#include "common/prng.h"
+
 namespace sps::mem {
 namespace {
+
+void
+mixResult(Fnv &h, const TransferResult &r)
+{
+    for (int64_t v : {r.startCycle, r.serviceStart, r.doneCycle, r.cycles,
+                      r.busyCycles, r.dramAccesses, r.dramRowHits,
+                      r.dramRowMisses, r.bankConflicts, r.dramReorderSum,
+                      r.dramReorderMax, r.aliasStallCycles})
+        h.mix(static_cast<uint64_t>(v));
+    h.mix(std::bit_cast<uint64_t>(r.wordsPerCycle));
+}
+
+void
+mixBusyIntervals(Fnv &h, StreamMemSystem &sys)
+{
+    for (const BusyInterval &iv : sys.takeBusyIntervals()) {
+        h.mix(static_cast<uint64_t>(iv.start));
+        h.mix(static_cast<uint64_t>(iv.end));
+    }
+}
+
+/** A random transfer: dense, gapped, overlapping (stride < record)
+ *  or channel-aliased records; sizes up to three times the 8192-word
+ *  simulation cap. */
+TransferDesc
+randomTransfer(Prng &prng, const StreamMemConfig &cfg, int64_t clock)
+{
+    TransferDesc d;
+    uint32_t size_kind = prng.below(8);
+    d.words = size_kind == 0   ? 0
+              : size_kind == 1 ? 8192 + prng.below(16384)
+                               : 1 + prng.below(1500);
+    d.baseWord = prng.below(1u << 20);
+    d.recordWords = 1 + prng.below(12);
+    switch (prng.below(5)) {
+    case 0: d.strideWords = 0; break;
+    case 1: d.strideWords = d.recordWords; break;
+    case 2: d.strideWords = 1 + prng.below(
+                static_cast<uint32_t>(d.recordWords)); break;
+    case 3: d.strideWords = d.recordWords + prng.below(40); break;
+    default:
+        d.strideWords = static_cast<int64_t>(cfg.channels) *
+                        (1 + prng.below(64));
+    }
+    d.startCycle = clock + prng.below(3000);
+    d.write = prng.below(2) != 0;
+    return d;
+}
+
+TEST(StreamMemTest, SeededBatchesMatchPinnedDigest)
+{
+    // Joint service must stay bit-exact on every batch shape, not only
+    // the dense single-transfer batches the Figure-15 grid produces:
+    // every result field, per-channel counter and busy interval of a
+    // few hundred random configs and batches folds into one digest.
+    Prng prng(0x5eed'd1a6);
+    Fnv h;
+    for (int trial = 0; trial < 300; ++trial) {
+        StreamMemConfig cfg;
+        cfg.channels = 1 + static_cast<int>(prng.below(9));
+        cfg.peakWordsPerCycle = 0.25 * (1 + prng.below(32));
+        cfg.latencyCycles = static_cast<int>(prng.below(100));
+        cfg.timing.tRas = 1 + static_cast<int>(prng.below(12));
+        cfg.timing.tPre = static_cast<int>(prng.below(10));
+        cfg.timing.banks = 1 + static_cast<int>(prng.below(9));
+        cfg.timing.rowWords = 1 + static_cast<int>(
+            prng.below(2) != 0 ? prng.below(40) : prng.below(1024));
+        cfg.schedWindow = 1 + static_cast<int>(prng.below(24));
+        cfg.schedMaxBypass = 1 + static_cast<int>(prng.below(80));
+        StreamMemSystem sys(cfg);
+        sys.beginProgram();
+        int64_t clock = 0;
+        int batches = 1 + static_cast<int>(prng.below(3));
+        for (int b = 0; b < batches; ++b) {
+            std::vector<int> tickets;
+            int nt = 1 + static_cast<int>(prng.below(5));
+            for (int t = 0; t < nt; ++t)
+                tickets.push_back(
+                    sys.submit(randomTransfer(prng, cfg, clock)));
+            // Resolve explicitly, or let the first result() do it.
+            if (prng.below(2) != 0)
+                sys.resolveAll();
+            for (int ticket : tickets) {
+                const TransferResult &r = sys.result(ticket);
+                mixResult(h, r);
+                clock = std::max(clock, r.doneCycle / 2);
+            }
+            mixBusyIntervals(h, sys);
+        }
+        for (const ChannelStats &cs : sys.channelStats())
+            for (int64_t v : {cs.busyCycles, cs.accesses, cs.rowHits,
+                              cs.bankConflicts})
+                h.mix(static_cast<uint64_t>(v));
+        // Standalone transfer() on the same system: reset channels.
+        int64_t words =
+            1 + prng.below(prng.below(4) != 0 ? 3000 : 12000);
+        int64_t stride = 1 + prng.below(prng.below(2) != 0 ? 4 : 2048);
+        mixResult(h, sys.transfer(words, stride));
+        mixBusyIntervals(h, sys);
+    }
+    EXPECT_EQ(h.h, 0x8385bd27223c4a25ull)
+        << std::hex << "digest 0x" << h.h;
+}
 
 TEST(StreamMemTest, DenseTransferApproachesPeakBandwidth)
 {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -218,6 +220,40 @@ TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
     EvalService service(&engine);
     auto f = service.submit(EvalPoint{"NOSUCHAPP", {8, 5}, {}});
     EXPECT_THROW(f.get(), std::runtime_error);
+    // The service survives and keeps answering real requests.
+    EXPECT_GT(service.eval(kPoint).cycles, 0);
+}
+
+TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
+{
+    // A memory config the model cannot run comes back through the
+    // requester's future as invalid_argument; none may abort the
+    // shared service (NaN included).
+    auto with = [](auto edit) {
+        sim::SimConfig cfg;
+        edit(cfg.memConfig);
+        return cfg;
+    };
+    using M = mem::StreamMemConfig;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<sim::SimConfig> bad = {
+        with([](M &m) { m.channels = 0; }),
+        with([](M &m) { m.channels = -2; }),
+        with([&](M &m) { m.peakWordsPerCycle = nan; }),
+        with([&](M &m) { m.peakWordsPerCycle = inf; }),
+        with([](M &m) { m.peakWordsPerCycle = 0.0; }),
+        with([](M &m) { m.peakWordsPerCycle = -4.0; }),
+        with([](M &m) { m.schedWindow = 0; }),
+        with([](M &m) { m.schedMaxBypass = 0; }),
+        with([](M &m) { m.timing.banks = 0; }),
+        with([](M &m) { m.timing.rowWords = -1; }),
+    };
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    for (const sim::SimConfig &cfg : bad)
+        EXPECT_THROW(service.eval(EvalPoint{"DEPTH", {8, 5}, cfg}),
+                     std::invalid_argument);
     // The service survives and keeps answering real requests.
     EXPECT_GT(service.eval(kPoint).cycles, 0);
 }
