@@ -1,17 +1,16 @@
 /**
  * @file
  * Command-line machine explorer: `explore_cli <C> <N> [app]`.
- * Prints the full design report for a (C, N) stream processor --
- * VLSI costs, per-kernel compiled schedules with unit utilization --
- * and, when an application name is given, simulates it and renders
- * the stream-operation timeline.
+ * Prints the design report for a (C, N) stream processor -- VLSI
+ * costs and each suite kernel's compiled II, unroll factor, stages and
+ * ALU ops per cycle -- and, when an application name is given,
+ * simulates it and renders the stream-operation timeline.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/design.h"
-#include "sched/schedule_dump.h"
 #include "sim/timeline.h"
 #include "workloads/suite.h"
 

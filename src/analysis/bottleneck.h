@@ -23,33 +23,10 @@
 #include <vector>
 
 #include "analysis/bottleneck_report.h"
+#include "analysis/intervals.h"
 #include "sim/stats.h"
 
 namespace sps::analysis {
-
-/** One half-open [start, end) interval of simulated cycles. */
-struct CycleInterval
-{
-    int64_t start = 0;
-    int64_t end = 0;
-};
-
-/** Sort and merge possibly-overlapping intervals into a disjoint,
- *  sorted set (empty intervals dropped). */
-std::vector<CycleInterval> mergeIntervals(std::vector<CycleInterval> v);
-
-/** Total length of a disjoint interval set. */
-int64_t intervalLength(const std::vector<CycleInterval> &v);
-
-/** Intersection of two disjoint sorted sets. */
-std::vector<CycleInterval> intersectIntervals(
-    const std::vector<CycleInterval> &a,
-    const std::vector<CycleInterval> &b);
-
-/** Set difference a \ b of two disjoint sorted sets. */
-std::vector<CycleInterval> subtractIntervals(
-    const std::vector<CycleInterval> &a,
-    const std::vector<CycleInterval> &b);
 
 /**
  * Attribute every cycle of a run. `memBusy` and `ucBusy` are the

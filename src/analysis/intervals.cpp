@@ -1,0 +1,77 @@
+#include "analysis/intervals.h"
+
+#include <algorithm>
+
+namespace sps::analysis {
+
+std::vector<CycleInterval>
+mergeIntervals(std::vector<CycleInterval> v)
+{
+    std::sort(v.begin(), v.end(),
+              [](const CycleInterval &a, const CycleInterval &b) {
+                  return a.start < b.start;
+              });
+    std::vector<CycleInterval> out;
+    for (const CycleInterval &iv : v) {
+        if (iv.end <= iv.start)
+            continue;
+        if (!out.empty() && iv.start <= out.back().end)
+            out.back().end = std::max(out.back().end, iv.end);
+        else
+            out.push_back(iv);
+    }
+    return out;
+}
+
+int64_t
+intervalLength(const std::vector<CycleInterval> &v)
+{
+    int64_t n = 0;
+    for (const CycleInterval &iv : v)
+        n += iv.end - iv.start;
+    return n;
+}
+
+std::vector<CycleInterval>
+intersectIntervals(const std::vector<CycleInterval> &a,
+                   const std::vector<CycleInterval> &b)
+{
+    std::vector<CycleInterval> out;
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        int64_t lo = std::max(a[i].start, b[j].start);
+        int64_t hi = std::min(a[i].end, b[j].end);
+        if (lo < hi)
+            out.push_back({lo, hi});
+        if (a[i].end < b[j].end)
+            ++i;
+        else
+            ++j;
+    }
+    return out;
+}
+
+std::vector<CycleInterval>
+subtractIntervals(const std::vector<CycleInterval> &a,
+                  const std::vector<CycleInterval> &b)
+{
+    std::vector<CycleInterval> out;
+    size_t j = 0;
+    for (CycleInterval iv : a) {
+        while (j < b.size() && b[j].end <= iv.start)
+            ++j;
+        int64_t cur = iv.start;
+        size_t k = j;
+        while (k < b.size() && b[k].start < iv.end) {
+            if (b[k].start > cur)
+                out.push_back({cur, b[k].start});
+            cur = std::max(cur, b[k].end);
+            ++k;
+        }
+        if (cur < iv.end)
+            out.push_back({cur, iv.end});
+    }
+    return out;
+}
+
+} // namespace sps::analysis

@@ -1,0 +1,43 @@
+/**
+ * @file
+ * Half-open cycle intervals and the set operations over them: the one
+ * interval library the simulator uses. The memory system records its
+ * busy intervals in this type (mem::BusyInterval), the stream
+ * controller derives its cycle breakdown from them, and bottleneck
+ * attribution (analysis/bottleneck.h) claims idle cycles with them.
+ */
+#ifndef SPS_ANALYSIS_INTERVALS_H
+#define SPS_ANALYSIS_INTERVALS_H
+
+#include <cstdint>
+#include <vector>
+
+namespace sps::analysis {
+
+/** One half-open [start, end) interval of simulated cycles. */
+struct CycleInterval
+{
+    int64_t start = 0;
+    int64_t end = 0;
+};
+
+/** Sort and merge possibly-overlapping intervals into a disjoint,
+ *  sorted set (empty intervals dropped). */
+std::vector<CycleInterval> mergeIntervals(std::vector<CycleInterval> v);
+
+/** Total length of a disjoint interval set. */
+int64_t intervalLength(const std::vector<CycleInterval> &v);
+
+/** Intersection of two disjoint sorted sets. */
+std::vector<CycleInterval> intersectIntervals(
+    const std::vector<CycleInterval> &a,
+    const std::vector<CycleInterval> &b);
+
+/** Set difference a \ b of two disjoint sorted sets. */
+std::vector<CycleInterval> subtractIntervals(
+    const std::vector<CycleInterval> &a,
+    const std::vector<CycleInterval> &b);
+
+} // namespace sps::analysis
+
+#endif // SPS_ANALYSIS_INTERVALS_H

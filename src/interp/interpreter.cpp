@@ -117,20 +117,6 @@ evalScalar(const Op &op, const Word *a)
 } // namespace
 
 ExecResult
-runKernel(const Kernel &k, int c, const std::vector<StreamData> &inputs)
-{
-    return executeLowered(LoweredCache::global().get(k), c, inputs);
-}
-
-ExecResult
-runKernel(const Kernel &k, int c, const std::vector<StreamData> &inputs,
-          SimdBackend backend)
-{
-    return executeLowered(LoweredCache::global().get(k), c, inputs,
-                          backend);
-}
-
-ExecResult
 runKernel(const Kernel &k, int c, const std::vector<StreamData> &inputs,
           SimdBackend backend, FusionPolicy fusion)
 {

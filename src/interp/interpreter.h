@@ -63,27 +63,19 @@ struct ExecResult
  * kernel is lowered once into a flat instruction array (memoized in
  * the process-wide LoweredCache) and executed over contiguous
  * structure-of-arrays cluster state. Outputs are bit-identical to
- * runKernelReference().
+ * runKernelReference() under every backend x fusion-policy
+ * combination.
  *
  * @param inputs input streams in kernel input-port order; each must
  *        match its port's record width.
+ * @param backend steady-state SIMD tier; an unsupported one falls
+ *        back to bestSimdBackend().
+ * @param fusion megastrip-fusion policy.
  */
 ExecResult runKernel(const kernel::Kernel &k, int c,
-                     const std::vector<StreamData> &inputs);
-
-/** Same, pinning the steady-state SIMD backend (tests, benchmarks,
- *  the forced-scalar escape hatch). Results are bit-identical across
- *  backends; an unsupported backend falls back to the best tier. */
-ExecResult runKernel(const kernel::Kernel &k, int c,
                      const std::vector<StreamData> &inputs,
-                     SimdBackend backend);
-
-/** Same, also pinning the megastrip-fusion policy (differential tests
- *  and the SPS_INTERP_FUSION escape hatch). Results are bit-identical
- *  across every backend x policy combination. */
-ExecResult runKernel(const kernel::Kernel &k, int c,
-                     const std::vector<StreamData> &inputs,
-                     SimdBackend backend, FusionPolicy fusion);
+                     SimdBackend backend = bestSimdBackend(),
+                     FusionPolicy fusion = FusionPolicy::Partial);
 
 /**
  * Reference interpreter: the original op-at-a-time engine that walks

@@ -75,20 +75,6 @@ laneClassOf(Opcode code)
     return LaneClass::Scalar;
 }
 
-const char *
-regionName(Region r)
-{
-    switch (r) {
-      case Region::Prefix:
-        return "prefix";
-      case Region::Core:
-        return "core";
-      case Region::Suffix:
-        return "suffix";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /**
@@ -311,22 +297,6 @@ lowerKernel(const Kernel &k)
     // body op seeds the carried cone).
     lk.fusible = lk.coreBegin == lk.coreEnd;
     return lk;
-}
-
-ExecResult
-executeLowered(const LoweredKernel &lk, int c,
-               const std::vector<StreamData> &inputs)
-{
-    return executeLowered(lk, c, inputs, defaultSimdBackend());
-}
-
-ExecResult
-executeLowered(const LoweredKernel &lk, int c,
-               const std::vector<StreamData> &inputs,
-               SimdBackend backend)
-{
-    return executeLowered(lk, c, inputs, backend,
-                          defaultFusionPolicy());
 }
 
 ExecResult

@@ -99,9 +99,6 @@ enum class Region : uint8_t
     Suffix = 2,
 };
 
-/** Stable lower-case name ("prefix", "core", "suffix"). */
-const char *regionName(Region r);
-
 /** One lowered instruction: opcode plus fully pre-resolved operands. */
 struct LoweredInsn
 {
@@ -236,28 +233,15 @@ struct LoweredKernel
 /** Lower `k` (validating it once). Uncached; see LoweredCache. */
 LoweredKernel lowerKernel(const kernel::Kernel &k);
 
-/** Execute a lowered kernel on `c` clusters with the process-default
- *  SIMD backend (interp::defaultSimdBackend). */
-ExecResult executeLowered(const LoweredKernel &lk, int c,
-                          const std::vector<StreamData> &inputs);
-
 /**
- * Execute with an explicit backend (tests, benchmarks, the forced-
- * scalar escape hatch). An unsupported backend falls back to the best
- * supported tier. Results are bit-identical across backends.
+ * Execute a lowered kernel on `c` clusters. An unsupported backend
+ * falls back to bestSimdBackend(). Results are bit-identical across
+ * every backend x fusion-policy combination.
  */
 ExecResult executeLowered(const LoweredKernel &lk, int c,
                           const std::vector<StreamData> &inputs,
-                          SimdBackend backend);
-
-/**
- * Execute with an explicit backend AND megastrip-fusion policy
- * (tests, benchmarks, the SPS_INTERP_FUSION escape hatch). Results
- * are bit-identical across every backend x policy combination.
- */
-ExecResult executeLowered(const LoweredKernel &lk, int c,
-                          const std::vector<StreamData> &inputs,
-                          SimdBackend backend, FusionPolicy fusion);
+                          SimdBackend backend = bestSimdBackend(),
+                          FusionPolicy fusion = FusionPolicy::Partial);
 
 /**
  * Thread-safe memoized lowering cache keyed by the structural kernel

@@ -1,7 +1,5 @@
 #include "interp/simd.h"
 
-#include <cstdlib>
-
 #include "common/log.h"
 #include "interp/exec_span.h"
 
@@ -57,19 +55,6 @@ simdBackendName(SimdBackend b)
 }
 
 bool
-parseSimdBackend(std::string_view name, SimdBackend *out)
-{
-    for (SimdBackend b : {SimdBackend::Scalar, SimdBackend::Sse2,
-                          SimdBackend::Avx2}) {
-        if (name == simdBackendName(b)) {
-            *out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 simdBackendSupported(SimdBackend b)
 {
     switch (b) {
@@ -106,42 +91,8 @@ availableSimdBackends()
 SimdBackend
 bestSimdBackend()
 {
-    SimdBackend best = SimdBackend::Scalar;
-    for (SimdBackend b : {SimdBackend::Sse2, SimdBackend::Avx2}) {
-        if (simdBackendSupported(b))
-            best = b;
-    }
+    static const SimdBackend best = availableSimdBackends().back();
     return best;
-}
-
-SimdBackend
-resolveSimdBackend(const char *scalar_env, const char *backend_env)
-{
-    if (scalar_env != nullptr && scalar_env[0] != '\0' &&
-        std::string_view(scalar_env) != "0")
-        return SimdBackend::Scalar;
-    if (backend_env != nullptr) {
-        SimdBackend requested;
-        if (parseSimdBackend(backend_env, &requested)) {
-            // Clamp to the best supported tier at or below the request
-            // so a pinned backend degrades instead of crashing.
-            while (requested != SimdBackend::Scalar &&
-                   !simdBackendSupported(requested))
-                requested = static_cast<SimdBackend>(
-                    static_cast<uint8_t>(requested) - 1);
-            return requested;
-        }
-    }
-    return bestSimdBackend();
-}
-
-SimdBackend
-defaultSimdBackend()
-{
-    static const SimdBackend b =
-        resolveSimdBackend(std::getenv("SPS_INTERP_SCALAR"),
-                           std::getenv("SPS_INTERP_BACKEND"));
-    return b;
 }
 
 const char *
@@ -154,35 +105,6 @@ fusionPolicyName(FusionPolicy p)
         return "partial";
     }
     return "unknown";
-}
-
-bool
-parseFusionPolicy(std::string_view name, FusionPolicy *out)
-{
-    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Partial}) {
-        if (name == fusionPolicyName(p)) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-FusionPolicy
-resolveFusionPolicy(const char *fusion_env)
-{
-    FusionPolicy p = FusionPolicy::Partial;
-    if (fusion_env != nullptr)
-        parseFusionPolicy(fusion_env, &p);
-    return p;
-}
-
-FusionPolicy
-defaultFusionPolicy()
-{
-    static const FusionPolicy p =
-        resolveFusionPolicy(std::getenv("SPS_INTERP_FUSION"));
-    return p;
 }
 
 namespace detail {

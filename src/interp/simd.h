@@ -18,17 +18,14 @@
  * scalar expression the scalar engine uses, so equality holds by
  * construction. See DESIGN.md "SIMD backend".
  *
- * Escape hatch: SPS_INTERP_SCALAR=1 in the environment (or
- * sim::RunOptions::forceScalarInterp) forces the scalar span executor;
- * SPS_INTERP_BACKEND=scalar|sse2|avx2 pins a specific tier;
- * SPS_INTERP_FUSION=off|full|partial (or sim::RunOptions::interpFusion)
- * pins the megastrip fusion policy.
+ * Every run uses the widest tier CPUID supports (bestSimdBackend) and
+ * partial megastrip fusion unless the caller passes a backend or a
+ * FusionPolicy explicitly, as the differential tests and benchmarks do.
  */
 #ifndef SPS_INTERP_SIMD_H
 #define SPS_INTERP_SIMD_H
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace sps::interp {
@@ -44,38 +41,20 @@ enum class SimdBackend : uint8_t
 /** Stable lower-case name ("scalar", "sse2", "avx2"). */
 const char *simdBackendName(SimdBackend b);
 
-/** Parse a backend name (case-sensitive, as in simdBackendName).
- *  Returns false and leaves *out untouched on unknown names. */
-bool parseSimdBackend(std::string_view name, SimdBackend *out);
-
 /** True when `b` is compiled in AND this CPU can execute it. */
 bool simdBackendSupported(SimdBackend b);
 
 /** Every supported backend, Scalar first, widest last. */
 std::vector<SimdBackend> availableSimdBackends();
 
-/** The widest supported backend on this host. */
+/** The widest supported backend on this host, resolved once on
+ *  first use. */
 SimdBackend bestSimdBackend();
 
 /**
- * Pure selection policy (unit-testable): `scalar_env` /`backend_env`
- * are the values of SPS_INTERP_SCALAR / SPS_INTERP_BACKEND (null when
- * unset). A non-empty SPS_INTERP_SCALAR other than "0" wins and forces
- * Scalar; otherwise a recognized SPS_INTERP_BACKEND is used (clamped
- * to the best supported tier at or below it); otherwise the best
- * supported backend.
- */
-SimdBackend resolveSimdBackend(const char *scalar_env,
-                               const char *backend_env);
-
-/** Process-wide default: resolveSimdBackend over the real
- *  environment, resolved once on first use. */
-SimdBackend defaultSimdBackend();
-
-/**
  * Megastrip-fusion policy for the SIMD steady state. Fusion never
- * changes results (bit-identical by construction); the policy exists
- * as a perf escape hatch and for differential testing.
+ * changes results (bit-identical by construction); Off exists for
+ * differential testing.
  */
 enum class FusionPolicy : uint8_t
 {
@@ -88,21 +67,6 @@ enum class FusionPolicy : uint8_t
 
 /** Stable lower-case name ("off", "partial"). */
 const char *fusionPolicyName(FusionPolicy p);
-
-/** Parse a policy name (case-sensitive, as in fusionPolicyName).
- *  Returns false and leaves *out untouched on unknown names. */
-bool parseFusionPolicy(std::string_view name, FusionPolicy *out);
-
-/**
- * Pure selection policy (unit-testable): `fusion_env` is the value of
- * SPS_INTERP_FUSION (null when unset). A recognized name wins;
- * anything else resolves to Partial, the default.
- */
-FusionPolicy resolveFusionPolicy(const char *fusion_env);
-
-/** Process-wide default: resolveFusionPolicy over the real
- *  environment, resolved once on first use. */
-FusionPolicy defaultFusionPolicy();
 
 } // namespace sps::interp
 

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/intervals.h"
 #include "mem/access_sched.h"
 #include "mem/dram.h"
 #include "trace/tracer.h"
@@ -87,12 +88,10 @@ struct TransferDesc
     bool write = false;
 };
 
-/** One closed-open interval during which the memory pins were busy. */
-struct BusyInterval
-{
-    int64_t start = 0;
-    int64_t end = 0;
-};
+/** One closed-open interval during which the memory pins were busy,
+ *  in the interval library's type so the controller merges and
+ *  intersects the recorded set without converting it. */
+using BusyInterval = analysis::CycleInterval;
 
 /** Result of one stream transfer. */
 struct TransferResult

@@ -36,9 +36,11 @@ CompiledKernel::loopCycles(int64_t iterations) const
     return best;
 }
 
+static_assert(kUnrollFactors[0] == 1,
+              "the u=1 schedule supplies the short-call fields");
+
 CompiledKernel
-compileKernel(const kernel::Kernel &k, const MachineModel &m,
-              const CompileOptions &opts)
+compileKernel(const kernel::Kernel &k, const MachineModel &m)
 {
     SPS_ASSERT(m.canExecute(k),
                "kernel %s cannot execute on C=%d N=%d", k.name.c_str(),
@@ -48,9 +50,8 @@ compileKernel(const kernel::Kernel &k, const MachineModel &m,
     CompiledKernel best;
     bool have_best = false;
     int ii1 = 1, stages1 = 1, length1 = 1, list_len = 1;
-    for (int u : opts.unrollFactors) {
-        if (u < 1 ||
-            static_cast<int>(k.ops.size()) * u > opts.maxOps)
+    for (int u : kUnrollFactors) {
+        if (static_cast<int>(k.ops.size()) * u > kMaxUnrolledOps)
             continue;
         kernel::Kernel body = unrollKernel(k, u);
         DepGraph g = buildDepGraph(body, m);
@@ -91,15 +92,6 @@ compileKernel(const kernel::Kernel &k, const MachineModel &m,
     }
     SPS_ASSERT(have_best, "no feasible unroll factor for %s",
                k.name.c_str());
-    // The u=1 variant backs short calls; unrollFactors always
-    // includes 1 in practice, but fall back to the winner if not.
-    if (ii1 == 1 && stages1 == 1 && length1 == 1 && list_len == 1 &&
-        best.unroll != 1) {
-        ii1 = best.ii;
-        stages1 = best.stages;
-        length1 = best.length;
-        list_len = best.length;
-    }
     best.ii1 = ii1;
     best.stages1 = stages1;
     best.length1 = length1;

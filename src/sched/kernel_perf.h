@@ -9,6 +9,8 @@
 #ifndef SPS_SCHED_KERNEL_PERF_H
 #define SPS_SCHED_KERNEL_PERF_H
 
+#include <array>
+
 #include "common/fields.h"
 #include "kernel/census.h"
 #include "kernel/ir.h"
@@ -84,24 +86,22 @@ forEachField(S &ck, F &&f)
     f("srf_accesses_per_iteration", ck.srfAccessesPerIteration);
 }
 
-/** Options for kernel compilation. */
-struct CompileOptions
-{
-    /** Unroll factors to try. */
-    std::vector<int> unrollFactors = {1, 2, 4};
-    /** Skip unrolls that would exceed this many scheduled ops. */
-    int maxOps = 4096;
-};
+/** Unroll factors compileKernel tries, smallest first. Factor 1 is
+ *  always scheduled: it also backs short calls (CompiledKernel::ii1). */
+inline constexpr std::array<int, 3> kUnrollFactors = {1, 2, 4};
+
+/** compileKernel skips a factor that would schedule more ops than
+ *  this. */
+inline constexpr int kMaxUnrolledOps = 4096;
 
 /**
- * Compile `k` for machine `m`: pick the unroll factor with the best
- * per-original-iteration throughput (ties go to the smaller factor).
- * A factor above 1 whose MII bound cannot beat the best so far is
- * skipped without modulo scheduling; the choice is the same.
+ * Compile `k` for machine `m`: pick the factor of kUnrollFactors with
+ * the best per-original-iteration throughput (ties go to the smaller
+ * factor). A factor above 1 whose MII bound cannot beat the best so
+ * far is skipped without modulo scheduling; the choice is the same.
  */
 CompiledKernel compileKernel(const kernel::Kernel &k,
-                             const MachineModel &m,
-                             const CompileOptions &opts = {});
+                             const MachineModel &m);
 
 } // namespace sps::sched
 

@@ -29,22 +29,20 @@ kernelFingerprint(const kernel::Kernel &k)
 }
 
 uint64_t
-compileOptionsHash(const CompileOptions &opts)
+compileOptionsHash()
 {
     Fnv f;
-    f.mix(static_cast<uint64_t>(opts.unrollFactors.size()));
-    for (int u : opts.unrollFactors)
+    f.mix(static_cast<uint64_t>(kUnrollFactors.size()));
+    for (int u : kUnrollFactors)
         f.mix(static_cast<uint64_t>(u));
-    f.mix(static_cast<uint64_t>(opts.maxOps));
+    f.mix(static_cast<uint64_t>(kMaxUnrolledOps));
     return f.h;
 }
 
 const CompiledKernel &
-ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m,
-                   const CompileOptions &opts)
+ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m)
 {
-    Key key{kernelFingerprint(k), machineConfigHash(m),
-            compileOptionsHash(opts)};
+    Key key{kernelFingerprint(k), machineConfigHash(m)};
     std::shared_ptr<Entry> entry;
     store::ResultStore *disk = nullptr;
     {
@@ -63,13 +61,13 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m,
     enum { kMemory, kCompiled, kDisk } outcome = kMemory;
     std::call_once(entry->once, [&] {
         store::Key skey{store::Kind::Schedule, key.kernelHash,
-                        key.machineHash, key.optionsHash};
+                        key.machineHash, compileOptionsHash()};
         if (disk && disk->loadSchedule(skey, &entry->ck)) {
             outcome = kDisk;
             return;
         }
         uint64_t t0 = obs::monotonicMicros();
-        entry->ck = compileKernel(k, m, opts);
+        entry->ck = compileKernel(k, m);
         if (obs::Histogram *h =
                 compileUs_.load(std::memory_order_relaxed))
             h->observe(obs::monotonicMicros() - t0);

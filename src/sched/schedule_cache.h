@@ -1,7 +1,7 @@
 /**
  * @file
  * The shared, memoized schedule cache: compileKernel() results keyed by
- * (kernel fingerprint, machine configuration hash, compile options).
+ * (kernel fingerprint, machine configuration hash).
  * Every design-space sweep in the evaluation stack revisits the same
  * (kernel, machine) pairs -- across figures, benches, repeated grid
  * points, and the simulator's per-invocation compiles -- so a kernel
@@ -59,8 +59,10 @@ uint64_t machineConfigHash(const MachineModel &m);
  */
 uint64_t kernelFingerprint(const kernel::Kernel &k);
 
-/** Hash of the compile options that shape the schedule. */
-uint64_t compileOptionsHash(const CompileOptions &opts);
+/** Hash of the compile constants that shape the schedule
+ *  (kUnrollFactors, kMaxUnrolledOps): the options word of every
+ *  schedule's store key. */
+uint64_t compileOptionsHash();
 
 class ScheduleCache
 {
@@ -78,15 +80,14 @@ class ScheduleCache
     };
 
     /**
-     * The compiled schedule for (k, m, opts), compiling on first use.
+     * The compiled schedule for (k, m), compiling on first use.
      * A call that performs the compilation counts as a miss; a call
      * whose entry was decoded from the attached store counts as a
      * diskHit; every other call (including ones that waited on a
      * concurrent winner) counts as a hit.
      */
     const CompiledKernel &get(const kernel::Kernel &k,
-                              const MachineModel &m,
-                              const CompileOptions &opts = {});
+                              const MachineModel &m);
 
     /**
      * Attach (or detach, with nullptr) the persistent disk tier. The
@@ -128,7 +129,6 @@ class ScheduleCache
     {
         uint64_t kernelHash = 0;
         uint64_t machineHash = 0;
-        uint64_t optionsHash = 0;
         bool operator==(const Key &) const = default;
     };
     struct KeyHash
@@ -137,8 +137,6 @@ class ScheduleCache
         {
             uint64_t h = k.kernelHash;
             h ^= k.machineHash + 0x9e3779b97f4a7c15ull + (h << 6) +
-                 (h >> 2);
-            h ^= k.optionsHash + 0x9e3779b97f4a7c15ull + (h << 6) +
                  (h >> 2);
             return static_cast<size_t>(h);
         }

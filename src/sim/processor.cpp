@@ -1,5 +1,8 @@
 #include "sim/processor.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/log.h"
 #include "sim/stream_controller.h"
 
@@ -12,7 +15,22 @@ StreamProcessor::StreamProcessor(SimConfig cfg)
       srf_(srf::SrfModel::forMachine(cfg.size, cfg.params)),
       memSys_(cfg.memConfig),
       accountant_(costModel_, cfg.size, cfg.tech, cfg.energyConfig)
-{}
+{
+    // A client's config override reaches here, so a bad value is an
+    // exception the evaluation service returns as an error: a
+    // scoreboard with no entries can never issue, and a negative issue
+    // cost runs the host channel backwards.
+    if (cfg_.scoreboardDepth < 1)
+        throw std::invalid_argument(
+            "bad controller config: scoreboard depth must be at least "
+            "1, got " +
+            std::to_string(cfg_.scoreboardDepth));
+    if (cfg_.hostIssueCycles < 0)
+        throw std::invalid_argument(
+            "bad controller config: host issue cycles must not be "
+            "negative, got " +
+            std::to_string(cfg_.hostIssueCycles));
+}
 
 StreamProcessor::~StreamProcessor() = default;
 

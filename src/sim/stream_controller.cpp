@@ -15,69 +15,13 @@ using stream::StreamOp;
 namespace {
 
 /**
- * Merge possibly-overlapping busy intervals (different resolve
- * batches can interleave on the shared channels) into a sorted
- * disjoint set.
- */
-std::vector<mem::BusyInterval>
-mergeIntervals(std::vector<mem::BusyInterval> ivs)
-{
-    std::sort(ivs.begin(), ivs.end(),
-              [](const mem::BusyInterval &a, const mem::BusyInterval &b) {
-                  return a.start < b.start;
-              });
-    std::vector<mem::BusyInterval> out;
-    for (const auto &iv : ivs) {
-        if (!out.empty() && iv.start <= out.back().end)
-            out.back().end = std::max(out.back().end, iv.end);
-        else
-            out.push_back(iv);
-    }
-    return out;
-}
-
-/**
- * Exact cycle breakdown from the (disjoint, sorted) busy intervals of
- * the memory pins and the microcontroller: kernel-only / mem-only /
- * overlapped / idle, summing to `cycles`.
- */
-void
-fillCycleBreakdown(const std::vector<mem::BusyInterval> &mem,
-                   const std::vector<mem::BusyInterval> &uc,
-                   int64_t cycles, SimCounters &c)
-{
-    int64_t mem_total = 0, uc_total = 0, overlap = 0;
-    for (const auto &iv : mem)
-        mem_total += iv.end - iv.start;
-    for (const auto &iv : uc)
-        uc_total += iv.end - iv.start;
-    size_t i = 0, j = 0;
-    while (i < mem.size() && j < uc.size()) {
-        int64_t lo = std::max(mem[i].start, uc[j].start);
-        int64_t hi = std::min(mem[i].end, uc[j].end);
-        if (lo < hi)
-            overlap += hi - lo;
-        if (mem[i].end < uc[j].end)
-            ++i;
-        else
-            ++j;
-    }
-    c.overlapCycles = overlap;
-    c.memOnlyCycles = mem_total - overlap;
-    c.kernelOnlyCycles = uc_total - overlap;
-    c.idleCycles =
-        cycles - c.memOnlyCycles - c.kernelOnlyCycles - c.overlapCycles;
-}
-
-/**
  * Execute one kernel call functionally: gather bound input streams
  * from the context, run the interpreter, write outputs back.
  */
 void
 runKernelFunctionally(const StreamOp &op, int clusters,
                       FunctionalContext &ctx,
-                      const stream::StreamProgram &prog,
-                      bool force_scalar, interp::FusionPolicy fusion)
+                      const stream::StreamProgram &prog)
 {
     const kernel::Kernel &k = *op.k;
     std::vector<interp::StreamData> inputs;
@@ -96,11 +40,7 @@ runKernelFunctionally(const StreamOp &op, int clusters,
             out_streams.push_back(bound);
         }
     }
-    interp::ExecResult exec = interp::runKernel(
-        k, clusters, inputs,
-        force_scalar ? interp::SimdBackend::Scalar
-                     : interp::defaultSimdBackend(),
-        fusion);
+    interp::ExecResult exec = interp::runKernel(k, clusters, inputs);
     SPS_ASSERT(exec.outputs.size() == out_streams.size(),
                "kernel %s: output count mismatch", k.name.c_str());
     for (size_t o = 0; o < out_streams.size(); ++o)
@@ -139,7 +79,7 @@ executeProgram(const stream::StreamProgram &prog,
         int ticket = 0;
     };
     std::vector<PendingMemOp> pending_mem;
-    std::vector<mem::BusyInterval> uc_busy_ivs;
+    std::vector<analysis::CycleInterval> uc_busy;
 
     int64_t issue_time = 0;
     int64_t uc_free = 0;
@@ -324,7 +264,7 @@ executeProgram(const stream::StreamProgram &prog,
             int64_t end = start + t.cycles;
             uc_free = end;
             if (t.cycles > 0)
-                uc_busy_ivs.push_back({start, end});
+                uc_busy.push_back({start, end});
             result.ucBusy += t.cycles;
             ctr.ucOverheadCycles += t.overheadCycles;
             result.aluOps += ck.aluOpsPerIteration * op.records;
@@ -363,9 +303,7 @@ executeProgram(const stream::StreamProgram &prog,
             }
             if (opts.functional)
                 runKernelFunctionally(op, cfg.clusters,
-                                      *opts.functional, prog,
-                                      opts.forceScalarInterp,
-                                      opts.interpFusion);
+                                      *opts.functional, prog);
             complete[i] = end;
             in_flight.push(end);
             iv.start = start;
@@ -390,13 +328,21 @@ executeProgram(const stream::StreamProgram &prog,
     // Memory pin occupancy: the union of per-channel busy intervals
     // accumulated across all resolve batches. Merging keeps the
     // breakdown identity memOnly + overlap == memBusy exact even when
-    // batches interleave on the shared channels.
-    std::vector<mem::BusyInterval> mem_busy_ivs =
-        mergeIntervals(mem_sys.takeBusyIntervals());
-    for (const auto &ivb : mem_busy_ivs)
-        result.memBusy += ivb.end - ivb.start;
-
-    fillCycleBreakdown(mem_busy_ivs, uc_busy_ivs, result.cycles, ctr);
+    // batches interleave on the shared channels. uc_busy is already
+    // sorted and disjoint: each kernel call starts no earlier than the
+    // previous one ends. The cycle breakdown (kernel-only / mem-only /
+    // overlapped / idle, summing to cycles) and the stall waterfall
+    // both come from these two sets.
+    std::vector<analysis::CycleInterval> mem_busy =
+        analysis::mergeIntervals(mem_sys.takeBusyIntervals());
+    result.memBusy = analysis::intervalLength(mem_busy);
+    ctr.overlapCycles = analysis::intervalLength(
+        analysis::intersectIntervals(mem_busy, uc_busy));
+    ctr.memOnlyCycles = result.memBusy - ctr.overlapCycles;
+    ctr.kernelOnlyCycles =
+        analysis::intervalLength(uc_busy) - ctr.overlapCycles;
+    ctr.idleCycles = result.cycles - ctr.memOnlyCycles -
+                     ctr.kernelOnlyCycles - ctr.overlapCycles;
     ctr.dramChannelBusyCycles.clear();
     for (const mem::ChannelStats &cs : mem_sys.channelStats())
         ctr.dramChannelBusyCycles.push_back(cs.busyCycles);
@@ -405,17 +351,8 @@ executeProgram(const stream::StreamProgram &prog,
     ctr.kernelAluSlots =
         result.ucBusy * cfg.clusters * cfg.alusPerCluster;
 
-    // Stall-attribution waterfall from the same exact busy-interval
-    // sets that produced the cycle breakdown.
-    std::vector<analysis::CycleInterval> mem_ci, uc_ci;
-    mem_ci.reserve(mem_busy_ivs.size());
-    for (const auto &ivb : mem_busy_ivs)
-        mem_ci.push_back({ivb.start, ivb.end});
-    uc_ci.reserve(uc_busy_ivs.size());
-    for (const auto &ivb : uc_busy_ivs)
-        uc_ci.push_back({ivb.start, ivb.end});
     result.bottleneck = analysis::attributeBottleneck(
-        result.timeline, std::move(mem_ci), std::move(uc_ci),
+        result.timeline, std::move(mem_busy), std::move(uc_busy),
         result.cycles);
     return result;
 }

@@ -50,17 +50,9 @@ struct RunOptions
 {
     /** Event tracer; null (the default) records nothing. */
     trace::Tracer *tracer = nullptr;
-    /** Functional stream contents; null runs timing-only. */
+    /** Functional stream contents; null runs timing-only, otherwise
+     *  each kernel call also runs through interp::runKernel. */
     FunctionalContext *functional = nullptr;
-    /** Force the scalar interpreter backend for functional kernel
-     *  calls (the SPS_INTERP_SCALAR=1 escape hatch as a per-run
-     *  flag); false uses interp::defaultSimdBackend(). Results are
-     *  bit-identical either way. */
-    bool forceScalarInterp = false;
-    /** Megastrip-fusion policy for functional kernel calls (the
-     *  SPS_INTERP_FUSION escape hatch as a per-run knob). Results are
-     *  bit-identical under every policy. */
-    interp::FusionPolicy interpFusion = interp::defaultFusionPolicy();
 };
 
 /**

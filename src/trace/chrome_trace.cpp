@@ -124,12 +124,4 @@ timelineToTracer(const sim::SimResult &result, Tracer &tracer)
     }
 }
 
-bool
-writeTimelineTrace(const sim::SimResult &result, const std::string &path)
-{
-    Tracer t;
-    timelineToTracer(result, t);
-    return writeChromeTrace(t, path);
-}
-
 } // namespace sps::trace

@@ -29,10 +29,6 @@ bool writeChromeTrace(const Tracer &tracer, const std::string &path);
  */
 void timelineToTracer(const sim::SimResult &result, Tracer &tracer);
 
-/** Shorthand: export just a result's timeline as a Chrome trace. */
-bool writeTimelineTrace(const sim::SimResult &result,
-                        const std::string &path);
-
 } // namespace sps::trace
 
 #endif // SPS_TRACE_CHROME_TRACE_H

@@ -247,6 +247,10 @@ TEST(SimdDispatchTest, AllTiersBitIdenticalToForcedScalar)
     std::vector<StreamData> inputs{StreamData::fromInts(words, 2)};
     ExecResult scalar =
         runKernel(k, 8, inputs, SimdBackend::Scalar);
+    // Scalar is always available and availableSimdBackends leads
+    // with it.
+    ASSERT_FALSE(availableSimdBackends().empty());
+    EXPECT_EQ(availableSimdBackends().front(), SimdBackend::Scalar);
     for (SimdBackend backend : availableSimdBackends()) {
         ExecResult got = runKernel(k, 8, inputs, backend);
         EXPECT_EQ(got.iterations, scalar.iterations)
@@ -263,49 +267,6 @@ TEST(SimdDispatchTest, AllTiersBitIdenticalToForcedScalar)
         EXPECT_EQ(got.outputs[0].words, scalar.outputs[0].words)
             << simdBackendName(backend);
     }
-}
-
-TEST(SimdDispatchTest, ParseAndNameRoundTrip)
-{
-    for (SimdBackend b : {SimdBackend::Scalar, SimdBackend::Sse2,
-                          SimdBackend::Avx2}) {
-        SimdBackend parsed;
-        ASSERT_TRUE(parseSimdBackend(simdBackendName(b), &parsed));
-        EXPECT_EQ(parsed, b);
-    }
-    SimdBackend parsed;
-    EXPECT_FALSE(parseSimdBackend("avx512", &parsed));
-    EXPECT_FALSE(parseSimdBackend("", &parsed));
-}
-
-TEST(FusionDispatchTest, ParseAndNameRoundTrip)
-{
-    for (FusionPolicy p : {FusionPolicy::Off, FusionPolicy::Partial}) {
-        FusionPolicy parsed;
-        ASSERT_TRUE(parseFusionPolicy(fusionPolicyName(p), &parsed));
-        EXPECT_EQ(parsed, p);
-    }
-    FusionPolicy parsed = FusionPolicy::Off;
-    EXPECT_FALSE(parseFusionPolicy("mega", &parsed));
-    EXPECT_FALSE(parseFusionPolicy("", &parsed));
-    EXPECT_FALSE(parseFusionPolicy("Partial", &parsed));
-    // Failed parses leave *out untouched.
-    EXPECT_EQ(parsed, FusionPolicy::Off);
-}
-
-TEST(FusionDispatchTest, EnvResolutionPolicy)
-{
-    // Mirrors SPS_INTERP_BACKEND resolution: a recognized
-    // SPS_INTERP_FUSION value wins; unset or garbage resolves to the
-    // Partial default (fusion never changes results, so the safe
-    // default is the fast one).
-    EXPECT_EQ(resolveFusionPolicy("off"), FusionPolicy::Off);
-    EXPECT_EQ(resolveFusionPolicy("partial"), FusionPolicy::Partial);
-    EXPECT_EQ(resolveFusionPolicy(nullptr), FusionPolicy::Partial);
-    EXPECT_EQ(resolveFusionPolicy(""), FusionPolicy::Partial);
-    EXPECT_EQ(resolveFusionPolicy("bogus"), FusionPolicy::Partial);
-    // The retired all-or-nothing "full" policy is an unknown name.
-    EXPECT_EQ(resolveFusionPolicy("full"), FusionPolicy::Partial);
 }
 
 /** Every backend x fusion-policy combination must be bit-identical on
@@ -339,27 +300,6 @@ TEST(FusionDispatchTest, PoliciesBitIdenticalAcrossBackends)
             }
         }
     }
-}
-
-TEST(SimdDispatchTest, EnvResolutionPolicy)
-{
-    // SPS_INTERP_SCALAR wins over everything unless it is "" or "0".
-    EXPECT_EQ(resolveSimdBackend("1", "avx2"), SimdBackend::Scalar);
-    EXPECT_EQ(resolveSimdBackend("yes", nullptr), SimdBackend::Scalar);
-    EXPECT_EQ(resolveSimdBackend("0", nullptr), bestSimdBackend());
-    EXPECT_EQ(resolveSimdBackend("", nullptr), bestSimdBackend());
-    // Explicit backend requests resolve to a supported tier at or
-    // below the request; garbage falls back to the best tier.
-    EXPECT_EQ(resolveSimdBackend(nullptr, "scalar"),
-              SimdBackend::Scalar);
-    EXPECT_TRUE(
-        simdBackendSupported(resolveSimdBackend(nullptr, "avx2")));
-    EXPECT_EQ(resolveSimdBackend(nullptr, "bogus"), bestSimdBackend());
-    EXPECT_EQ(resolveSimdBackend(nullptr, nullptr), bestSimdBackend());
-    // Scalar is always available and availableSimdBackends leads
-    // with it.
-    ASSERT_FALSE(availableSimdBackends().empty());
-    EXPECT_EQ(availableSimdBackends().front(), SimdBackend::Scalar);
 }
 
 } // namespace

@@ -96,7 +96,6 @@ TEST(KernelPerfTest, UnrollPruningIsExactOverTheFigureSuite)
     {
         int unroll = 0, ii = 0, stages = 0, length = 0;
     };
-    const int max_ops = CompileOptions{}.maxOps;
     bool saw_housegen_c128_n5 = false;
     for (const core::SuiteCompile &p : core::suiteCompiles()) {
         const kernel::Kernel &k = *p.kernel;
@@ -105,8 +104,8 @@ TEST(KernelPerfTest, UnrollPruningIsExactOverTheFigureSuite)
         Sched best, one;
         double best_rate = 0.0;
         int list_len = 0;
-        for (int u : {1, 2, 4}) {
-            if (static_cast<int>(k.ops.size()) * u > max_ops)
+        for (int u : kUnrollFactors) {
+            if (static_cast<int>(k.ops.size()) * u > kMaxUnrolledOps)
                 continue;
             DepGraph g = buildDepGraph(unrollKernel(k, u), m);
             ModuloSchedule s = moduloSchedule(g, m);

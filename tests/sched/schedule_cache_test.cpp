@@ -84,20 +84,6 @@ TEST(ScheduleCacheTest, FingerprintSeparatesKernels)
               kernelFingerprint(workloads::housegenKernel(16)));
 }
 
-TEST(ScheduleCacheTest, OptionsArePartOfTheKey)
-{
-    ScheduleCache cache;
-    MachineModel m = machine(8, 5);
-    const kernel::Kernel &k = workloads::blocksadKernel();
-    CompileOptions narrow;
-    narrow.unrollFactors = {1};
-    const CompiledKernel &a = cache.get(k, m);
-    const CompiledKernel &b = cache.get(k, m, narrow);
-    EXPECT_EQ(cache.counters().misses, 2u);
-    EXPECT_EQ(b.unroll, 1);
-    EXPECT_GE(a.aluOpsPerCycle(), b.aluOpsPerCycle());
-}
-
 TEST(ScheduleCacheTest, ConcurrentSameKeyCompilesOnce)
 {
     ScheduleCache cache;

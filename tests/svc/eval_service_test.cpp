@@ -226,28 +226,31 @@ TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
 
 TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
 {
-    // A memory config the model cannot run comes back through the
-    // requester's future as invalid_argument; none may abort the
-    // shared service (NaN included).
+    // A memory or controller config the model cannot run comes back
+    // through the requester's future as invalid_argument; none may
+    // abort the shared service (NaN included).
     auto with = [](auto edit) {
         sim::SimConfig cfg;
-        edit(cfg.memConfig);
+        edit(cfg);
         return cfg;
     };
-    using M = mem::StreamMemConfig;
+    using C = sim::SimConfig;
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     const std::vector<sim::SimConfig> bad = {
-        with([](M &m) { m.channels = 0; }),
-        with([](M &m) { m.channels = -2; }),
-        with([&](M &m) { m.peakWordsPerCycle = nan; }),
-        with([&](M &m) { m.peakWordsPerCycle = inf; }),
-        with([](M &m) { m.peakWordsPerCycle = 0.0; }),
-        with([](M &m) { m.peakWordsPerCycle = -4.0; }),
-        with([](M &m) { m.schedWindow = 0; }),
-        with([](M &m) { m.schedMaxBypass = 0; }),
-        with([](M &m) { m.timing.banks = 0; }),
-        with([](M &m) { m.timing.rowWords = -1; }),
+        with([](C &c) { c.memConfig.channels = 0; }),
+        with([](C &c) { c.memConfig.channels = -2; }),
+        with([&](C &c) { c.memConfig.peakWordsPerCycle = nan; }),
+        with([&](C &c) { c.memConfig.peakWordsPerCycle = inf; }),
+        with([](C &c) { c.memConfig.peakWordsPerCycle = 0.0; }),
+        with([](C &c) { c.memConfig.peakWordsPerCycle = -4.0; }),
+        with([](C &c) { c.memConfig.schedWindow = 0; }),
+        with([](C &c) { c.memConfig.schedMaxBypass = 0; }),
+        with([](C &c) { c.memConfig.timing.banks = 0; }),
+        with([](C &c) { c.memConfig.timing.rowWords = -1; }),
+        with([](C &c) { c.scoreboardDepth = 0; }),
+        with([](C &c) { c.scoreboardDepth = -1; }),
+        with([](C &c) { c.hostIssueCycles = -5; }),
     };
     core::EvalEngine engine(2);
     EvalService service(&engine);

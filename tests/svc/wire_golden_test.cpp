@@ -13,6 +13,7 @@
 #include "core/design.h"
 #include "core/experiments.h"
 #include "sched/kernel_perf.h"
+#include "sched/schedule_cache.h"
 #include "store/codec.h"
 #include "svc/eval_service.h"
 #include "svc/protocol.h"
@@ -54,6 +55,12 @@ TEST(WireGoldenTest, SimConfigHash)
 {
     EXPECT_EQ(hex(simConfigHash(sim::SimConfig{})), "0xb277e3e579b31487");
     EXPECT_EQ(hex(simConfigHash(overrideConfig())), "0x2da422524ce9aa8c");
+}
+
+/** The options word of every persisted schedule's store key. */
+TEST(WireGoldenTest, ScheduleOptionsHash)
+{
+    EXPECT_EQ(hex(sched::compileOptionsHash()), "0x065bf7812259d3f1");
 }
 
 TEST(WireGoldenTest, EvalRequestBytes)
