@@ -16,6 +16,19 @@ AccessWindow::AccessWindow(DramChannel &channel, int window,
     SPS_ASSERT(window >= 1 && max_bypass >= 1, "bad scheduler window");
 }
 
+bool
+AccessWindow::uniform() const
+{
+    const Entry &h = at(0);
+    for (size_t i = 1; i < size_; ++i) {
+        const Entry &e = at(i);
+        if (e.tag != h.tag || e.addr.bank != h.addr.bank ||
+            e.addr.row != h.addr.row)
+            return false;
+    }
+    return true;
+}
+
 WindowService
 AccessWindow::serviceNext()
 {

@@ -14,6 +14,14 @@
  * the window is a fixed ring: when the oldest request hits its open
  * row (the usual case for a stream), a pick costs one bank-table
  * lookup and no shifting.
+ *
+ * A pick is in arrival order (index 0, nothing bypassed, the age cap
+ * moot) whenever the oldest request hits its open row, or every
+ * request in the window lies in the oldest one's bank and row. The
+ * service loop uses this rule to serve a run of such picks in one
+ * step, from the transfer's address cursor or, through uniform() and
+ * clear(), from the window itself; serviceNext() stays the only
+ * picker for everything else.
  */
 #ifndef SPS_MEM_ACCESS_SCHED_H
 #define SPS_MEM_ACCESS_SCHED_H
@@ -69,6 +77,8 @@ class AccessWindow
 
     bool empty() const { return size_ == 0; }
 
+    size_t size() const { return size_; }
+
     /** Add a request at the back (arrival order); the window must
      *  want more. */
     void push(const DramAddr &addr, int tag)
@@ -76,6 +86,23 @@ class AccessWindow
         at(size_) = Entry{addr, 0, tag};
         ++size_;
     }
+
+    /** The oldest request's address and tag; the window must be
+     *  non-empty. */
+    const DramAddr &headAddr() const { return at(0).addr; }
+    int headTag() const { return at(0).tag; }
+
+    /**
+     * True if every request has the oldest one's tag and lies in its
+     * bank and row. FR-FCFS then serves the whole window in arrival
+     * order: the oldest misses only if all of them do, and every
+     * later one hits the row the oldest opened.
+     */
+    bool uniform() const;
+
+    /** Drop every request, once the caller has serviced them in
+     *  arrival order. */
+    void clear() { size_ = 0; }
 
     /** Service the scheduled pick; the window must be non-empty. */
     WindowService serviceNext();
@@ -89,6 +116,7 @@ class AccessWindow
     };
     /** The i-th oldest entry. */
     Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
+    const Entry &at(size_t i) const { return ring_[(head_ + i) & mask_]; }
 
     DramChannel &channel_;
     /** Ring storage, the window rounded up to a power of two. */

@@ -100,19 +100,25 @@ class DramChannel
     }
 
     /**
-     * Service one request now; returns the cycles the channel's data
-     * pins are busy (row hits cost tCol; misses add precharge and
-     * activate time).
+     * Cycles the channel's data pins would be busy servicing the
+     * request now: row hits cost tCol; misses add precharge (when
+     * another row is open) and activate time.
      */
+    int cycles(const DramAddr &a) const
+    {
+        if (isRowHit(a))
+            return timing_.tCol;
+        return timing_.tCol + (isBankOpen(a) ? timing_.tPre : 0) +
+               timing_.tRas;
+    }
+
+    /** Service one request now, leaving its row open; returns
+     *  cycles(a) as it was before the service. */
     int service(const DramAddr &a)
     {
-        int64_t &open = openRow_[static_cast<std::size_t>(a.bank)];
-        if (open == a.row)
-            return timing_.tCol;
-        int cycles = timing_.tCol + (open >= 0 ? timing_.tPre : 0) +
-                     timing_.tRas;
-        open = a.row;
-        return cycles;
+        int c = cycles(a);
+        openRow_[static_cast<std::size_t>(a.bank)] = a.row;
+        return c;
     }
 
     /** Close all rows (e.g. between independent transfers). */

@@ -60,9 +60,28 @@ class ChannelCursor
     /** The current request; the cursor must not be done. */
     const DramAddr &addr() const { return at_; }
 
-    void advance()
+    /** Requests from the current one to the end of its run or of its
+     *  row, whichever comes first: consecutive words of one row. */
+    int64_t rowRun() const
     {
-        if (--left_ > 0) {
+        return std::min<int64_t>(left_,
+                                 dram_->timing().rowWords - at_.col);
+    }
+
+    /** True if the next `n` requests, or all that remain when fewer,
+     *  lie in the current request's row. */
+    bool rowHolds(int64_t n) const
+    {
+        int64_t run = rowRun();
+        return run >= n || (run == left_ && recsLeft_ == 1);
+    }
+
+    /** Move past `n` requests, 1 <= n <= rowRun(). */
+    void skip(int64_t n)
+    {
+        left_ -= n;
+        if (left_ > 0) {
+            at_.col += static_cast<int>(n - 1);
             dram_->step(at_);
         } else {
             nextRecord();
@@ -143,10 +162,28 @@ StreamMemSystem::StreamMemSystem(StreamMemConfig cfg) : cfg_(cfg)
             std::to_string(cfg_.schedWindow) + " and bypass cap " +
             std::to_string(cfg_.schedMaxBypass) +
             " must both be at least 1");
+    if (!(cfg_.latencyCycles >= 0 && cfg_.timing.tRas >= 0 &&
+          cfg_.timing.tPre >= 0))
+        throw std::invalid_argument(
+            "bad memory config: latency " +
+            std::to_string(cfg_.latencyCycles) + ", tRas " +
+            std::to_string(cfg_.timing.tRas) + " and tPre " +
+            std::to_string(cfg_.timing.tPre) +
+            " must not be negative");
     // Column access time so that all channels together sustain the
-    // configured aggregate peak on row hits.
-    double tcol = cfg_.channels / cfg_.peakWordsPerCycle;
-    cfg_.timing.tCol = std::max(1, static_cast<int>(tcol + 0.5));
+    // configured aggregate peak on row hits. A row miss, the costliest
+    // access, must still be an int number of cycles.
+    constexpr int kMaxCycles = std::numeric_limits<int>::max();
+    double tcol = cfg_.channels / cfg_.peakWordsPerCycle + 0.5;
+    if (!(tcol + cfg_.timing.tPre + cfg_.timing.tRas < kMaxCycles))
+        throw std::invalid_argument(
+            "bad memory config: peak bandwidth " +
+            std::to_string(cfg_.peakWordsPerCycle) + ", tRas " +
+            std::to_string(cfg_.timing.tRas) + " and tPre " +
+            std::to_string(cfg_.timing.tPre) +
+            " make a row miss longer than " +
+            std::to_string(kMaxCycles) + " cycles");
+    cfg_.timing.tCol = std::max(1, static_cast<int>(tcol));
     beginProgram();
 }
 
@@ -280,7 +317,79 @@ StreamMemSystem::resolveAll()
                 busyIvs_.push_back(BusyInterval{runStart, now});
             runStart = -1;
         };
+        auto after = [nt](size_t t) { return t + 1 == nt ? 0 : t + 1; };
+        auto ready = [&](size_t t) {
+            return !cur[t].done() && pending_[t].desc.startCycle <= now;
+        };
+        // Account `n` requests of transfer t serviced back to back
+        // from `now`, taking `cycles` in all.
+        auto charge = [&](size_t t, int64_t cycles, int64_t n,
+                          int64_t hits, bool conflict, int64_t pick) {
+            size_t tc = t * static_cast<size_t>(C) +
+                        static_cast<size_t>(c);
+            if (runStart < 0)
+                runStart = now;
+            svcStart[t] = std::min(svcStart[t], now);
+            now += cycles;
+            busyTC[tc] += cycles;
+            lastEndTC[tc] = now;
+            simHits[t] += hits;
+            simConflicts[t] += conflict ? 1 : 0;
+            simReorderSum[t] += pick;
+            simReorderMax[t] = std::max(simReorderMax[t], pick);
+            cs.busyCycles += cycles;
+            cs.accesses += n;
+            cs.rowHits += hits;
+            cs.bankConflicts += conflict ? 1 : 0;
+        };
+        // How many of `n` in-order requests of transfer t, the first at
+        // `a` and the rest row hits, finish before any other transfer
+        // with requests left becomes ready. Stepwise service admits
+        // only t's requests until then, so it would serve exactly
+        // these first, in this order.
+        auto run_length = [&](size_t t, const DramAddr &a, int64_t n) {
+            int64_t next = kFar;
+            for (size_t u = 0; u < nt; ++u)
+                if (u != t && !cur[u].done())
+                    next = std::min(next, pending_[u].desc.startCycle);
+            int64_t room = next - now - chan.dram.cycles(a);
+            return room < 1 ? 0
+                            : std::min(n, (room - 1) / cfg_.timing.tCol + 1);
+        };
+        // Serve such a run in one step.
+        auto serve_run = [&](size_t t, const DramAddr &a, int64_t n) {
+            bool hit = chan.dram.isRowHit(a);
+            bool conflict = !hit && chan.dram.isBankOpen(a);
+            int64_t cycles =
+                chan.dram.service(a) + (n - 1) * cfg_.timing.tCol;
+            charge(t, cycles, n, hit ? n : n - 1, conflict, 0);
+        };
         while (!window.empty() || live > 0) {
+            if (window.empty()) {
+                // With the window empty and t the only transfer ready,
+                // admission would fill it with t's next requests, and
+                // FR-FCFS picks them in order while the oldest hits
+                // its open row or all of them share its row: serve the
+                // rest of the cursor's row run from the cursor.
+                size_t t = 0;
+                while (t < nt && !ready(t))
+                    ++t;
+                if (t < nt) {
+                    ChannelCursor &q = cur[t];
+                    const DramAddr &a = q.addr();
+                    int64_t n =
+                        chan.dram.isRowHit(a) || q.rowHolds(cfg_.schedWindow)
+                            ? run_length(t, a, q.rowRun())
+                            : 0;
+                    if (n > 0) {
+                        serve_run(t, a, n);
+                        q.skip(n);
+                        live -= q.done() ? 1 : 0;
+                        rr = after(t);
+                        continue;
+                    }
+                }
+            }
             // Admit requests round-robin across transfers that have
             // started, one per sweep, so concurrent transfers
             // interleave through the shared window instead of
@@ -291,16 +400,15 @@ StreamMemSystem::resolveAll()
                 size_t t = rr;
                 for (size_t k = 0; k < nt; ++k) {
                     ChannelCursor &q = cur[t];
-                    if (!q.done() &&
-                        pending_[t].desc.startCycle <= now) {
+                    if (ready(t)) {
                         window.push(q.addr(), static_cast<int>(t));
-                        q.advance();
+                        q.skip(1);
                         live -= q.done() ? 1 : 0;
-                        rr = t + 1 == nt ? 0 : t + 1;
+                        rr = after(t);
                         admitted = true;
                         break;
                     }
-                    t = t + 1 == nt ? 0 : t + 1;
+                    t = after(t);
                 }
             }
             if (window.empty()) {
@@ -314,24 +422,27 @@ StreamMemSystem::resolveAll()
                 now = std::max(now, nxt);
                 continue;
             }
-            if (runStart < 0)
-                runStart = now;
+            if (window.uniform()) {
+                // One transfer's requests in one row are served in
+                // arrival order. Drop them in one step when that ends
+                // before another transfer is ready: stepwise service
+                // would meanwhile only admit t's next requests behind
+                // them (moving the round-robin cursor past t), and the
+                // next admission takes those from the cursor instead.
+                auto t = static_cast<size_t>(window.headTag());
+                const DramAddr &a = window.headAddr();
+                auto n = static_cast<int64_t>(window.size());
+                if (run_length(t, a, n) == n) {
+                    serve_run(t, a, n);
+                    window.clear();
+                    if (!cur[t].done())
+                        rr = after(t);
+                    continue;
+                }
+            }
             WindowService s = window.serviceNext();
-            auto t = static_cast<size_t>(s.tag);
-            size_t tc = t * static_cast<size_t>(C) +
-                        static_cast<size_t>(c);
-            svcStart[t] = std::min(svcStart[t], now);
-            now += s.cycles;
-            busyTC[tc] += s.cycles;
-            lastEndTC[tc] = now;
-            simHits[t] += s.rowHit ? 1 : 0;
-            simConflicts[t] += s.bankConflict ? 1 : 0;
-            simReorderSum[t] += s.pickIndex;
-            simReorderMax[t] = std::max(simReorderMax[t], s.pickIndex);
-            cs.busyCycles += s.cycles;
-            ++cs.accesses;
-            cs.rowHits += s.rowHit ? 1 : 0;
-            cs.bankConflicts += s.bankConflict ? 1 : 0;
+            charge(static_cast<size_t>(s.tag), s.cycles, 1,
+                   s.rowHit ? 1 : 0, s.bankConflict, s.pickIndex);
         }
         close_run();
 

@@ -23,6 +23,18 @@
  * at issue and resolves the batch when a dependent op (or the
  * scoreboard) needs a completion time.
  *
+ * Service is exact but not one request at a time. While one transfer
+ * is the only one ready on a channel, FR-FCFS would pick its requests
+ * in arrival order as long as the oldest hits its open row or all the
+ * window would hold share its row (mem/access_sched.h). The loop then
+ * serves the rest of the cursor's run inside the current row in one
+ * step: the first request through DramChannel::service, the others at
+ * tCol each, cut short before the next transfer becomes ready. A window
+ * left holding one transfer's requests in one row is dropped the same
+ * way. Every result, counter and busy interval equals stepwise
+ * service, and a transfer alone on a channel costs O(rows), not
+ * O(words).
+ *
  * Configured for the paper's 2007 technology point (eight channels,
  * 16 GB/s, 55-cycle latency) by default.
  */
@@ -159,8 +171,10 @@ class StreamMemSystem
 {
   public:
     /** Throws std::invalid_argument unless channels, schedWindow and
-     *  schedMaxBypass are at least 1 and peakWordsPerCycle is finite
-     *  and positive (a client's config override reaches here). */
+     *  schedMaxBypass are at least 1, peakWordsPerCycle is finite and
+     *  positive, latencyCycles, tRas and tPre are not negative, and a
+     *  row miss (derived tCol + tPre + tRas) fits an int (a client's
+     *  config override reaches here). */
     explicit StreamMemSystem(StreamMemConfig cfg = StreamMemConfig{});
 
     const StreamMemConfig &config() const { return cfg_; }

@@ -113,6 +113,76 @@ TEST(StreamMemTest, SeededBatchesMatchPinnedDigest)
         << std::hex << "digest 0x" << h.h;
 }
 
+TEST(StreamMemTest, SharedStartBatchesMatchPinnedDigest)
+{
+    // The batch shapes the digest above rarely draws: one transfer,
+    // usually a later-submitted one, starts alone; two or more of the
+    // others become ready together at one later cycle, inside the
+    // first one's row runs or after it has finished on a channel; and
+    // most transfers reuse the previous base, so their first requests
+    // hit rows left open.
+    Prng prng(0x5a4e'd57a);
+    Fnv h;
+    for (int trial = 0; trial < 400; ++trial) {
+        StreamMemConfig cfg;
+        cfg.channels = 1 + static_cast<int>(prng.below(8));
+        cfg.peakWordsPerCycle = 0.5 * (1 + prng.below(16));
+        cfg.latencyCycles = static_cast<int>(prng.below(60));
+        cfg.timing.tRas = static_cast<int>(prng.below(10));
+        cfg.timing.tPre = static_cast<int>(prng.below(8));
+        cfg.timing.banks = 1 + static_cast<int>(prng.below(8));
+        cfg.timing.rowWords = 1 + static_cast<int>(
+            prng.below(prng.below(2) != 0 ? 64 : 600));
+        cfg.schedWindow = 1 + static_cast<int>(prng.below(20));
+        cfg.schedMaxBypass = 1 + static_cast<int>(prng.below(40));
+        StreamMemSystem sys(cfg);
+        sys.beginProgram();
+        int64_t clock = 0;
+        int64_t base = prng.below(1u << 16);
+        int batches = 1 + static_cast<int>(prng.below(4));
+        for (int b = 0; b < batches; ++b) {
+            auto nt = 2 + prng.below(4);
+            uint32_t alone = prng.below(nt);
+            int64_t shared =
+                clock + 1 + prng.below(prng.below(2) != 0 ? 64 : 2048);
+            std::vector<int> tickets;
+            for (uint32_t t = 0; t < nt; ++t) {
+                TransferDesc d;
+                d.words = 1 + prng.below(prng.below(4) != 0 ? 1200 : 6000);
+                if (prng.below(3) == 0)
+                    base = prng.below(1u << 16);
+                d.baseWord = base;
+                d.recordWords = 1 + prng.below(8);
+                d.strideWords =
+                    prng.below(2) != 0 ? 0
+                                       : d.recordWords + prng.below(24);
+                d.startCycle = t == alone ? clock
+                               : prng.below(4) != 0
+                                   ? shared
+                                   : shared + prng.below(512);
+                tickets.push_back(sys.submit(d));
+            }
+            sys.resolveAll();
+            int64_t last_done = clock;
+            for (int ticket : tickets) {
+                const TransferResult &r = sys.result(ticket);
+                mixResult(h, r);
+                last_done = std::max(last_done, r.doneCycle);
+            }
+            mixBusyIntervals(h, sys);
+            // Start the next batch once these channels have (nearly)
+            // drained, so its first transfer really starts alone.
+            clock = std::max(clock, last_done - prng.below(64));
+        }
+        for (const ChannelStats &cs : sys.channelStats())
+            for (int64_t v : {cs.busyCycles, cs.accesses, cs.rowHits,
+                              cs.bankConflicts})
+                h.mix(static_cast<uint64_t>(v));
+    }
+    EXPECT_EQ(h.h, 0x8a869154940c4d6eull)
+        << std::hex << "digest 0x" << h.h;
+}
+
 TEST(StreamMemTest, DenseTransferApproachesPeakBandwidth)
 {
     StreamMemSystem sys;

@@ -244,6 +244,14 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
         with([&](C &c) { c.memConfig.peakWordsPerCycle = inf; }),
         with([](C &c) { c.memConfig.peakWordsPerCycle = 0.0; }),
         with([](C &c) { c.memConfig.peakWordsPerCycle = -4.0; }),
+        // A row miss longer than an int number of cycles.
+        with([](C &c) { c.memConfig.peakWordsPerCycle = 1e-300; }),
+        with([](C &c) {
+            c.memConfig.timing.tRas = std::numeric_limits<int>::max();
+        }),
+        with([](C &c) { c.memConfig.timing.tRas = -100; }),
+        with([](C &c) { c.memConfig.timing.tPre = -100; }),
+        with([](C &c) { c.memConfig.latencyCycles = -1000; }),
         with([](C &c) { c.memConfig.schedWindow = 0; }),
         with([](C &c) { c.memConfig.schedMaxBypass = 0; }),
         with([](C &c) { c.memConfig.timing.banks = 0; }),
