@@ -10,8 +10,9 @@
  * figure-suite computation serial vs parallel and cold vs warm
  * caches, each the min of three runs, with the recompilation and
  * re-simulation counts that prove the warm runs compile and simulate
- * nothing, and the slowest single kernel compile of the suite --
- * written to BENCH_suite.json. App runs route through
+ * nothing, the slowest single kernel compile of the suite, and the
+ * warm kernel lookups of the Figure-15 grid programs -- written to
+ * BENCH_suite.json. App runs route through
  * svc::EvalService; pass --cache-dir DIR to add the disk tier (a warm
  * DIR makes even the "cold" rows compile/simulate nothing) and a
  * cache-tier counter section prints at the end.
@@ -39,6 +40,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,7 @@
 #include "interp/lowered.h"
 #include "obs/metrics.h"
 #include "sched/kernel_perf.h"
+#include "sim/processor.h"
 #include "svc/eval_service.h"
 #include "vlsi/cost_model.h"
 #include "vlsi/sweep.h"
@@ -145,6 +148,59 @@ slowestCompile(const std::vector<sps::core::SuiteCompile> &pairs)
             slowest = {&p, dt.count()};
     }
     return slowest;
+}
+
+/** The fastest pass of warm kernel lookups over the grid programs. */
+struct WarmLookups
+{
+    uint64_t lookups = 0;
+    double seconds = 0.0;
+};
+
+/**
+ * Resolve every kernel op of the Figure-15 grid programs through
+ * StreamProcessor::compile, as a simulation of each program (and
+ * perfbench's sim_sweep set-up) does, and keep the fastest of
+ * kSuiteRepeats passes. The programs are built and the schedule cache
+ * warmed by one untimed pass first, so the timed passes only look up.
+ */
+WarmLookups
+timeWarmLookups()
+{
+    using namespace sps;
+    struct Point
+    {
+        std::unique_ptr<sim::StreamProcessor> proc;
+        stream::StreamProgram prog;
+    };
+    std::map<std::string, workloads::AppEntry> apps;
+    for (auto &app : workloads::appSuite())
+        apps.emplace(app.name, app);
+    std::vector<Point> points;
+    for (const svc::EvalPoint &pt :
+         svc::appSweepPlan(core::kGridC, core::kGridN).grid) {
+        auto proc = std::make_unique<sim::StreamProcessor>(
+            svc::effectiveSimConfig(pt));
+        stream::StreamProgram prog =
+            apps.at(pt.app).build(pt.size, proc->srf());
+        points.push_back({std::move(proc), std::move(prog)});
+    }
+    WarmLookups best{0, std::numeric_limits<double>::infinity()};
+    for (int r = 0; r <= kSuiteRepeats; ++r) {
+        uint64_t lookups = 0;
+        auto t0 = std::chrono::steady_clock::now();
+        for (Point &p : points)
+            for (const stream::StreamOp &op : p.prog.ops())
+                if (op.k) {
+                    p.proc->compile(*op.k);
+                    ++lookups;
+                }
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        if (r > 0)
+            best = {lookups, std::min(best.seconds, dt.count())};
+    }
+    return best;
 }
 
 /** Deterministic inputs for one Table-4 kernel. */
@@ -382,7 +438,8 @@ writeEnergyJson(const char *path,
 
 void
 writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
-               size_t pairs, const SlowestCompile &slowest)
+               size_t pairs, const SlowestCompile &slowest,
+               const WarmLookups &warm)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -406,10 +463,14 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  "  ],\n  \"compile_pairs\": %zu,\n"
                  "  \"slowest_compile\": {\"kernel\": \"%s\", "
                  "\"clusters\": %d, \"alus_per_cluster\": %d, "
-                 "\"seconds\": %.4f}\n}\n",
+                 "\"seconds\": %.4f},\n"
+                 "  \"warm_lookups\": {\"lookups\": %llu, "
+                 "\"min_wall_s\": %.4f}\n}\n",
                  pairs, slowest.pair->kernel->name.c_str(),
                  slowest.pair->size.clusters,
-                 slowest.pair->size.alusPerCluster, slowest.seconds);
+                 slowest.pair->size.alusPerCluster, slowest.seconds,
+                 static_cast<unsigned long long>(warm.lookups),
+                 warm.seconds);
     std::fclose(f);
 }
 
@@ -535,13 +596,16 @@ main(int argc, char **argv)
     const std::vector<sps::core::SuiteCompile> pairs =
         sps::core::suiteCompiles();
     const SlowestCompile slowest = slowestCompile(pairs);
+    const WarmLookups warm = timeWarmLookups();
     std::printf("Evaluation engine: full figure-suite wall-clock "
                 "(min of %d runs)\n\n"
                 "%s\n"
                 "parallel speedup over serial (cold): %.2fx; "
                 "warm-cache speedup (serial): %.2fx\n"
                 "slowest of %zu kernel compiles: %s at C=%d N=%d, "
-                "%.4f s (written to BENCH_suite.json)\n",
+                "%.4f s\n"
+                "warm kernel lookups of the Figure-15 programs: %llu "
+                "in %.4f s (min of %d; written to BENCH_suite.json)\n",
                 kSuiteRepeats, e.toString().c_str(),
                 cold_parallel.seconds > 0.0
                     ? cold_serial.seconds / cold_parallel.seconds
@@ -551,9 +615,11 @@ main(int argc, char **argv)
                     : 0.0,
                 pairs.size(), slowest.pair->kernel->name.c_str(),
                 slowest.pair->size.clusters,
-                slowest.pair->size.alusPerCluster, slowest.seconds);
+                slowest.pair->size.alusPerCluster, slowest.seconds,
+                static_cast<unsigned long long>(warm.lookups),
+                warm.seconds, kSuiteRepeats);
     writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
-                   slowest);
+                   slowest, warm);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

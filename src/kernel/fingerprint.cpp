@@ -4,8 +4,10 @@
 
 namespace sps::kernel {
 
+namespace {
+/** FNV-1a over the kernel's whole graph, in a fixed field order. */
 uint64_t
-fingerprint(const Kernel &k)
+walk(const Kernel &k)
 {
     Fnv f;
     f.mix(k.name);
@@ -34,6 +36,21 @@ fingerprint(const Kernel &k)
             f.mix(static_cast<uint64_t>(a));
     }
     return f.h;
+}
+} // namespace
+
+uint64_t
+fingerprint(const Kernel &k)
+{
+    // The memo holds a value computed from the immutable graph, so a
+    // relaxed load that sees it needs no ordering; racing first calls
+    // store the same value. A fingerprint that is 0 is recomputed.
+    uint64_t h = k.fingerprint_.value.load(std::memory_order_relaxed);
+    if (h == 0) {
+        h = walk(k);
+        k.fingerprint_.value.store(h, std::memory_order_relaxed);
+    }
+    return h;
 }
 
 } // namespace sps::kernel

@@ -8,6 +8,12 @@
  * interp::LoweredCache). Distinguishes same-named kernels with
  * different bodies (e.g. QRD's housegen, specialized per cluster
  * count).
+ *
+ * The graph is walked once per kernel object: the first call stores
+ * the fingerprint in the kernel's memo and later calls return it, so
+ * a cache lookup costs one atomic load, not a walk of every op. A
+ * kernel is therefore not edited after its first fingerprint; a copy
+ * starts with an empty memo and hashes its own, possibly edited, body.
  */
 #ifndef SPS_KERNEL_FINGERPRINT_H
 #define SPS_KERNEL_FINGERPRINT_H
@@ -18,7 +24,9 @@
 
 namespace sps::kernel {
 
-/** FNV-1a hash of the kernel's complete structure. */
+/** FNV-1a hash of the kernel's complete structure, memoized in `k`.
+ *  Thread-safe: concurrent first calls compute and store the same
+ *  value. */
 uint64_t fingerprint(const Kernel &k);
 
 } // namespace sps::kernel

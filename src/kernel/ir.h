@@ -10,10 +10,17 @@
  * by its index in Kernel::ops. Program-order side effects (scratchpad,
  * conditional streams, same-stream accesses) are serialized with
  * explicit token edges recorded in Op::orderAfter.
+ *
+ * A kernel carries the memo of its structural fingerprint
+ * (kernel/fingerprint.h): the first kernel::fingerprint call walks the
+ * graph and later calls return the memo. So a kernel is not edited
+ * once it has been fingerprinted; a copy (or a moved-to kernel) starts
+ * with an empty memo and may be edited before its first fingerprint.
  */
 #ifndef SPS_KERNEL_IR_H
 #define SPS_KERNEL_IR_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -72,7 +79,8 @@ struct StreamPort
 };
 
 /**
- * A complete kernel: its stream signature and inner-loop body.
+ * A complete kernel: its stream signature and inner-loop body. Not
+ * edited after its first kernel::fingerprint (see the file comment).
  */
 struct Kernel
 {
@@ -92,9 +100,28 @@ struct Kernel
     int inputCount() const;
     int outputCount() const;
 
-    /** Operations per inner-loop iteration counted as the paper counts
-     *  them (ALU, SRF access, COMM, SP); see census.h for the struct. */
+    /** The op that defines value `id`. */
     const Op &op(ValueId id) const { return ops[static_cast<size_t>(id)]; }
+
+  private:
+    friend uint64_t fingerprint(const Kernel &k);
+
+    /** kernel::fingerprint's memo: 0 until the first call stores the
+     *  fingerprint. Copying or moving leaves the target's memo empty,
+     *  since the target may then be edited. */
+    struct FingerprintMemo
+    {
+        mutable std::atomic<uint64_t> value{0};
+
+        FingerprintMemo() = default;
+        FingerprintMemo(const FingerprintMemo &) noexcept {}
+        FingerprintMemo &operator=(const FingerprintMemo &) noexcept
+        {
+            value.store(0, std::memory_order_relaxed);
+            return *this;
+        }
+    };
+    FingerprintMemo fingerprint_;
 };
 
 } // namespace sps::kernel

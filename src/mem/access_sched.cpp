@@ -6,10 +6,8 @@
 
 namespace sps::mem {
 
-AccessWindow::AccessWindow(DramChannel &channel, int window,
-                           int max_bypass)
-    : channel_(channel),
-      ring_(std::bit_ceil(static_cast<size_t>(window))),
+AccessWindow::AccessWindow(int window, int max_bypass)
+    : ring_(std::bit_ceil(static_cast<size_t>(window))),
       mask_(ring_.size() - 1), window_(static_cast<size_t>(window)),
       maxBypass_(max_bypass)
 {
@@ -30,7 +28,7 @@ AccessWindow::uniform() const
 }
 
 WindowService
-AccessWindow::serviceNext()
+AccessWindow::serviceNext(DramChannel &channel)
 {
     // First-ready: oldest row hit, else oldest request. The window is
     // in arrival order, so the pick's index is the number of older
@@ -43,14 +41,14 @@ AccessWindow::serviceNext()
     bool hit = false;
     if (at(0).bypassed < maxBypass_) {
         for (size_t i = 0; i < size_; ++i) {
-            if (channel_.isRowHit(at(i).addr)) {
+            if (channel.isRowHit(at(i).addr)) {
                 pick = i;
                 hit = true;
                 break;
             }
         }
     } else {
-        hit = channel_.isRowHit(at(0).addr);
+        hit = channel.isRowHit(at(0).addr);
     }
 
     Entry e = at(pick);
@@ -69,8 +67,8 @@ AccessWindow::serviceNext()
     s.pickIndex = static_cast<int64_t>(pick);
     s.bypassed = e.bypassed;
     s.rowHit = hit;
-    s.bankConflict = !hit && channel_.isBankOpen(e.addr);
-    s.cycles = channel_.service(e.addr);
+    s.bankConflict = !hit && channel.isBankOpen(e.addr);
+    s.cycles = channel.service(e.addr);
     return s;
 }
 

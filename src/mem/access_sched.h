@@ -13,7 +13,9 @@
  * window per channel. Requests arrive decoded into bank and row, and
  * the window is a fixed ring: when the oldest request hits its open
  * row (the usual case for a stream), a pick costs one bank-table
- * lookup and no shifting.
+ * lookup and no shifting. The window holds no channel: serviceNext()
+ * takes the one to service on, so StreamMemSystem serves every channel
+ * of every batch with one window and allocates its ring once.
  *
  * A pick is in arrival order (index 0, nothing bypassed, the age cap
  * moot) whenever the oldest request hits its open row, or every
@@ -59,18 +61,20 @@ struct WindowService
 };
 
 /**
- * FR-FCFS pick window over one channel. Requests enter in arrival
- * order; serviceNext() picks the oldest row hit (oldest request if
- * none), services it on the channel, and reports the reorder
- * bookkeeping. The age cap forces the oldest request once it has been
- * bypassed maxBypass times, so a row-hit flood cannot starve an old
- * miss indefinitely.
+ * FR-FCFS pick window over one channel at a time. Requests enter in
+ * arrival order; serviceNext() picks the oldest row hit (oldest
+ * request if none), services it on the given channel, and reports the
+ * reorder bookkeeping. The age cap forces the oldest request once it
+ * has been bypassed maxBypass times, so a row-hit flood cannot starve
+ * an old miss indefinitely. Every request in the window belongs to
+ * the channel it is serviced on; once empty, the window may serve
+ * another channel.
  */
 class AccessWindow
 {
   public:
-    AccessWindow(DramChannel &channel, int window = kSchedWindow,
-                 int max_bypass = kSchedMaxBypass);
+    explicit AccessWindow(int window = kSchedWindow,
+                          int max_bypass = kSchedMaxBypass);
 
     /** True while the window has room for more arrivals. */
     bool wantsMore() const { return size_ < window_; }
@@ -104,8 +108,10 @@ class AccessWindow
      *  arrival order. */
     void clear() { size_ = 0; }
 
-    /** Service the scheduled pick; the window must be non-empty. */
-    WindowService serviceNext();
+    /** Service the scheduled pick on `channel`, the channel every
+     *  request in the window belongs to; the window must be
+     *  non-empty. */
+    WindowService serviceNext(DramChannel &channel);
 
   private:
     struct Entry
@@ -118,7 +124,6 @@ class AccessWindow
     Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
     const Entry &at(size_t i) const { return ring_[(head_ + i) & mask_]; }
 
-    DramChannel &channel_;
     /** Ring storage, the window rounded up to a power of two. */
     std::vector<Entry> ring_;
     size_t mask_;

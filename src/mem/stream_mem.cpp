@@ -22,6 +22,57 @@ scaleCount(int64_t sim_value, double factor)
 }
 
 /**
+ * The config with tCol derived from the peak, once every leaf a
+ * client's override can reach has been checked: a bad value is an
+ * exception the evaluation service returns as an error, not an abort.
+ * Each check is written so that NaN fails it.
+ */
+StreamMemConfig
+validated(StreamMemConfig cfg)
+{
+    if (!(cfg.channels >= 1))
+        throw std::invalid_argument(
+            "bad memory config: need at least one channel, got " +
+            std::to_string(cfg.channels));
+    if (!(std::isfinite(cfg.peakWordsPerCycle) &&
+          cfg.peakWordsPerCycle > 0))
+        throw std::invalid_argument(
+            "bad memory config: peak bandwidth must be finite and "
+            "positive, got " +
+            std::to_string(cfg.peakWordsPerCycle));
+    if (!(cfg.schedWindow >= 1 && cfg.schedMaxBypass >= 1))
+        throw std::invalid_argument(
+            "bad memory config: scheduler window " +
+            std::to_string(cfg.schedWindow) + " and bypass cap " +
+            std::to_string(cfg.schedMaxBypass) +
+            " must both be at least 1");
+    if (!(cfg.latencyCycles >= 0 && cfg.timing.tRas >= 0 &&
+          cfg.timing.tPre >= 0))
+        throw std::invalid_argument(
+            "bad memory config: latency " +
+            std::to_string(cfg.latencyCycles) + ", tRas " +
+            std::to_string(cfg.timing.tRas) + " and tPre " +
+            std::to_string(cfg.timing.tPre) +
+            " must not be negative");
+    // Column access time so that all channels together sustain the
+    // configured aggregate peak on row hits. A row miss, the costliest
+    // access, must still be an int number of cycles.
+    constexpr int kMaxCycles = std::numeric_limits<int>::max();
+    double tcol = cfg.channels / cfg.peakWordsPerCycle + 0.5;
+    if (!(tcol + cfg.timing.tPre + cfg.timing.tRas < kMaxCycles))
+        throw std::invalid_argument(
+            "bad memory config: peak bandwidth " +
+            std::to_string(cfg.peakWordsPerCycle) + ", tRas " +
+            std::to_string(cfg.timing.tRas) + " and tPre " +
+            std::to_string(cfg.timing.tPre) +
+            " make a row miss longer than " +
+            std::to_string(kMaxCycles) + " cycles");
+    cfg.timing.tCol = std::max(1, static_cast<int>(tcol));
+    return cfg;
+}
+} // namespace
+
+/**
  * Lazy address generator for one (transfer, channel) pair: yields, in
  * transfer order, the DRAM coordinates of the transfer's simulated
  * words that live on the channel (word address mod channels).
@@ -34,7 +85,7 @@ scaleCount(int64_t sim_value, double factor)
  * record with no word on the channel costs a few adds. A dense
  * transfer is one record, hence one run per channel.
  */
-class ChannelCursor
+class StreamMemSystem::ChannelCursor
 {
   public:
     ChannelCursor(const TransferDesc &d, int64_t sim_words, int channel,
@@ -139,53 +190,15 @@ class ChannelCursor
     int64_t left_ = 0;
     DramAddr at_;
 };
-} // namespace
 
-StreamMemSystem::StreamMemSystem(StreamMemConfig cfg) : cfg_(cfg)
+StreamMemSystem::StreamMemSystem(StreamMemConfig cfg)
+    : cfg_(validated(cfg)),
+      window_(cfg_.schedWindow, cfg_.schedMaxBypass)
 {
-    // A client's config override reaches here, so a bad value is an
-    // exception the evaluation service returns as an error, not an
-    // abort. Each check is written so that NaN fails it.
-    if (!(cfg_.channels >= 1))
-        throw std::invalid_argument(
-            "bad memory config: need at least one channel, got " +
-            std::to_string(cfg_.channels));
-    if (!(std::isfinite(cfg_.peakWordsPerCycle) &&
-          cfg_.peakWordsPerCycle > 0))
-        throw std::invalid_argument(
-            "bad memory config: peak bandwidth must be finite and "
-            "positive, got " +
-            std::to_string(cfg_.peakWordsPerCycle));
-    if (!(cfg_.schedWindow >= 1 && cfg_.schedMaxBypass >= 1))
-        throw std::invalid_argument(
-            "bad memory config: scheduler window " +
-            std::to_string(cfg_.schedWindow) + " and bypass cap " +
-            std::to_string(cfg_.schedMaxBypass) +
-            " must both be at least 1");
-    if (!(cfg_.latencyCycles >= 0 && cfg_.timing.tRas >= 0 &&
-          cfg_.timing.tPre >= 0))
-        throw std::invalid_argument(
-            "bad memory config: latency " +
-            std::to_string(cfg_.latencyCycles) + ", tRas " +
-            std::to_string(cfg_.timing.tRas) + " and tPre " +
-            std::to_string(cfg_.timing.tPre) +
-            " must not be negative");
-    // Column access time so that all channels together sustain the
-    // configured aggregate peak on row hits. A row miss, the costliest
-    // access, must still be an int number of cycles.
-    constexpr int kMaxCycles = std::numeric_limits<int>::max();
-    double tcol = cfg_.channels / cfg_.peakWordsPerCycle + 0.5;
-    if (!(tcol + cfg_.timing.tPre + cfg_.timing.tRas < kMaxCycles))
-        throw std::invalid_argument(
-            "bad memory config: peak bandwidth " +
-            std::to_string(cfg_.peakWordsPerCycle) + ", tRas " +
-            std::to_string(cfg_.timing.tRas) + " and tPre " +
-            std::to_string(cfg_.timing.tPre) +
-            " make a row miss longer than " +
-            std::to_string(kMaxCycles) + " cycles");
-    cfg_.timing.tCol = std::max(1, static_cast<int>(tcol));
     beginProgram();
 }
+
+StreamMemSystem::~StreamMemSystem() = default;
 
 void
 StreamMemSystem::beginProgram()
@@ -266,49 +279,51 @@ StreamMemSystem::resolveAll()
     const size_t nt = pending_.size();
     constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
 
+    // The batch buffers keep their capacity from earlier batches; every
+    // array is reset here, the per-channel ones below.
+    Batch &b = batch_;
+    const size_t ntc = nt * static_cast<size_t>(C);
+    b.factor.assign(nt, 1.0);
+    b.simWords.assign(nt, 0);
+    b.svcStart.assign(nt, kFar);
+    b.simHits.assign(nt, 0);
+    b.simConflicts.assign(nt, 0);
+    b.simReorderSum.assign(nt, 0);
+    b.simReorderMax.assign(nt, 0);
+    b.busyTC.assign(ntc, 0);
+    b.lastEndTC.assign(ntc, -1);
+    b.doneTC.assign(ntc, -1);
+
     // Each transfer is simulated up to the cap; a longer one is
     // extrapolated from that prefix by `factor`.
-    std::vector<double> factor(nt, 1.0);
-    std::vector<int64_t> simWords(nt, 0);
     for (size_t t = 0; t < nt; ++t) {
         const TransferDesc &d = pending_[t].desc;
         int64_t sim = std::min(d.words, kSimCap);
-        simWords[t] = sim;
-        factor[t] = sim > 0 ? static_cast<double>(d.words) /
-                                  static_cast<double>(sim)
-                            : 1.0;
+        b.simWords[t] = sim;
+        b.factor[t] = sim > 0 ? static_cast<double>(d.words) /
+                                    static_cast<double>(sim)
+                              : 1.0;
     }
 
     // --- Joint service: one FR-FCFS window per channel over all
     // transfers in the batch. Requests go to channel `wordAddr % C`
     // at channel-local address `wordAddr / C`, the classic interleaved
     // decomposition; one lazy cursor per transfer generates them, so
-    // the loop can interleave concurrent transfers.
-
-    // Per (transfer, channel) totals, indexed t * C + c.
-    const size_t ntc = nt * static_cast<size_t>(C);
-    std::vector<int64_t> busyTC(ntc, 0), lastEndTC(ntc, -1),
-        doneTC(ntc, -1);
-    std::vector<int64_t> svcStart(nt, kFar);
-    std::vector<int64_t> simHits(nt, 0), simConflicts(nt, 0),
-        simReorderSum(nt, 0), simReorderMax(nt, 0);
-    std::vector<ChannelCursor> cur;
-    cur.reserve(nt);
+    // the loop can interleave concurrent transfers. Per (transfer,
+    // channel) totals are indexed t * C + c.
 
     for (int c = 0; c < C; ++c) {
         Channel &chan = ch_[static_cast<size_t>(c)];
         ChannelStats &cs = chStats_[static_cast<size_t>(c)];
-        cur.clear();
+        b.cur.clear();
         size_t live = 0; // cursors with requests left
         for (size_t t = 0; t < nt; ++t) {
-            cur.emplace_back(pending_[t].desc, simWords[t], c, C,
-                             chan.dram);
-            live += cur.back().done() ? 0 : 1;
+            b.cur.emplace_back(pending_[t].desc, b.simWords[t], c, C,
+                               chan.dram);
+            live += b.cur.back().done() ? 0 : 1;
         }
         if (live == 0)
             continue;
-        AccessWindow window(chan.dram, cfg_.schedWindow,
-                            cfg_.schedMaxBypass);
         int64_t now = chan.freeCycle;
         size_t rr = 0; // round-robin admission cursor
         int64_t runStart = -1;
@@ -319,7 +334,8 @@ StreamMemSystem::resolveAll()
         };
         auto after = [nt](size_t t) { return t + 1 == nt ? 0 : t + 1; };
         auto ready = [&](size_t t) {
-            return !cur[t].done() && pending_[t].desc.startCycle <= now;
+            return !b.cur[t].done() &&
+                   pending_[t].desc.startCycle <= now;
         };
         // Account `n` requests of transfer t serviced back to back
         // from `now`, taking `cycles` in all.
@@ -329,14 +345,14 @@ StreamMemSystem::resolveAll()
                         static_cast<size_t>(c);
             if (runStart < 0)
                 runStart = now;
-            svcStart[t] = std::min(svcStart[t], now);
+            b.svcStart[t] = std::min(b.svcStart[t], now);
             now += cycles;
-            busyTC[tc] += cycles;
-            lastEndTC[tc] = now;
-            simHits[t] += hits;
-            simConflicts[t] += conflict ? 1 : 0;
-            simReorderSum[t] += pick;
-            simReorderMax[t] = std::max(simReorderMax[t], pick);
+            b.busyTC[tc] += cycles;
+            b.lastEndTC[tc] = now;
+            b.simHits[t] += hits;
+            b.simConflicts[t] += conflict ? 1 : 0;
+            b.simReorderSum[t] += pick;
+            b.simReorderMax[t] = std::max(b.simReorderMax[t], pick);
             cs.busyCycles += cycles;
             cs.accesses += n;
             cs.rowHits += hits;
@@ -350,7 +366,7 @@ StreamMemSystem::resolveAll()
         auto run_length = [&](size_t t, const DramAddr &a, int64_t n) {
             int64_t next = kFar;
             for (size_t u = 0; u < nt; ++u)
-                if (u != t && !cur[u].done())
+                if (u != t && !b.cur[u].done())
                     next = std::min(next, pending_[u].desc.startCycle);
             int64_t room = next - now - chan.dram.cycles(a);
             return room < 1 ? 0
@@ -364,8 +380,8 @@ StreamMemSystem::resolveAll()
                 chan.dram.service(a) + (n - 1) * cfg_.timing.tCol;
             charge(t, cycles, n, hit ? n : n - 1, conflict, 0);
         };
-        while (!window.empty() || live > 0) {
-            if (window.empty()) {
+        while (!window_.empty() || live > 0) {
+            if (window_.empty()) {
                 // With the window empty and t the only transfer ready,
                 // admission would fill it with t's next requests, and
                 // FR-FCFS picks them in order while the oldest hits
@@ -375,7 +391,7 @@ StreamMemSystem::resolveAll()
                 while (t < nt && !ready(t))
                     ++t;
                 if (t < nt) {
-                    ChannelCursor &q = cur[t];
+                    ChannelCursor &q = b.cur[t];
                     const DramAddr &a = q.addr();
                     int64_t n =
                         chan.dram.isRowHit(a) || q.rowHolds(cfg_.schedWindow)
@@ -395,13 +411,13 @@ StreamMemSystem::resolveAll()
             // interleave through the shared window instead of
             // queueing whole-transfer-at-a-time.
             bool admitted = true;
-            while (window.wantsMore() && admitted) {
+            while (window_.wantsMore() && admitted) {
                 admitted = false;
                 size_t t = rr;
                 for (size_t k = 0; k < nt; ++k) {
-                    ChannelCursor &q = cur[t];
+                    ChannelCursor &q = b.cur[t];
                     if (ready(t)) {
-                        window.push(q.addr(), static_cast<int>(t));
+                        window_.push(q.addr(), static_cast<int>(t));
                         q.skip(1);
                         live -= q.done() ? 1 : 0;
                         rr = after(t);
@@ -411,36 +427,36 @@ StreamMemSystem::resolveAll()
                     t = after(t);
                 }
             }
-            if (window.empty()) {
+            if (window_.empty()) {
                 // Idle until the next transfer becomes ready.
                 int64_t nxt = kFar;
                 for (size_t t = 0; t < nt; ++t)
-                    if (!cur[t].done())
+                    if (!b.cur[t].done())
                         nxt = std::min(nxt,
                                        pending_[t].desc.startCycle);
                 close_run();
                 now = std::max(now, nxt);
                 continue;
             }
-            if (window.uniform()) {
+            if (window_.uniform()) {
                 // One transfer's requests in one row are served in
                 // arrival order. Drop them in one step when that ends
                 // before another transfer is ready: stepwise service
                 // would meanwhile only admit t's next requests behind
                 // them (moving the round-robin cursor past t), and the
                 // next admission takes those from the cursor instead.
-                auto t = static_cast<size_t>(window.headTag());
-                const DramAddr &a = window.headAddr();
-                auto n = static_cast<int64_t>(window.size());
+                auto t = static_cast<size_t>(window_.headTag());
+                const DramAddr &a = window_.headAddr();
+                auto n = static_cast<int64_t>(window_.size());
                 if (run_length(t, a, n) == n) {
                     serve_run(t, a, n);
-                    window.clear();
-                    if (!cur[t].done())
+                    window_.clear();
+                    if (!b.cur[t].done())
                         rr = after(t);
                     continue;
                 }
             }
-            WindowService s = window.serviceNext();
+            WindowService s = window_.serviceNext(chan.dram);
             charge(static_cast<size_t>(s.tag), s.cycles, 1,
                    s.rowHit ? 1 : 0, s.bankConflict, s.pickIndex);
         }
@@ -450,31 +466,29 @@ StreamMemSystem::resolveAll()
         // simulated pin time, so later service on this channel (and
         // the channel's free cursor) shifts by the accumulated extra,
         // ordered by when each transfer's prefix finished.
-        struct Stretch
-        {
-            size_t tc;
-            int64_t lastEnd;
-            int64_t extra;
-        };
-        std::vector<Stretch> st;
+        b.stretch.clear();
         int64_t total_extra = 0;
         for (size_t t = 0; t < nt; ++t) {
             size_t tc = t * static_cast<size_t>(C) +
                         static_cast<size_t>(c);
-            if (lastEndTC[tc] < 0)
+            if (b.lastEndTC[tc] < 0)
                 continue;
-            int64_t extra = scaleCount(busyTC[tc], factor[t] - 1.0);
-            st.push_back(Stretch{tc, lastEndTC[tc], extra});
+            int64_t extra = scaleCount(b.busyTC[tc], b.factor[t] - 1.0);
+            b.stretch.push_back(Stretch{tc, b.lastEndTC[tc], extra});
             total_extra += extra;
         }
-        std::stable_sort(st.begin(), st.end(),
-                         [](const Stretch &a, const Stretch &b) {
-                             return a.lastEnd < b.lastEnd;
-                         });
+        // The stretches are in ascending tc order, so breaking ties on
+        // tc gives the stable order without stable_sort's buffer.
+        std::sort(b.stretch.begin(), b.stretch.end(),
+                  [](const Stretch &x, const Stretch &y) {
+                      return x.lastEnd != y.lastEnd
+                                 ? x.lastEnd < y.lastEnd
+                                 : x.tc < y.tc;
+                  });
         int64_t prefix = 0;
-        for (const Stretch &s : st) {
+        for (const Stretch &s : b.stretch) {
             prefix += s.extra;
-            doneTC[s.tc] = s.lastEnd + prefix;
+            b.doneTC[s.tc] = s.lastEnd + prefix;
         }
         if (total_extra > 0) {
             chan.freeCycle = now + total_extra;
@@ -498,18 +512,18 @@ StreamMemSystem::resolveAll()
             r.doneCycle = d.startCycle;
             continue;
         }
-        double f = factor[t];
+        double f = b.factor[t];
         int64_t busy_total = 0, busy_max = 0, done = d.startCycle;
         for (size_t tc = t * static_cast<size_t>(C);
              tc < (t + 1) * static_cast<size_t>(C); ++tc) {
-            int64_t true_busy = scaleCount(busyTC[tc], f);
+            int64_t true_busy = scaleCount(b.busyTC[tc], f);
             busy_total += true_busy;
             busy_max = std::max(busy_max, true_busy);
-            if (doneTC[tc] >= 0)
-                done = std::max(done, doneTC[tc]);
+            if (b.doneTC[tc] >= 0)
+                done = std::max(done, b.doneTC[tc]);
         }
-        r.serviceStart = svcStart[t] == kFar ? d.startCycle
-                                             : svcStart[t];
+        r.serviceStart = b.svcStart[t] == kFar ? d.startCycle
+                                               : b.svcStart[t];
         r.doneCycle = done + cfg_.latencyCycles;
         r.cycles = r.doneCycle - r.startCycle;
         r.busyCycles = busy_max;
@@ -517,13 +531,13 @@ StreamMemSystem::resolveAll()
         // Counters: exact identities under extrapolation
         // (hits + misses == accesses == words).
         r.dramAccesses = d.words;
-        r.dramRowHits = std::clamp<int64_t>(scaleCount(simHits[t], f),
-                                            0, d.words);
+        r.dramRowHits = std::clamp<int64_t>(
+            scaleCount(b.simHits[t], f), 0, d.words);
         r.dramRowMisses = d.words - r.dramRowHits;
         r.bankConflicts = std::clamp<int64_t>(
-            scaleCount(simConflicts[t], f), 0, r.dramRowMisses);
-        r.dramReorderSum = scaleCount(simReorderSum[t], f);
-        r.dramReorderMax = simReorderMax[t];
+            scaleCount(b.simConflicts[t], f), 0, r.dramRowMisses);
+        r.dramReorderSum = scaleCount(b.simReorderSum[t], f);
+        r.dramReorderMax = b.simReorderMax[t];
         r.wordsPerCycle =
             r.cycles > 0 ? static_cast<double>(d.words) /
                                static_cast<double>(r.cycles)

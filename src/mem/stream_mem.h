@@ -35,6 +35,12 @@
  * service, and a transfer alone on a channel costs O(rows), not
  * O(words).
  *
+ * The batch buffers -- the cursors, the per-transfer and
+ * per-(transfer, channel) totals, and the one FR-FCFS window that
+ * serves each channel in turn -- are owned by the StreamMemSystem and
+ * reset, not reallocated, by every resolve: once they have grown to
+ * the largest batch, a batch allocates nothing.
+ *
  * Configured for the paper's 2007 technology point (eight channels,
  * 16 GB/s, 55-cycle latency) by default.
  */
@@ -176,6 +182,8 @@ class StreamMemSystem
      *  row miss (derived tCol + tPre + tRas) fits an int (a client's
      *  config override reaches here). */
     explicit StreamMemSystem(StreamMemConfig cfg = StreamMemConfig{});
+    /** Defined in stream_mem.cpp, where the cursor type is complete. */
+    ~StreamMemSystem();
 
     const StreamMemConfig &config() const { return cfg_; }
 
@@ -229,6 +237,10 @@ class StreamMemSystem
     int64_t transferCycles(int64_t words);
 
   private:
+    /** Lazy request generator of one (transfer, channel) pair
+     *  (stream_mem.cpp). */
+    class ChannelCursor;
+
     struct Channel
     {
         DramChannel dram;
@@ -243,12 +255,40 @@ class StreamMemSystem
         int ticket = 0;
     };
 
+    /** An extrapolated (transfer, channel) pair's extra pin time. */
+    struct Stretch
+    {
+        size_t tc;
+        int64_t lastEnd;
+        int64_t extra;
+    };
+    /**
+     * resolveAll's buffers. Every batch resets the per-transfer arrays
+     * (indexed t) and the per-(transfer, channel) ones (indexed
+     * t * channels + c); every channel clears `cur` and `stretch`. The
+     * vectors keep their capacity from batch to batch.
+     */
+    struct Batch
+    {
+        std::vector<double> factor;
+        std::vector<int64_t> simWords;
+        std::vector<int64_t> svcStart;
+        std::vector<int64_t> simHits, simConflicts, simReorderSum,
+            simReorderMax;
+        std::vector<int64_t> busyTC, lastEndTC, doneTC;
+        std::vector<ChannelCursor> cur;
+        std::vector<Stretch> stretch;
+    };
+
     StreamMemConfig cfg_;
     std::vector<Channel> ch_;
     std::vector<ChannelStats> chStats_;
     std::vector<Pending> pending_;
     std::vector<TransferResult> results_;
     std::vector<BusyInterval> busyIvs_;
+    /** Serves each channel of a batch in turn; empty between them. */
+    AccessWindow window_;
+    Batch batch_;
 };
 
 } // namespace sps::mem

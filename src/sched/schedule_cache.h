@@ -51,12 +51,7 @@ namespace sps::sched {
  */
 uint64_t machineConfigHash(const MachineModel &m);
 
-/**
- * Structural fingerprint of a kernel graph: name, data class, stream
- * signature, and the full op list (opcodes, operands, immediates,
- * ordering edges). Distinguishes same-named kernels with different
- * bodies (e.g. QRD's housegen, specialized per cluster count).
- */
+/** The cache's kernel key: kernel::fingerprint (kernel/fingerprint.h). */
 uint64_t kernelFingerprint(const kernel::Kernel &k);
 
 /** Hash of the compile constants that shape the schedule

@@ -1,5 +1,6 @@
 #include "sim/processor.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -8,28 +9,53 @@
 
 namespace sps::sim {
 
+namespace {
+/**
+ * `cfg`, once the leaves checked here are known to be runnable. A
+ * client's config override reaches here, so a bad value is an
+ * exception the evaluation service returns as an error. A scoreboard
+ * with no entries can never issue, a negative issue cost runs the
+ * host channel backwards, and params that size the SRF at no words
+ * (or at more than its int64_t word counts hold) leave no SRF to
+ * allocate. Each check is written so that NaN fails it; all run
+ * before any member is built from `cfg`.
+ */
+SimConfig
+validated(const SimConfig &cfg)
+{
+    if (cfg.scoreboardDepth < 1)
+        throw std::invalid_argument(
+            "bad controller config: scoreboard depth must be at least "
+            "1, got " +
+            std::to_string(cfg.scoreboardDepth));
+    if (cfg.hostIssueCycles < 0)
+        throw std::invalid_argument(
+            "bad controller config: host issue cycles must not be "
+            "negative, got " +
+            std::to_string(cfg.hostIssueCycles));
+    // The words srf::SrfModel::forMachine gives the SRF.
+    double srf_words =
+        std::round(cfg.params.rM * cfg.params.tMem *
+                   cfg.size.alusPerCluster) *
+        cfg.size.clusters;
+    if (!(srf_words >= 1 && srf_words < 0x1p62))
+        throw std::invalid_argument(
+            "bad params: r_m " + std::to_string(cfg.params.rM) +
+            " and t_mem " + std::to_string(cfg.params.tMem) +
+            " give an SRF of " + std::to_string(srf_words) +
+            " words; need 1 to 2^62");
+    return cfg;
+}
+} // namespace
+
 StreamProcessor::StreamProcessor(SimConfig cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       costModel_(cfg.params),
       machine_(cfg.size, costModel_),
       srf_(srf::SrfModel::forMachine(cfg.size, cfg.params)),
       memSys_(cfg.memConfig),
       accountant_(costModel_, cfg.size, cfg.tech, cfg.energyConfig)
 {
-    // A client's config override reaches here, so a bad value is an
-    // exception the evaluation service returns as an error: a
-    // scoreboard with no entries can never issue, and a negative issue
-    // cost runs the host channel backwards.
-    if (cfg_.scoreboardDepth < 1)
-        throw std::invalid_argument(
-            "bad controller config: scoreboard depth must be at least "
-            "1, got " +
-            std::to_string(cfg_.scoreboardDepth));
-    if (cfg_.hostIssueCycles < 0)
-        throw std::invalid_argument(
-            "bad controller config: host issue cycles must not be "
-            "negative, got " +
-            std::to_string(cfg_.hostIssueCycles));
 }
 
 StreamProcessor::~StreamProcessor() = default;

@@ -68,9 +68,10 @@ forEachField(S &c, F &&f)
 class StreamProcessor
 {
   public:
-    /** Throws std::invalid_argument when scoreboardDepth is below 1 or
-     *  hostIssueCycles is negative (a client's config override reaches
-     *  here), and when the memory system rejects memConfig. */
+    /** Throws std::invalid_argument when scoreboardDepth is below 1,
+     *  hostIssueCycles is negative, or params leave the SRF without a
+     *  word, NaN included (a client's config override reaches here),
+     *  and when the memory system rejects memConfig. */
     explicit StreamProcessor(SimConfig cfg);
     ~StreamProcessor();
 

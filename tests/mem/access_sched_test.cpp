@@ -40,12 +40,12 @@ drain(DramChannel &chan, const Requests &requests,
       int window = kSchedWindow, int max_bypass = kSchedMaxBypass)
 {
     DrainStats stats;
-    AccessWindow win(chan, window, max_bypass);
+    AccessWindow win(window, max_bypass);
     size_t next = 0;
     while (next < requests.size() || !win.empty()) {
         while (win.wantsMore() && next < requests.size())
             win.push(chan.decode(requests[next++]), 0);
-        WindowService s = win.serviceNext();
+        WindowService s = win.serviceNext(chan);
         stats.busyCycles += s.cycles;
         stats.reorderSum += s.pickIndex;
         stats.reorderMax = std::max(stats.reorderMax, s.pickIndex);

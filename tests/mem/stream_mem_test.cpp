@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "common/fnv.h"
 #include "common/prng.h"
@@ -181,6 +182,101 @@ TEST(StreamMemTest, SharedStartBatchesMatchPinnedDigest)
     }
     EXPECT_EQ(h.h, 0x8a869154940c4d6eull)
         << std::hex << "digest 0x" << h.h;
+}
+
+/** One program: its batches of transfers, each resolved in turn. */
+using Program = std::vector<std::vector<TransferDesc>>;
+
+/** Everything a program run reports, flattened for comparison. */
+struct ProgramRun
+{
+    std::vector<int64_t> results;
+    std::vector<int64_t> busyIntervals;
+    std::vector<int64_t> channelStats;
+};
+
+ProgramRun
+runProgram(StreamMemSystem &sys, const Program &prog)
+{
+    ProgramRun run;
+    sys.beginProgram();
+    for (const std::vector<TransferDesc> &batch : prog) {
+        std::vector<int> tickets;
+        for (const TransferDesc &d : batch)
+            tickets.push_back(sys.submit(d));
+        sys.resolveAll();
+        for (int ticket : tickets) {
+            const TransferResult &r = sys.result(ticket);
+            run.results.insert(
+                run.results.end(),
+                {r.startCycle, r.serviceStart, r.doneCycle, r.cycles,
+                 r.busyCycles, r.dramAccesses, r.dramRowHits,
+                 r.dramRowMisses, r.bankConflicts, r.dramReorderSum,
+                 r.dramReorderMax, r.aliasStallCycles,
+                 std::bit_cast<int64_t>(r.wordsPerCycle)});
+        }
+        for (const BusyInterval &iv : sys.takeBusyIntervals())
+            run.busyIntervals.insert(run.busyIntervals.end(),
+                                     {iv.start, iv.end});
+    }
+    for (const ChannelStats &cs : sys.channelStats())
+        run.channelStats.insert(run.channelStats.end(),
+                                {cs.busyCycles, cs.accesses, cs.rowHits,
+                                 cs.bankConflicts});
+    return run;
+}
+
+TEST(StreamMemTest, ReusedSystemMatchesFreshSystemPerProgram)
+{
+    // A system keeps its batch buffers across resolves and programs.
+    // Serving a sequence of programs whose batches grow, then shrink
+    // in transfer count, it must report exactly what a fresh system
+    // reports for each program: no batch may see an earlier one's
+    // totals, cursors or window entries. Half the transfers touch only
+    // some channels, so batches leave (transfer, channel) slots that an
+    // earlier, later-running program filled.
+    Prng prng(0x2e05'ed5c);
+    for (int trial = 0; trial < 4; ++trial) {
+        StreamMemConfig cfg;
+        cfg.channels = 2 + static_cast<int>(prng.below(7));
+        cfg.timing.banks = 1 + static_cast<int>(prng.below(8));
+        cfg.timing.rowWords = 8 + static_cast<int>(prng.below(256));
+        cfg.schedWindow = 1 + static_cast<int>(prng.below(16));
+        cfg.schedMaxBypass = 1 + static_cast<int>(prng.below(32));
+        StreamMemSystem reused(cfg);
+        for (int p = 0; p < 6; ++p) {
+            // Batch sizes ramp up to a peak and back down; the peak
+            // differs per program, so later programs also shrink.
+            const int peak = 1 + static_cast<int>(prng.below(9));
+            Program prog;
+            int64_t clock = 0;
+            for (int nt = 1; nt <= peak; ++nt)
+                prog.emplace_back(static_cast<size_t>(nt));
+            for (int nt = peak - 1; nt >= 1; --nt)
+                prog.emplace_back(static_cast<size_t>(nt));
+            for (std::vector<TransferDesc> &batch : prog) {
+                for (TransferDesc &d : batch) {
+                    d = randomTransfer(prng, cfg, clock);
+                    if (prng.below(2) != 0) {
+                        auto channels = static_cast<uint32_t>(cfg.channels);
+                        d.words = 1 + prng.below(600);
+                        d.recordWords = 1 + prng.below(channels - 1);
+                        d.strideWords = cfg.channels * (1 + prng.below(4));
+                    }
+                }
+                clock += prng.below(6000);
+            }
+            StreamMemSystem fresh(cfg);
+            ProgramRun want = runProgram(fresh, prog);
+            ProgramRun got = runProgram(reused, prog);
+            EXPECT_EQ(got.results, want.results)
+                << "trial " << trial << " program " << p;
+            EXPECT_EQ(got.busyIntervals, want.busyIntervals)
+                << "trial " << trial << " program " << p;
+            EXPECT_EQ(got.channelStats, want.channelStats)
+                << "trial " << trial << " program " << p;
+        }
+    }
 }
 
 TEST(StreamMemTest, DenseTransferApproachesPeakBandwidth)

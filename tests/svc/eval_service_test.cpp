@@ -259,6 +259,10 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
         with([](C &c) { c.scoreboardDepth = 0; }),
         with([](C &c) { c.scoreboardDepth = -1; }),
         with([](C &c) { c.hostIssueCycles = -5; }),
+        // Params that leave the SRF without a word.
+        with([](C &c) { c.params.rM = 0; }),
+        with([&](C &c) { c.params.rM = nan; }),
+        with([](C &c) { c.params.tMem = 0; }),
     };
     core::EvalEngine engine(2);
     EvalService service(&engine);
