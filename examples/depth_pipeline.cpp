@@ -68,7 +68,7 @@ main()
         std::printf("C=%-3d N=%-6d %12lld %9.1f %8.1fx %7.0f%%\n",
                     size.clusters, size.alusPerCluster,
                     static_cast<long long>(r.cycles),
-                    r.gops(d.tech().clockGHz()),
+                    r.gops(d.clockGHz()),
                     static_cast<double>(base_cycles) / r.cycles,
                     100.0 * r.memBusyFraction());
     }

@@ -78,7 +78,7 @@ main(int argc, char **argv)
                         "%.0f%%, SRF high water %lld/%lld words\n\n",
                         app.name.c_str(),
                         static_cast<long long>(r.cycles),
-                        r.gops(d.tech().clockGHz()),
+                        r.gops(d.clockGHz()),
                         100 * r.memBusyFraction(),
                         static_cast<long long>(r.srfHighWater),
                         static_cast<long long>(

@@ -47,7 +47,7 @@ main()
             stream::StreamProgram prog =
                 workloads::buildFftApp(size, proc.srf(), points);
             sim::SimResult r = proc.run(prog);
-            gf[idx++] = r.gops(d.tech().clockGHz());
+            gf[idx++] = r.gops(d.clockGHz());
         }
         std::printf("C=%-3d N=%-4d %8.1f %10.1f %11.2fx\n",
                     size.clusters, size.alusPerCluster, gf[0], gf[1],

@@ -57,7 +57,7 @@ main()
                     "GOPS @ %.1f GHz\n",
                     size.clusters, size.alusPerCluster, d.areaMm2(),
                     d.powerWatts(), d.peakGops(),
-                    d.tech().clockGHz());
+                    d.clockGHz());
     }
     return 0;
 }

@@ -12,8 +12,7 @@
  *             [--max-cache-bytes N] [--threads N] \
  *             [--reap-tmp-seconds S] \
  *             [--metrics-out FILE] [--metrics-interval SEC] \
- *             [--slow-request-ms MS] [--span-trace FILE] \
- *             [--quiet | -v]
+ *             [--slow-request-ms MS] [--span-trace FILE] [--quiet]
  *
  * --max-cache-bytes bounds the cache directory: every write that
  * crosses the budget evicts least-recently-used entries. At startup
@@ -69,7 +68,7 @@ usage(const char *argv0)
         "usage: %s --sock PATH [--cache-dir DIR] "
         "[--max-cache-bytes N] [--threads N] [--reap-tmp-seconds S] "
         "[--metrics-out FILE] [--metrics-interval SEC] "
-        "[--slow-request-ms MS] [--span-trace FILE] [--quiet | -v]\n",
+        "[--slow-request-ms MS] [--span-trace FILE] [--quiet]\n",
         argv0);
     return 2;
 }
@@ -153,8 +152,6 @@ main(int argc, char **argv)
             span_trace = value("--span-trace");
         else if (std::strcmp(argv[i], "--quiet") == 0)
             sps::setLogLevel(sps::LogLevel::Quiet);
-        else if (std::strcmp(argv[i], "-v") == 0)
-            sps::setLogLevel(sps::LogLevel::Debug);
         else
             return usage(argv[0]);
     }

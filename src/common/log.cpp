@@ -30,12 +30,6 @@ setLogLevel(LogLevel level)
     gLevel = level;
 }
 
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
 void
 inform(const char *fmt, ...)
 {
@@ -46,18 +40,6 @@ inform(const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (gLevel < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "debug: %s\n", msg.c_str());
 }
 
 void

@@ -15,21 +15,15 @@
 namespace sps {
 
 /** Verbosity levels for inform(). */
-enum class LogLevel { Quiet = 0, Info = 1, Debug = 2 };
+enum class LogLevel { Quiet = 0, Info = 1 };
 
 /** Set the global verbosity (default: Info). */
 void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 /**
  * Print an informational message (printf-style) when verbosity allows.
  */
 void inform(const char *fmt, ...);
-
-/** Print a debug message (printf-style) at Debug verbosity. */
-void debug(const char *fmt, ...);
 
 /** Print a warning to stderr; never stops execution. */
 void warn(const char *fmt, ...);

@@ -1,7 +1,5 @@
 #include "common/stats.h"
 
-#include <cmath>
-
 #include "common/log.h"
 
 namespace sps {
@@ -19,18 +17,6 @@ harmonicMean(const std::vector<double> &values)
 }
 
 double
-geometricMean(const std::vector<double> &values)
-{
-    SPS_ASSERT(!values.empty(), "geometric mean of empty series");
-    double acc = 0.0;
-    for (double v : values) {
-        SPS_ASSERT(v > 0.0, "geometric mean requires positive values");
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(values.size()));
-}
-
-double
 arithmeticMean(const std::vector<double> &values)
 {
     SPS_ASSERT(!values.empty(), "mean of empty series");
@@ -38,54 +24,6 @@ arithmeticMean(const std::vector<double> &values)
     for (double v : values)
         acc += v;
     return acc / static_cast<double>(values.size());
-}
-
-void
-Summary::add(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-    sum_ += v;
-    ++count_;
-}
-
-double
-Summary::min() const
-{
-    SPS_ASSERT(count_ > 0, "min of empty summary");
-    return min_;
-}
-
-double
-Summary::max() const
-{
-    SPS_ASSERT(count_ > 0, "max of empty summary");
-    return max_;
-}
-
-double
-Summary::mean() const
-{
-    SPS_ASSERT(count_ > 0, "mean of empty summary");
-    return sum_ / static_cast<double>(count_);
-}
-
-std::vector<double>
-normalizeTo(const std::vector<double> &values, size_t ref_index)
-{
-    SPS_ASSERT(ref_index < values.size(), "reference index out of range");
-    SPS_ASSERT(values[ref_index] != 0.0, "normalizing to zero");
-    std::vector<double> out;
-    out.reserve(values.size());
-    for (double v : values)
-        out.push_back(v / values[ref_index]);
-    return out;
 }
 
 } // namespace sps

@@ -1,13 +1,11 @@
 /**
  * @file
  * Small statistics helpers used by the performance evaluation: the paper
- * reports harmonic means over kernel and application suites, and several
- * normalized ratios.
+ * reports harmonic means over kernel and application suites.
  */
 #ifndef SPS_COMMON_STATS_H
 #define SPS_COMMON_STATS_H
 
-#include <cstddef>
 #include <vector>
 
 namespace sps {
@@ -15,36 +13,8 @@ namespace sps {
 /** Harmonic mean of a series of positive values. */
 double harmonicMean(const std::vector<double> &values);
 
-/** Geometric mean of a series of positive values. */
-double geometricMean(const std::vector<double> &values);
-
 /** Arithmetic mean. */
 double arithmeticMean(const std::vector<double> &values);
-
-/**
- * Streaming accumulator for min/max/mean over an online series.
- */
-class Summary
-{
-  public:
-    void add(double v);
-
-    size_t count() const { return count_; }
-    double min() const;
-    double max() const;
-    double mean() const;
-    double sum() const { return sum_; }
-
-  private:
-    size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Element-wise divide a series by its value at a reference index. */
-std::vector<double> normalizeTo(const std::vector<double> &values,
-                                size_t ref_index);
 
 } // namespace sps
 

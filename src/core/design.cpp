@@ -23,13 +23,13 @@ StreamProcessorDesign::areaMm2() const
 double
 StreamProcessorDesign::powerWatts() const
 {
-    return tech_.powerWatts(energy().total());
+    return tech_.powerWatts(energy().total(), clockGHz());
 }
 
 double
 StreamProcessorDesign::peakGops() const
 {
-    return size_.totalAlus() * tech_.clockGHz();
+    return size_.totalAlus() * clockGHz();
 }
 
 sched::CompiledKernel

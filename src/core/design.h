@@ -28,6 +28,8 @@ class StreamProcessorDesign
     const vlsi::MachineSize &size() const { return size_; }
     const vlsi::CostModel &costModel() const { return model_; }
     const vlsi::Technology &tech() const { return tech_; }
+    /** Clock (GHz) of the technology at the params' t_cyc. */
+    double clockGHz() const { return vlsi::clockGHz(tech_, params_); }
     const sched::MachineModel &machine() const { return machine_; }
 
     // --- VLSI costs ---
@@ -47,7 +49,7 @@ class StreamProcessorDesign
     double areaMm2() const;
     /** Power at full issue (watts). */
     double powerWatts() const;
-    /** Peak arithmetic rate (GOPS at the technology's clock). */
+    /** Peak arithmetic rate (GOPS at clockGHz()). */
     double peakGops() const;
 
     // --- Compilation and simulation ---

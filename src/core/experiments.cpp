@@ -160,7 +160,7 @@ runApp(const std::string &app_name, vlsi::MachineSize size)
         pt.cycles = res.cycles;
         pt.speedup = static_cast<double>(bres.cycles) /
                      static_cast<double>(res.cycles);
-        pt.gops = res.gops(d.tech().clockGHz());
+        pt.gops = res.gops(d.clockGHz());
         pt.result = std::move(res);
         return pt;
     }
@@ -203,7 +203,7 @@ headlineNumbers(bool include_apps, EvalEngine *engine)
                                        ck.aluOpsPerIteration
                                  : 1.0;
             v.gops640 = ck.aluOpsPerCycle() * subword *
-                        big640.clusters * d640.tech().clockGHz();
+                        big640.clusters * d640.clockGHz();
             return v;
         });
     std::vector<double> sp640, sp1280, gops640;

@@ -12,7 +12,8 @@ EnergyAccountant::EnergyAccountant(const vlsi::CostModel &model,
                                    vlsi::MachineSize size,
                                    vlsi::Technology tech,
                                    AccountantConfig cfg)
-    : size_(size), tech_(tech), cfg_(cfg)
+    : size_(size), tech_(tech),
+      clockGHz_(vlsi::clockGHz(tech, model.params())), cfg_(cfg)
 {
     const vlsi::Params &p = model.params();
     const int n = size.alusPerCluster;
@@ -50,7 +51,7 @@ EnergyAccountant::account(const sim::SimResult &r) const
     e.aluOps = r.aluOps;
     e.outputWords = ctr.memStoreWords;
     e.ewToJoules = tech_.ewFj * 1e-15;
-    e.clockGHz = tech_.clockGHz();
+    e.clockGHz = clockGHz_;
 
     const double f = cfg_.idleFraction;
     auto idleOf = [f](double capacity, double used, double rate) {

@@ -132,6 +132,8 @@ class EnergyAccountant
   private:
     vlsi::MachineSize size_;
     vlsi::Technology tech_;
+    /** vlsi::clockGHz of the technology and the model's params. */
+    double clockGHz_;
     AccountantConfig cfg_;
     EnergyRates rates_;
 };

@@ -5,7 +5,8 @@
 
 namespace sps::mem {
 
-DramChannel::DramChannel(DramTiming timing) : timing_(timing)
+DramChannel::DramChannel(DramTiming timing, int t_col)
+    : timing_(timing), tCol_(t_col)
 {
     if (!(timing_.banks >= 1 && timing_.rowWords >= 1))
         throw std::invalid_argument(

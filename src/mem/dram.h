@@ -4,6 +4,11 @@
  * paper assumes (Section 5: eight channels, 16 GB/s total): per-bank
  * row buffers with activate/precharge/column timing. Used by the
  * access scheduler to derive sustained bandwidth for stream transfers.
+ *
+ * The column time is not part of the configured timing: the memory
+ * system (mem/stream_mem.h) derives it from its aggregate peak
+ * bandwidth and hands it to each channel, so the peak is the one leaf
+ * that sets it.
  */
 #ifndef SPS_MEM_DRAM_H
 #define SPS_MEM_DRAM_H
@@ -23,8 +28,6 @@ struct DramTiming
     int tRas = 8;
     /** Cycles to precharge a bank. */
     int tPre = 6;
-    /** Cycles per column (word) access once the row is open. */
-    int tCol = 1;
     /** Banks per channel. */
     int banks = 8;
     /** Words per row. */
@@ -37,7 +40,6 @@ forEachField(S &t, F &&f)
 {
     f("t_ras", t.tRas);
     f("t_pre", t.tPre);
-    f("t_col", t.tCol);
     f("banks", t.banks);
     f("row_words", t.rowWords);
 }
@@ -65,11 +67,13 @@ struct DramAddr
 class DramChannel
 {
   public:
-    /** Throws std::invalid_argument unless banks and rowWords are at
-     *  least 1 (the geometry can come from a client's config). */
-    explicit DramChannel(DramTiming timing = DramTiming{});
+    /** `t_col` is the cycles per column (word) access once a row is
+     *  open. Throws std::invalid_argument unless banks and rowWords
+     *  are at least 1 (the geometry can come from a client's config). */
+    explicit DramChannel(DramTiming timing = DramTiming{}, int t_col = 1);
 
     const DramTiming &timing() const { return timing_; }
+    int tCol() const { return tCol_; }
 
     /** Decode a channel-local word address. */
     DramAddr decode(int64_t word_addr) const;
@@ -107,9 +111,8 @@ class DramChannel
     int cycles(const DramAddr &a) const
     {
         if (isRowHit(a))
-            return timing_.tCol;
-        return timing_.tCol + (isBankOpen(a) ? timing_.tPre : 0) +
-               timing_.tRas;
+            return tCol_;
+        return tCol_ + (isBankOpen(a) ? timing_.tPre : 0) + timing_.tRas;
     }
 
     /** Service one request now, leaving its row open; returns
@@ -126,6 +129,7 @@ class DramChannel
 
   private:
     DramTiming timing_;
+    int tCol_;
     std::vector<int64_t> openRow_; // -1 = closed
 };
 

@@ -22,13 +22,13 @@ scaleCount(int64_t sim_value, double factor)
 }
 
 /**
- * The config with tCol derived from the peak, once every leaf a
+ * The column time derived from `cfg`'s peak, once every leaf a
  * client's override can reach has been checked: a bad value is an
  * exception the evaluation service returns as an error, not an abort.
  * Each check is written so that NaN fails it.
  */
-StreamMemConfig
-validated(StreamMemConfig cfg)
+int
+checkedTCol(const StreamMemConfig &cfg)
 {
     if (!(cfg.channels >= 1))
         throw std::invalid_argument(
@@ -67,8 +67,7 @@ validated(StreamMemConfig cfg)
             std::to_string(cfg.timing.tPre) +
             " make a row miss longer than " +
             std::to_string(kMaxCycles) + " cycles");
-    cfg.timing.tCol = std::max(1, static_cast<int>(tcol));
-    return cfg;
+    return std::max(1, static_cast<int>(tcol));
 }
 } // namespace
 
@@ -192,7 +191,7 @@ class StreamMemSystem::ChannelCursor
 };
 
 StreamMemSystem::StreamMemSystem(StreamMemConfig cfg)
-    : cfg_(validated(cfg)),
+    : cfg_(cfg), tCol_(checkedTCol(cfg_)),
       window_(cfg_.schedWindow, cfg_.schedMaxBypass)
 {
     beginProgram();
@@ -208,7 +207,7 @@ StreamMemSystem::beginProgram()
     ch_.clear();
     chStats_.clear();
     for (int c = 0; c < cfg_.channels; ++c) {
-        ch_.push_back(Channel{DramChannel(cfg_.timing), 0});
+        ch_.push_back(Channel{DramChannel(cfg_.timing, tCol_), 0});
         chStats_.push_back(ChannelStats{});
     }
     results_.clear();
@@ -370,14 +369,14 @@ StreamMemSystem::resolveAll()
                     next = std::min(next, pending_[u].desc.startCycle);
             int64_t room = next - now - chan.dram.cycles(a);
             return room < 1 ? 0
-                            : std::min(n, (room - 1) / cfg_.timing.tCol + 1);
+                            : std::min(n, (room - 1) / tCol_ + 1);
         };
         // Serve such a run in one step.
         auto serve_run = [&](size_t t, const DramAddr &a, int64_t n) {
             bool hit = chan.dram.isRowHit(a);
             bool conflict = !hit && chan.dram.isBankOpen(a);
             int64_t cycles =
-                chan.dram.service(a) + (n - 1) * cfg_.timing.tCol;
+                chan.dram.service(a) + (n - 1) * tCol_;
             charge(t, cycles, n, hit ? n : n - 1, conflict, 0);
         };
         while (!window_.empty() || live > 0) {
@@ -582,12 +581,6 @@ StreamMemSystem::transfer(int64_t words, int64_t stride,
     int ticket = submit(d, tr);
     resolveAll();
     return results_[static_cast<size_t>(ticket)];
-}
-
-int64_t
-StreamMemSystem::transferCycles(int64_t words)
-{
-    return transfer(words, 1).cycles;
 }
 
 } // namespace sps::mem

@@ -41,8 +41,10 @@
  * reset, not reallocated, by every resolve: once they have grown to
  * the largest batch, a batch allocates nothing.
  *
- * Configured for the paper's 2007 technology point (eight channels,
- * 16 GB/s, 55-cycle latency) by default.
+ * Configured for the paper's 2007 technology point by default: eight
+ * channels, 4 words per cycle (16 GB/s at the default 1 GHz clock)
+ * and a 55-cycle latency. The peak is the one bandwidth leaf: each
+ * channel's column time is derived from it (StreamMemSystem::tCol()).
  */
 #ifndef SPS_MEM_STREAM_MEM_H
 #define SPS_MEM_STREAM_MEM_H
@@ -66,7 +68,8 @@ struct StreamMemConfig
     double peakWordsPerCycle = 4.0;
     /** Access latency in cycles (Table 1's T). */
     int latencyCycles = 55;
-    /** Per-channel DRAM timing template (tCol derived from peak). */
+    /** Per-channel DRAM timing template; the column time is derived
+     *  from the peak (StreamMemSystem::tCol()). */
     DramTiming timing = DramTiming{};
     /** FR-FCFS reorder window per channel. */
     int schedWindow = kSchedWindow;
@@ -187,6 +190,11 @@ class StreamMemSystem
 
     const StreamMemConfig &config() const { return cfg_; }
 
+    /** Cycles per column access on each channel: channels /
+     *  peakWordsPerCycle rounded to the nearest cycle, at least 1, so
+     *  that all channels together sustain the peak on row hits. */
+    int tCol() const { return tCol_; }
+
     /** Reset channel state (rows closed, busy cursors and per-channel
      *  counters to zero) for a new program run at cycle 0. */
     void beginProgram();
@@ -233,9 +241,6 @@ class StreamMemSystem
     TransferResult transfer(int64_t words, int64_t stride = 1,
                             const TransferTrace *tr = nullptr);
 
-    /** Shorthand: cycles for a standalone dense transfer. */
-    int64_t transferCycles(int64_t words);
-
   private:
     /** Lazy request generator of one (transfer, channel) pair
      *  (stream_mem.cpp). */
@@ -281,6 +286,7 @@ class StreamMemSystem
     };
 
     StreamMemConfig cfg_;
+    int tCol_;
     std::vector<Channel> ch_;
     std::vector<ChannelStats> chStats_;
     std::vector<Pending> pending_;

@@ -9,17 +9,6 @@ Microcontroller::call(const std::string &kernel_name,
 {
     CallTiming t;
     t.overheadCycles = cfg_.pipeFillCycles;
-    if (!resident_[kernel_name]) {
-        // First use: load the kernel's VLIW instructions. The schedule
-        // occupies roughly ii * stages instruction slots (the unrolled
-        // software-pipelined body) plus prologue/epilogue of similar
-        // size.
-        int64_t instructions =
-            2LL * ck.ii * ck.stages + ck.listLength;
-        t.overheadCycles += instructions * cfg_.loadCyclesPerInstruction;
-        t.microcodeLoaded = true;
-        resident_[kernel_name] = true;
-    }
     t.iterations = (records + clusters_ - 1) / clusters_;
     t.cycles = t.overheadCycles + ck.loopCycles(t.iterations);
 
@@ -29,19 +18,10 @@ Microcontroller::call(const std::string &kernel_name,
                      {{"records", records},
                       {"iterations", t.iterations},
                       {"overhead_cycles", t.overheadCycles},
-                      {"microcode_loaded", t.microcodeLoaded ? 1 : 0},
                       {"ii", ck.ii},
                       {"unroll", ck.unroll}});
     }
     return t;
-}
-
-int64_t
-Microcontroller::callCycles(const std::string &kernel_name,
-                            const sched::CompiledKernel &ck,
-                            int64_t records)
-{
-    return call(kernel_name, ck, records).cycles;
 }
 
 } // namespace sps::sim

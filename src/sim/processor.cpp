@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/log.h"
 #include "sim/stream_controller.h"
@@ -10,19 +11,47 @@
 namespace sps::sim {
 
 namespace {
+/** Throws unless every double reachable through `v`'s field table
+ *  (common/fields.h) is finite; `name` is `v`'s table name. Every
+ *  double leaf of SimConfig has a distinct name. */
+template <typename T>
+void
+requireFinite(const T &v, const char *name)
+{
+    if constexpr (std::is_same_v<T, double>) {
+        if (!std::isfinite(v))
+            throw std::invalid_argument(std::string("bad config: ") +
+                                        name + " must be finite, got " +
+                                        std::to_string(v));
+    } else if constexpr (HasFields<T>) {
+        forEachField(v, [](const char *n, const auto &m) {
+            requireFinite(m, n);
+        });
+    }
+}
+
 /**
  * `cfg`, once the leaves checked here are known to be runnable. A
  * client's config override reaches here, so a bad value is an
- * exception the evaluation service returns as an error. A scoreboard
- * with no entries can never issue, a negative issue cost runs the
- * host channel backwards, and params that size the SRF at no words
- * (or at more than its int64_t word counts hold) leave no SRF to
- * allocate. Each check is written so that NaN fails it; all run
- * before any member is built from `cfg`.
+ * exception the evaluation service returns as an error. A NaN or
+ * infinite double poisons every figure computed from it; t_cyc and
+ * the FO4 delay set the clock and the pipelining, so each must be
+ * positive. A scoreboard with no entries can never issue, and a
+ * negative issue cost or pipe fill runs the host channel or the
+ * microcontroller backwards. Params that size the SRF at no words (or
+ * at more than its int64_t word counts hold) leave no SRF to allocate.
+ * Each check is written so that NaN fails it; all run before any
+ * member is built from `cfg`.
  */
 SimConfig
 validated(const SimConfig &cfg)
 {
+    requireFinite(cfg, "sim_config");
+    if (!(cfg.params.tCyc > 0 && cfg.tech.fo4Ps > 0))
+        throw std::invalid_argument(
+            "bad config: t_cyc " + std::to_string(cfg.params.tCyc) +
+            " and fo4_ps " + std::to_string(cfg.tech.fo4Ps) +
+            " must both be positive");
     if (cfg.scoreboardDepth < 1)
         throw std::invalid_argument(
             "bad controller config: scoreboard depth must be at least "
@@ -33,6 +62,11 @@ validated(const SimConfig &cfg)
             "bad controller config: host issue cycles must not be "
             "negative, got " +
             std::to_string(cfg.hostIssueCycles));
+    if (cfg.ucConfig.pipeFillCycles < 0)
+        throw std::invalid_argument(
+            "bad microcontroller config: pipe fill cycles must not be "
+            "negative, got " +
+            std::to_string(cfg.ucConfig.pipeFillCycles));
     // The words srf::SrfModel::forMachine gives the SRF.
     double srf_words =
         std::round(cfg.params.rM * cfg.params.tMem *

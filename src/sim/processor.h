@@ -68,10 +68,12 @@ forEachField(S &c, F &&f)
 class StreamProcessor
 {
   public:
-    /** Throws std::invalid_argument when scoreboardDepth is below 1,
-     *  hostIssueCycles is negative, or params leave the SRF without a
-     *  word, NaN included (a client's config override reaches here),
-     *  and when the memory system rejects memConfig. */
+    /** Throws std::invalid_argument when any double of the config is
+     *  NaN or infinite, t_cyc or the FO4 delay is not positive,
+     *  scoreboardDepth is below 1, hostIssueCycles or pipeFillCycles
+     *  is negative, or params leave the SRF without a word (a client's
+     *  config override reaches here), and when the memory system
+     *  rejects memConfig. */
     explicit StreamProcessor(SimConfig cfg);
     ~StreamProcessor();
 

@@ -298,8 +298,8 @@ assembleAppPoints(const AppSweepPlan &plan,
         pt.cycles = res.cycles;
         pt.speedup = static_cast<double>(base.cycles) /
                      static_cast<double>(res.cycles);
-        core::StreamProcessorDesign d(pt.size);
-        pt.gops = res.gops(d.tech().clockGHz());
+        const sim::SimConfig cfg = effectiveSimConfig(plan.grid[i]);
+        pt.gops = res.gops(vlsi::clockGHz(cfg.tech, cfg.params));
         pt.result = std::move(res);
         out.push_back(std::move(pt));
     }

@@ -58,8 +58,15 @@ inline constexpr uint32_t kProtocolMagic = 0x50535053;
  *      MetricsReply carries every count the stats rows did. Bumped so
  *      a v2 client's StatsRequest fails the version check instead of
  *      arriving as an unknown kind.
+ *  4 = the EvalRequest config override drops five SimConfig leaves
+ *      (tech.clock_fo4, tech.mem_bw_gbs, tech.host_bw_gbs,
+ *      mem_config.timing.t_col, uc_config.load_cycles_per_instruction)
+ *      and carries 55. Bumped because a v3 override would otherwise
+ *      decode with its leaves shifted. No result payload changed, so
+ *      store::kStoreSchemaVersion stays; sim entries re-key through
+ *      simConfigHash.
  */
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /** Frame header size: magic, version, kind, reserved, payload
  *  length (u64), checksum (u64) -- the same 32-byte shape as a store

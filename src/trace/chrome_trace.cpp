@@ -47,8 +47,6 @@ writeEvent(std::ostringstream &os, const TraceEvent &ev, bool &first)
         os << ",\"dur\":" << ev.dur;
     if (ev.phase == 'b' || ev.phase == 'e')
         os << ",\"id\":" << ev.id;
-    if (ev.phase == 'i')
-        os << ",\"s\":\"t\"";
     if (!ev.args.empty()) {
         os << ",\"args\":{";
         for (size_t i = 0; i < ev.args.size(); ++i) {
@@ -92,36 +90,6 @@ writeChromeTrace(const Tracer &tracer, const std::string &path)
         return false;
     out << toChromeJson(tracer);
     return static_cast<bool>(out);
-}
-
-void
-timelineToTracer(const sim::SimResult &result, Tracer &tracer)
-{
-    tracer.setTrackName(trace::kTrackHost, "stream ops (other)");
-    tracer.setTrackName(trace::kTrackMem, "stream ops (mem)");
-    tracer.setTrackName(trace::kTrackClusters, "stream ops (kernel)");
-    for (const sim::OpInterval &iv : result.timeline) {
-        int tid = trace::kTrackHost;
-        const char *cat = "op";
-        switch (iv.kind) {
-          case sim::OpClass::Load:
-            tid = trace::kTrackMem;
-            cat = "load";
-            break;
-          case sim::OpClass::Store:
-            tid = trace::kTrackMem;
-            cat = "store";
-            break;
-          case sim::OpClass::Kernel:
-            tid = trace::kTrackClusters;
-            cat = "kernel";
-            break;
-          case sim::OpClass::Other:
-            break;
-        }
-        tracer.span(cat, iv.label, iv.start, iv.end, iv.opId, tid,
-                    {{"op_id", iv.opId}});
-    }
 }
 
 } // namespace sps::trace

@@ -19,21 +19,6 @@ Tracer::complete(std::string cat, std::string name, int64_t start,
 }
 
 void
-Tracer::instant(std::string cat, std::string name, int64_t ts, int tid,
-                std::vector<TraceArg> args)
-{
-    TraceEvent ev;
-    ev.name = std::move(name);
-    ev.cat = std::move(cat);
-    ev.phase = 'i';
-    ev.ts = ts;
-    ev.tid = tid;
-    ev.args = std::move(args);
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.push_back(std::move(ev));
-}
-
-void
 Tracer::span(std::string cat, std::string name, int64_t start,
              int64_t end, int64_t id, int tid,
              std::vector<TraceArg> args)

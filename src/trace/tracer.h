@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured event tracer for the simulator. Components record
- * begin/end ("complete") events, instants, and counter samples in
+ * begin/end ("complete") events, async spans, and counter samples in
  * *simulated* cycles; the Chrome trace_event exporter
  * (trace/chrome_trace.h) turns a recorded run into a JSON file
  * viewable in Perfetto / chrome://tracing.
@@ -42,8 +42,8 @@ struct TraceEvent
 {
     std::string name;
     std::string cat;
-    /** Chrome phase: 'X' complete, 'i' instant, 'C' counter,
-     *  'b'/'e' async begin/end (distinguished by `id`). */
+    /** Chrome phase: 'X' complete, 'C' counter, 'b'/'e' async
+     *  begin/end (distinguished by `id`). */
     char phase = 'X';
     int64_t ts = 0;
     int64_t dur = 0;
@@ -70,10 +70,6 @@ class Tracer
     /** Record a complete (begin/end) event. */
     void complete(std::string cat, std::string name, int64_t start,
                   int64_t end, int tid, std::vector<TraceArg> args = {});
-
-    /** Record an instantaneous event. */
-    void instant(std::string cat, std::string name, int64_t ts, int tid,
-                 std::vector<TraceArg> args = {});
 
     /**
      * Record an async span (begin/end pair keyed by `id`). Unlike

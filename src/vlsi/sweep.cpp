@@ -98,23 +98,6 @@ interclusterSweep(const CostModel &model, int n,
     return series;
 }
 
-SweepSeries
-combinedSweep(const CostModel &model, int n,
-              const std::vector<int> &c_values, MachineSize ref,
-              ThreadPool *pool)
-{
-    SweepSeries series;
-    std::vector<MachineSize> sizes;
-    for (int c : c_values)
-        sizes.push_back(MachineSize{c, n});
-    // Normalize against an external reference: stash it as an extra
-    // trailing point so normalized*() can use it, then drop it.
-    sizes.push_back(ref);
-    series.points = evaluateAll(model, sizes, pool);
-    series.refIndex = series.points.size() - 1;
-    return series;
-}
-
 std::vector<int>
 defaultIntraRange()
 {

@@ -63,16 +63,6 @@ SweepSeries interclusterSweep(const CostModel &model, int n,
                               int ref_c = 8,
                               ThreadPool *pool = nullptr);
 
-/**
- * Combined sweep for one N across a list of C values (Figure 12), with
- * normalization against an arbitrary (ref_c, ref_n) point evaluated on
- * the same model.
- */
-SweepSeries combinedSweep(const CostModel &model, int n,
-                          const std::vector<int> &c_values,
-                          MachineSize ref,
-                          ThreadPool *pool = nullptr);
-
 /** The standard N values plotted in Figures 6-8. */
 std::vector<int> defaultIntraRange();
 

@@ -20,7 +20,7 @@ TEST(DesignTest, CostsAccessibleThroughFacade)
 TEST(DesignTest, PeakGopsIsAlusTimesClock)
 {
     StreamProcessorDesign d({128, 10});
-    EXPECT_NEAR(d.peakGops(), 1280.0 * d.tech().clockGHz(), 1e-6);
+    EXPECT_NEAR(d.peakGops(), 1280.0 * d.clockGHz(), 1e-6);
 }
 
 TEST(DesignTest, AbsoluteAreaReasonableAt45nm)

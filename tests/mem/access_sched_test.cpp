@@ -60,7 +60,7 @@ TEST(AccessSchedTest, SequentialStreamNearPeak)
     int64_t n = 2048;
     int64_t cycles = drain(chan, sequential(n)).busyCycles;
     // One activate per row plus tCol per word: overhead under 10%.
-    EXPECT_LT(cycles, n * chan.timing().tCol * 11 / 10);
+    EXPECT_LT(cycles, n * chan.tCol() * 11 / 10);
 }
 
 TEST(AccessSchedTest, ReorderingBeatsFifoOnInterleavedRows)

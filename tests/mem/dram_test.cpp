@@ -10,10 +10,10 @@ TEST(DramTest, SequentialAccessHitsOpenRow)
     DramChannel chan;
     DramAddr first = chan.decode(0);
     int cold = chan.service(first);
-    EXPECT_GT(cold, chan.timing().tCol); // activate cost
+    EXPECT_GT(cold, chan.tCol()); // activate cost
     DramAddr second = chan.decode(1);
     EXPECT_TRUE(chan.isRowHit(second));
-    EXPECT_EQ(chan.service(second), chan.timing().tCol);
+    EXPECT_EQ(chan.service(second), chan.tCol());
 }
 
 TEST(DramTest, RowMissPaysPrechargeAndActivate)
@@ -25,7 +25,7 @@ TEST(DramTest, RowMissPaysPrechargeAndActivate)
                   chan.timing().banks;
     DramAddr miss = chan.decode(far);
     EXPECT_FALSE(chan.isRowHit(miss));
-    EXPECT_EQ(chan.service(miss), chan.timing().tCol +
+    EXPECT_EQ(chan.service(miss), chan.tCol() +
                                       chan.timing().tPre +
                                       chan.timing().tRas);
 }

@@ -28,7 +28,7 @@ TEST(MemIntegrationTest, EightChannelsShareTheLoadEvenly)
     // word total (parallel channels).
     int64_t t1 = sys.transfer(1).cycles;
     int64_t t8 = sys.transfer(8).cycles;
-    EXPECT_LE(t8, t1 + 2 * sys.config().timing.tCol);
+    EXPECT_LE(t8, t1 + 2 * sys.tCol());
 }
 
 TEST(MemIntegrationTest, BandwidthKnobScalesTransferTime)
@@ -66,7 +66,7 @@ TEST(MemIntegrationTest, WorstCaseStrideDegradesGracefully)
     int64_t stride =
         static_cast<int64_t>(t.rowWords) * t.banks * sys.config().channels;
     TransferResult r = sys.transfer(2048, stride);
-    int64_t per_access_worst = t.tCol + t.tPre + t.tRas;
+    int64_t per_access_worst = sys.tCol() + t.tPre + t.tRas;
     EXPECT_LE(r.busyCycles, 2048 * per_access_worst + 64);
     // All the work lands on one channel: the other channels idle.
     EXPECT_GT(r.aliasStallCycles, 0);

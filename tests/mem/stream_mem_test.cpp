@@ -306,8 +306,8 @@ TEST(StreamMemTest, ZeroWordsIsFree)
 TEST(StreamMemTest, DurationScalesLinearly)
 {
     StreamMemSystem sys;
-    int64_t t1 = sys.transferCycles(4096);
-    int64_t t2 = sys.transferCycles(8192);
+    int64_t t1 = sys.transfer(4096).cycles;
+    int64_t t2 = sys.transfer(8192).cycles;
     double ratio = static_cast<double>(t2 - sys.config().latencyCycles) /
                    static_cast<double>(t1 - sys.config().latencyCycles);
     EXPECT_NEAR(ratio, 2.0, 0.2);

@@ -1,5 +1,9 @@
 #include "sim/processor.h"
 
+#include <iterator>
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.h"
@@ -179,6 +183,55 @@ TEST(CountersTest, TracingDoesNotChangeResults)
               breakdownSum(traced.counters));
     EXPECT_EQ(plain.counters.dramRowHits, traced.counters.dramRowHits);
     EXPECT_GT(tracer.size(), 0u);
+}
+
+TEST(CountersTest, TracedStripMinedTransfersStayApartByOpId)
+{
+    // Four batches of one load-compute-store strip, every batch's
+    // streams declared under the same names: the batches' transfers
+    // overlap on the memory track under one label ("load in"), so only
+    // their async ids -- the program-order op ids -- keep them apart in
+    // a trace viewer.
+    stream::StreamProgram prog("strip");
+    for (int b = 0; b < 4; ++b) {
+        int in = prog.declareStream("in", 1, 2048, true);
+        int out = prog.declareStream("out", 1, 2048);
+        prog.load(in);
+        prog.callKernel(&scaleKernel(), {in, out});
+        prog.store(out);
+    }
+    trace::Tracer tracer;
+    RunOptions opts;
+    opts.tracer = &tracer;
+    StreamProcessor(config(8, 5)).run(prog, opts);
+
+    struct Span
+    {
+        std::string name;
+        int64_t begin = 0, end = -1;
+    };
+    std::map<int64_t, Span> spans; // by async id
+    for (const trace::TraceEvent &ev : tracer.events()) {
+        if (ev.tid != trace::kTrackMem)
+            continue;
+        if (ev.phase == 'b') {
+            ASSERT_EQ(spans.count(ev.id), 0u) << "id reused: " << ev.id;
+            spans[ev.id] = Span{ev.name, ev.ts};
+        } else if (ev.phase == 'e') {
+            ASSERT_EQ(spans.count(ev.id), 1u) << "no begin: " << ev.id;
+            EXPECT_EQ(spans[ev.id].name, ev.name);
+            spans[ev.id].end = ev.ts;
+        }
+    }
+    ASSERT_EQ(spans.size(), 8u); // one per load and store
+    int same_label_overlaps = 0;
+    for (auto a = spans.begin(); a != spans.end(); ++a)
+        for (auto b = std::next(a); b != spans.end(); ++b)
+            if (a->second.name == b->second.name &&
+                a->second.begin < b->second.end &&
+                b->second.begin < a->second.end)
+                ++same_label_overlaps;
+    EXPECT_GT(same_label_overlaps, 0);
 }
 
 TEST(CountersTest, FunctionalRunExecutesKernels)

@@ -189,6 +189,9 @@ TEST(FieldTableTest, EverySimConfigFieldReachesHashAndWire)
     const uint64_t base_hash = svc::simConfigHash(base);
     EXPECT_EQ(svc::simConfigHash(base), base_hash);
     const std::vector<uint8_t> base_bytes = requestBytes(base);
+    // 2 size, 33 params, 4 tech, 9 memory, 1 microcontroller, host
+    // issue, scoreboard, 4 energy: a new leaf is a protocol change.
+    EXPECT_EQ(perturbations(base).size(), 55u);
     for (const auto &[path, cfg] : perturbations(base)) {
         EXPECT_NE(svc::simConfigHash(cfg), base_hash)
             << path << " is not hashed";

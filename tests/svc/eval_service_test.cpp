@@ -226,9 +226,10 @@ TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
 
 TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
 {
-    // A memory or controller config the model cannot run comes back
-    // through the requester's future as invalid_argument; none may
-    // abort the shared service (NaN included).
+    // A memory, controller, params, technology or energy config the
+    // model cannot run comes back through the requester's future as
+    // invalid_argument; none may abort the shared service or be cached
+    // as a result (NaN included).
     auto with = [](auto edit) {
         sim::SimConfig cfg;
         edit(cfg);
@@ -263,6 +264,13 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
         with([](C &c) { c.params.rM = 0; }),
         with([&](C &c) { c.params.rM = nan; }),
         with([](C &c) { c.params.tMem = 0; }),
+        with([](C &c) { c.ucConfig.pipeFillCycles = -50; }),
+        // t_cyc and the FO4 delay set the clock and the pipelining.
+        with([](C &c) { c.params.tCyc = 0; }),
+        with([](C &c) { c.tech.fo4Ps = 0; }),
+        // Any NaN double would poison the cycles or the energy.
+        with([&](C &c) { c.params.h = nan; }),
+        with([&](C &c) { c.energyConfig.idleFraction = nan; }),
     };
     core::EvalEngine engine(2);
     EvalService service(&engine);

@@ -44,7 +44,7 @@ overrideConfig()
 {
     sim::SimConfig cfg;
     cfg.hostIssueCycles = 3;
-    cfg.ucConfig.loadCyclesPerInstruction = -2;
+    cfg.ucConfig.pipeFillCycles = -2;
     cfg.params.tMux = -0.0;
     cfg.memConfig.timing.banks = 4;
     cfg.tech.name = "7nm";
@@ -53,8 +53,8 @@ overrideConfig()
 
 TEST(WireGoldenTest, SimConfigHash)
 {
-    EXPECT_EQ(hex(simConfigHash(sim::SimConfig{})), "0xb277e3e579b31487");
-    EXPECT_EQ(hex(simConfigHash(overrideConfig())), "0x2da422524ce9aa8c");
+    EXPECT_EQ(hex(simConfigHash(sim::SimConfig{})), "0x826eea8c2e5f1c80");
+    EXPECT_EQ(hex(simConfigHash(overrideConfig())), "0xe4c2980b6626db8b");
 }
 
 /** The options word of every persisted schedule's store key. */
@@ -67,7 +67,7 @@ TEST(WireGoldenTest, EvalRequestBytes)
 {
     store::ByteWriter w;
     encodeEvalRequest(EvalPoint{"DEPTH", {16, 5}, overrideConfig()}, &w);
-    EXPECT_EQ(digest(w), "0x567e29356cd35dde");
+    EXPECT_EQ(digest(w), "0x6dafbde49b6ec191");
 }
 
 TEST(WireGoldenTest, CompiledKernelBytes)

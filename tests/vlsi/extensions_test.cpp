@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/design.h"
 #include "sched/machine.h"
 #include "vlsi/cost_model.h"
 
@@ -91,6 +92,15 @@ TEST(CustomDesignTest, LatencyInCyclesGrowsAtFasterClock)
     EXPECT_GT(custom.intraPipeStages(10), std45.intraPipeStages(10));
     EXPECT_GT(custom.interCommCycles({128, 5}),
               std45.interCommCycles({128, 5}));
+}
+
+TEST(CustomDesignTest, ClockFollowsTCyc)
+{
+    // With the 45nm FO4 delay, a 20 FO4 cycle is 45/20 as fast as a
+    // 45 FO4 one, and every ALU's peak rate follows the clock.
+    core::StreamProcessorDesign std45({128, 10});
+    core::StreamProcessorDesign custom({128, 10}, Params::custom20Fo4());
+    EXPECT_NEAR(custom.peakGops() / std45.peakGops(), 45.0 / 20.0, 1e-12);
 }
 
 } // namespace

@@ -36,17 +36,6 @@ TEST(SweepTest, SweepPointsCarryComponentDetail)
     EXPECT_GT(pt.delay.interFo4, pt.delay.intraFo4);
 }
 
-TEST(SweepTest, CombinedSweepUsesExternalReference)
-{
-    CostModel m;
-    SweepSeries s = combinedSweep(m, 2, {8, 16}, MachineSize{32, 5});
-    auto norm = s.normalizedAreaPerAlu();
-    // Last entry is the reference itself.
-    EXPECT_DOUBLE_EQ(norm.back(), 1.0);
-    // N=2 points are less area-efficient than the N=5 reference.
-    EXPECT_GT(norm[0], 1.0);
-}
-
 TEST(SweepTest, DefaultRangesMatchPaperAxes)
 {
     auto intra = defaultIntraRange();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/stream_mem.h"
+
 namespace sps::vlsi {
 namespace {
 
@@ -11,14 +13,13 @@ TEST(TechTest, FortyFiveNmClockIsOneGigahertz)
 {
     // Section 5: "a 45 FO4 inverter delay clock period would have a
     // 1GHz processor clock rate" in 45nm.
-    Technology t = Technology::fortyFiveNm();
-    EXPECT_NEAR(t.clockGHz(), 1.0, 0.01);
+    EXPECT_NEAR(clockGHz(Technology::fortyFiveNm(), Params::imagine()),
+                1.0, 0.01);
 }
 
 TEST(TechTest, Imagine180ClockSlower)
 {
-    Technology t = Technology::imagine180();
-    EXPECT_LT(t.clockGHz(), 0.5);
+    EXPECT_LT(clockGHz(Technology::imagine180(), Params::imagine()), 0.5);
 }
 
 TEST(TechTest, AreaConversionScalesWithPitchSquared)
@@ -34,15 +35,23 @@ TEST(TechTest, AreaConversionScalesWithPitchSquared)
 
 TEST(TechTest, BandwidthTargetsMatchSection5)
 {
-    Technology t = Technology::fortyFiveNm();
-    EXPECT_DOUBLE_EQ(t.memBwGBs, 16.0);
-    EXPECT_DOUBLE_EQ(t.hostBwGBs, 2.0);
+    // Section 5's 16 GB/s of external memory, on the leaf the
+    // simulator reads: the peak in b-bit words per cycle at the
+    // default clock. Its 2 GB/s host channel has no leaf to check: the
+    // simulator charges SimConfig::hostIssueCycles per stream
+    // instruction, and the paper gives no instruction size that would
+    // turn those cycles into bytes.
+    const Params p = Params::imagine();
+    double bytes_per_cycle =
+        mem::StreamMemConfig::fortyFiveNm().peakWordsPerCycle * p.b / 8;
+    EXPECT_NEAR(bytes_per_cycle * clockGHz(Technology::fortyFiveNm(), p),
+                16.0, 0.1);
 }
 
 TEST(TechTest, PowerPositiveAndFinite)
 {
     Technology t = Technology::fortyFiveNm();
-    double w = t.powerWatts(2e8);
+    double w = t.powerWatts(2e8, clockGHz(t, Params::imagine()));
     EXPECT_GT(w, 0.0);
     EXPECT_TRUE(std::isfinite(w));
 }
@@ -56,7 +65,7 @@ TEST(TechTest, PaperPowerClaimUnder10WattsFor1280Alus)
     // Energy per cycle of the C=128 N=10 machine in Ew units comes
     // from the cost model; use a representative magnitude here and
     // validate the full claim in integration tests.
-    EXPECT_LT(t.powerWatts(3e8), 10.0);
+    EXPECT_LT(t.powerWatts(3e8, clockGHz(t, Params::imagine())), 10.0);
 }
 
 } // namespace
