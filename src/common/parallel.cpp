@@ -38,13 +38,6 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
-ThreadPool &
-ThreadPool::shared()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
 void
 ThreadPool::drain(const std::function<void(size_t)> &fn, size_t n)
 {

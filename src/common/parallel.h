@@ -2,10 +2,11 @@
  * @file
  * A persistent pool of worker threads executing index-space jobs
  * (forEach over [0, n)). This is the concurrency substrate of the
- * design-space evaluation engine (core::EvalEngine) and the VLSI
- * sweeps: results stay deterministic regardless of the worker count
- * because each index owns its output slot -- the pool only changes
- * *when* an index runs, never *what* it computes.
+ * design-space evaluation engine (core::EvalEngine), whose pool the
+ * VLSI sweeps borrow: results stay deterministic regardless of the
+ * worker count because each index owns its output slot -- the pool
+ * only changes *when* an index runs, never *what* it computes. There
+ * is no process-wide pool of its own; the engine's is the one.
  */
 #ifndef SPS_COMMON_PARALLEL_H
 #define SPS_COMMON_PARALLEL_H
@@ -50,9 +51,6 @@ class ThreadPool
      * rethrown here after the job drains.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn);
-
-    /** The process-wide pool, sized to the hardware. */
-    static ThreadPool &shared();
 
   private:
     void workerLoop();

@@ -2,11 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/bottleneck.h"
 
 namespace sps::energy {
+
+namespace {
+/** Throws unless every double of `v`'s field table is finite and not
+ *  negative. Written so that NaN fails. */
+template <typename T>
+void
+requireNonNegative(const T &v, const char *what)
+{
+    forEachField(v, [what](const char *name, double x) {
+        if (!(std::isfinite(x) && x >= 0))
+            throw std::invalid_argument(
+                std::string("bad energy config: ") + what + " " + name +
+                " must be finite and not negative, got " +
+                std::to_string(x));
+    });
+}
+} // namespace
 
 EnergyAccountant::EnergyAccountant(const vlsi::CostModel &model,
                                    vlsi::MachineSize size,
@@ -39,6 +58,14 @@ EnergyAccountant::EnergyAccountant(const vlsi::CostModel &model,
     rates_.srfPeakWordsPerCycle = p.gSb * n * c;
     rates_.interPeakWordsPerCycle = p.gComm * n * c;
     rates_.clusterSlotFullRate = model.clusterEnergy(n) / n;
+
+    // A client's params and energy config reach here.
+    requireNonNegative(rates_, "rate");
+    requireNonNegative(cfg_.dram, "dram");
+    if (!(cfg_.idleFraction >= 0 && cfg_.idleFraction <= 1))
+        throw std::invalid_argument(
+            "bad energy config: idle fraction must lie in [0, 1], got " +
+            std::to_string(cfg_.idleFraction));
 }
 
 EnergyReport

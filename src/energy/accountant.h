@@ -115,9 +115,31 @@ struct EnergyRates
     double clusterSlotFullRate = 0.0;
 };
 
+template <FieldsOf<EnergyRates> S, typename F>
+void
+forEachField(S &r, F &&f)
+{
+    f("alu_op", r.aluOp);
+    f("fu_op", r.fuOp);
+    f("sp_op", r.spOp);
+    f("srf_word", r.srfWord);
+    f("inter_comm_word", r.interCommWord);
+    f("uc_busy_cycle", r.ucBusyCycle);
+    f("alu_slots_per_cycle", r.aluSlotsPerCycle);
+    f("srf_peak_words_per_cycle", r.srfPeakWordsPerCycle);
+    f("inter_peak_words_per_cycle", r.interPeakWordsPerCycle);
+    f("cluster_slot_full_rate", r.clusterSlotFullRate);
+}
+
 class EnergyAccountant
 {
   public:
+    /**
+     * Derive the rates from `model`. Throws std::invalid_argument
+     * unless every rate and every DRAM energy is finite and not
+     * negative and the idle fraction lies in [0, 1]: anything else
+     * would charge a negative or NaN energy.
+     */
     EnergyAccountant(const vlsi::CostModel &model,
                      vlsi::MachineSize size, vlsi::Technology tech,
                      AccountantConfig cfg = {});

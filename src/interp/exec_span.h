@@ -172,7 +172,7 @@ execInsn(const ExecCtx &ctx, const LoweredInsn &insn, int64_t iter,
       case Opcode::FCmpLe:
         SPS_BIN(wi(x.asFloat() <= y.asFloat() ? 1 : 0));
       case Opcode::FToI:
-        SPS_UN(wi(static_cast<int32_t>(x.asFloat())));
+        SPS_UN(wi(isa::fpToInt(x.asFloat())));
       case Opcode::IToF:
         SPS_UN(wf(static_cast<float>(x.asInt())));
       case Opcode::FFloor:

@@ -105,7 +105,7 @@ evalScalar(const Op &op, const Word *a)
       case Opcode::FCmpEq: return wi(F(a[0]) == F(a[1]) ? 1 : 0);
       case Opcode::FCmpLt: return wi(F(a[0]) < F(a[1]) ? 1 : 0);
       case Opcode::FCmpLe: return wi(F(a[0]) <= F(a[1]) ? 1 : 0);
-      case Opcode::FToI: return wi(static_cast<int32_t>(F(a[0])));
+      case Opcode::FToI: return wi(isa::fpToInt(F(a[0])));
       case Opcode::IToF: return wf(static_cast<float>(I(a[0])));
       case Opcode::FFloor: return wf(isa::fpFloor(F(a[0])));
       default:

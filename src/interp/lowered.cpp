@@ -10,6 +10,7 @@
 
 namespace sps::interp {
 
+using isa::FuClass;
 using isa::Opcode;
 using isa::Word;
 using kernel::Kernel;
@@ -19,58 +20,32 @@ using kernel::PortDir;
 LaneClass
 laneClassOf(Opcode code)
 {
+    // The exceptions to the unit class's lane class: FFloor needs the
+    // wide tier's ISA, and conditional streams (COMM issue slots, but
+    // per-cluster cursor state) and Phi carry state across iterations.
     switch (code) {
-      case Opcode::IAdd:
-      case Opcode::ISub:
-      case Opcode::IMul:
-      case Opcode::IAnd:
-      case Opcode::IOr:
-      case Opcode::IXor:
-      case Opcode::IShl:
-      case Opcode::IShr:
-      case Opcode::IAbs:
-      case Opcode::IMin:
-      case Opcode::IMax:
-      case Opcode::ICmpEq:
-      case Opcode::ICmpLt:
-      case Opcode::ICmpLe:
-      case Opcode::Select:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::FSqrt:
-      case Opcode::FRsqrt:
-      case Opcode::FAbs:
-      case Opcode::FNeg:
-      case Opcode::FMin:
-      case Opcode::FMax:
-      case Opcode::FCmpEq:
-      case Opcode::FCmpLt:
-      case Opcode::FCmpLe:
-      case Opcode::FToI:
-      case Opcode::IToF:
-        return LaneClass::Vector;
       case Opcode::FFloor:
         return LaneClass::VectorWide;
-      case Opcode::SbRead:
-      case Opcode::SbWrite:
-        return LaneClass::Stream;
-      case Opcode::LoopIndex:
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::ClusterId:
-      case Opcode::NumClusters:
-        return LaneClass::Broadcast;
-      case Opcode::CommPerm:
-        return LaneClass::Cross;
-      case Opcode::Phi:
       case Opcode::SbCondRead:
       case Opcode::SbCondWrite:
-      case Opcode::SpRead:
-      case Opcode::SpWrite:
-      case Opcode::NumOpcodes:
+      case Opcode::Phi:
         return LaneClass::Scalar;
+      default:
+        break;
+    }
+    switch (isa::fuClassOf(code)) {
+      case FuClass::Adder:
+      case FuClass::Multiplier:
+      case FuClass::Dsq:
+        return LaneClass::Vector;
+      case FuClass::SbPort:
+        return LaneClass::Stream;
+      case FuClass::None:
+        return LaneClass::Broadcast;
+      case FuClass::Comm:
+        return LaneClass::Cross;
+      case FuClass::Scratchpad:
+        break;
     }
     return LaneClass::Scalar;
 }

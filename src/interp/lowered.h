@@ -67,7 +67,8 @@ enum class LaneClass : uint8_t
     Cross = 5,
 };
 
-/** The LaneClass lowering assigns to `code`. */
+/** The LaneClass lowering assigns to `code`, derived from its
+ *  isa::FuClass. */
 LaneClass laneClassOf(isa::Opcode code);
 
 /**

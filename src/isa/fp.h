@@ -2,10 +2,10 @@
  * @file
  * Deterministic floating-point semantics for the NaN-sensitive
  * opcodes. These small functions ARE the architectural definition of
- * FAdd/FMul NaN propagation and of FMin/FMax/FFloor: every execution
- * engine (reference interpreter, scalar span executor, SIMD lane
- * patch-ups) must compute through them so results are bit-identical
- * by construction.
+ * FAdd/FMul NaN propagation and of FMin/FMax/FFloor/FToI: every
+ * execution engine (reference interpreter, scalar span executor, SIMD
+ * lane patch-ups) must compute through them so results are
+ * bit-identical by construction.
  *
  * Why not std::fmax / std::floor: GCC resolves those per call site —
  * sometimes a glibc libcall, sometimes an inline expansion, and
@@ -26,6 +26,9 @@
  *     the first operand, so fmax(-0,+0) = -0 and fmin(-0,+0) = -0.
  *   - FFloor: NaNs (payload and signaling bit included) pass through
  *     unchanged; everything else is exact, so std::floor is safe.
+ *   - FToI: truncation toward zero; NaN and every input outside
+ *     [-2^31, 2^31) give INT32_MIN (0x80000000), the x86 cvttss2si /
+ *     cvttps2dq result. The plain cast is undefined there.
  */
 #ifndef SPS_ISA_FP_H
 #define SPS_ISA_FP_H
@@ -94,6 +97,15 @@ inline float
 fpFloor(float x)
 {
     return fpIsNan(x) ? x : std::floor(x);
+}
+
+inline int32_t
+fpToInt(float x)
+{
+    // -2^31 and 2^31 are exact floats; NaN fails both comparisons.
+    if (!(x >= -0x1p31f && x < 0x1p31f))
+        return INT32_MIN;
+    return static_cast<int32_t>(x);
 }
 
 } // namespace sps::isa

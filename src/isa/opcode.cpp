@@ -4,211 +4,47 @@
 
 namespace sps::isa {
 
-FuClass
-fuClassOf(Opcode op)
+const OpInfo &
+opInfo(Opcode op)
 {
-    switch (op) {
-      case Opcode::IAdd:
-      case Opcode::ISub:
-      case Opcode::IAnd:
-      case Opcode::IOr:
-      case Opcode::IXor:
-      case Opcode::IShl:
-      case Opcode::IShr:
-      case Opcode::IAbs:
-      case Opcode::IMin:
-      case Opcode::IMax:
-      case Opcode::ICmpEq:
-      case Opcode::ICmpLt:
-      case Opcode::ICmpLe:
-      case Opcode::Select:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FAbs:
-      case Opcode::FMin:
-      case Opcode::FMax:
-      case Opcode::FNeg:
-      case Opcode::FCmpEq:
-      case Opcode::FCmpLt:
-      case Opcode::FCmpLe:
-      case Opcode::FToI:
-      case Opcode::IToF:
-      case Opcode::FFloor:
-        return FuClass::Adder;
-      case Opcode::IMul:
-      case Opcode::FMul:
-        return FuClass::Multiplier;
-      case Opcode::FDiv:
-      case Opcode::FSqrt:
-      case Opcode::FRsqrt:
-        return FuClass::Dsq;
-      case Opcode::SpRead:
-      case Opcode::SpWrite:
-        return FuClass::Scratchpad;
-      case Opcode::CommPerm:
-      case Opcode::SbCondRead:
-      case Opcode::SbCondWrite:
-        // Conditional streams route data through the intercluster
-        // switch, so they occupy COMM issue slots (Kapasi et al.).
-        return FuClass::Comm;
-      case Opcode::SbRead:
-      case Opcode::SbWrite:
-        return FuClass::SbPort;
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::LoopIndex:
-      case Opcode::ClusterId:
-      case Opcode::NumClusters:
-      case Opcode::Phi:
-        return FuClass::None;
-      case Opcode::NumOpcodes:
-        break;
-    }
-    panic("fuClassOf: bad opcode %d", static_cast<int>(op));
-}
-
-bool
-isAluOp(Opcode op)
-{
-    switch (fuClassOf(op)) {
-      case FuClass::Adder:
-      case FuClass::Multiplier:
-      case FuClass::Dsq:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isSrfAccess(Opcode op)
-{
-    return op == Opcode::SbRead || op == Opcode::SbWrite ||
-           op == Opcode::SbCondRead || op == Opcode::SbCondWrite;
-}
-
-bool
-isSpAccess(Opcode op)
-{
-    return op == Opcode::SpRead || op == Opcode::SpWrite;
-}
-
-bool
-isCommOp(Opcode op)
-{
-    return op == Opcode::CommPerm || op == Opcode::SbCondRead ||
-           op == Opcode::SbCondWrite;
-}
-
-int
-arity(Opcode op)
-{
-    switch (op) {
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::LoopIndex:
-      case Opcode::ClusterId:
-      case Opcode::NumClusters:
-      case Opcode::SbRead:
-        return 0;
-      case Opcode::IAbs:
-      case Opcode::FAbs:
-      case Opcode::FNeg:
-      case Opcode::FToI:
-      case Opcode::IToF:
-      case Opcode::FFloor:
-      case Opcode::FSqrt:
-      case Opcode::FRsqrt:
-      case Opcode::SpRead:
-      case Opcode::SbWrite:
-      case Opcode::SbCondRead:
-      case Opcode::Phi:
-        return 1;
-      case Opcode::IAdd:
-      case Opcode::ISub:
-      case Opcode::IAnd:
-      case Opcode::IOr:
-      case Opcode::IXor:
-      case Opcode::IShl:
-      case Opcode::IShr:
-      case Opcode::IMin:
-      case Opcode::IMax:
-      case Opcode::ICmpEq:
-      case Opcode::ICmpLt:
-      case Opcode::ICmpLe:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMin:
-      case Opcode::FMax:
-      case Opcode::FCmpEq:
-      case Opcode::FCmpLt:
-      case Opcode::FCmpLe:
-      case Opcode::IMul:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::SpWrite:
-      case Opcode::CommPerm:
-      case Opcode::SbCondWrite:
-        return 2;
-      case Opcode::Select:
-        return 3;
-      case Opcode::NumOpcodes:
-        break;
-    }
-    panic("arity: bad opcode %d", static_cast<int>(op));
+    const auto i = static_cast<size_t>(op);
+    if (i >= std::size(kOpTable))
+        panic("bad opcode %d", static_cast<int>(op));
+    return kOpTable[i];
 }
 
 std::string_view
 mnemonic(Opcode op)
 {
-    switch (op) {
-      case Opcode::IAdd: return "iadd";
-      case Opcode::ISub: return "isub";
-      case Opcode::IAnd: return "iand";
-      case Opcode::IOr: return "ior";
-      case Opcode::IXor: return "ixor";
-      case Opcode::IShl: return "ishl";
-      case Opcode::IShr: return "ishr";
-      case Opcode::IAbs: return "iabs";
-      case Opcode::IMin: return "imin";
-      case Opcode::IMax: return "imax";
-      case Opcode::ICmpEq: return "icmpeq";
-      case Opcode::ICmpLt: return "icmplt";
-      case Opcode::ICmpLe: return "icmple";
-      case Opcode::Select: return "select";
-      case Opcode::FAdd: return "fadd";
-      case Opcode::FSub: return "fsub";
-      case Opcode::FAbs: return "fabs";
-      case Opcode::FMin: return "fmin";
-      case Opcode::FMax: return "fmax";
-      case Opcode::FNeg: return "fneg";
-      case Opcode::FCmpEq: return "fcmpeq";
-      case Opcode::FCmpLt: return "fcmplt";
-      case Opcode::FCmpLe: return "fcmple";
-      case Opcode::FToI: return "ftoi";
-      case Opcode::IToF: return "itof";
-      case Opcode::FFloor: return "ffloor";
-      case Opcode::IMul: return "imul";
-      case Opcode::FMul: return "fmul";
-      case Opcode::FDiv: return "fdiv";
-      case Opcode::FSqrt: return "fsqrt";
-      case Opcode::FRsqrt: return "frsqrt";
-      case Opcode::SpRead: return "sprd";
-      case Opcode::SpWrite: return "spwr";
-      case Opcode::CommPerm: return "comm";
-      case Opcode::SbRead: return "sbrd";
-      case Opcode::SbWrite: return "sbwr";
-      case Opcode::SbCondRead: return "condrd";
-      case Opcode::SbCondWrite: return "condwr";
-      case Opcode::ConstInt: return "consti";
-      case Opcode::ConstFloat: return "constf";
-      case Opcode::LoopIndex: return "loopidx";
-      case Opcode::ClusterId: return "cid";
-      case Opcode::NumClusters: return "nclust";
-      case Opcode::Phi: return "phi";
-      case Opcode::NumOpcodes: break;
-    }
-    return "<bad>";
+    const auto i = static_cast<size_t>(op);
+    return i < std::size(kOpTable) ? kOpTable[i].mnemonic : "<bad>";
+}
+
+bool
+isAluOp(Opcode op)
+{
+    FuClass cls = fuClassOf(op);
+    return cls == FuClass::Adder || cls == FuClass::Multiplier ||
+           cls == FuClass::Dsq;
+}
+
+bool
+isSrfAccess(Opcode op)
+{
+    return fuClassOf(op) == FuClass::SbPort || op == Opcode::SbCondRead ||
+           op == Opcode::SbCondWrite;
+}
+
+bool
+isSpAccess(Opcode op)
+{
+    return fuClassOf(op) == FuClass::Scratchpad;
+}
+
+bool
+isCommOp(Opcode op)
+{
+    return fuClassOf(op) == FuClass::Comm;
 }
 
 } // namespace sps::isa

@@ -156,8 +156,6 @@ struct ChannelStats
 struct TransferTrace
 {
     trace::Tracer *tracer = nullptr;
-    /** Simulated cycle the transfer's busy portion starts. */
-    int64_t startCycle = 0;
     /** Event name (typically the stream op's label). */
     std::string label;
     /** Program-order op id, recorded as the event's async id. */

@@ -76,23 +76,6 @@ MetricsRegistry::add(const std::string &name, const std::string &labels,
     return entries_.back().get();
 }
 
-Counter *
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &labels,
-                         const std::string &help)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    Entry *e = findOrNull(name, labels, MetricKind::Counter);
-    if (!e) {
-        e = add(name, labels, help, MetricKind::Counter);
-        e->ownedC = std::make_unique<Counter>();
-        e->c = e->ownedC.get();
-    }
-    SPS_ASSERT(e->ownedC, "metric %s is exposed by its owner",
-               name.c_str());
-    return e->ownedC.get();
-}
-
 void
 MetricsRegistry::expose(const std::string &name,
                         const std::string &labels,

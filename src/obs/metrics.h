@@ -8,11 +8,11 @@
  *
  * Three metric kinds:
  *  - Counter:   monotonically increasing u64 (requests, hits, errors),
- *               either owned by the registry or owned by the component
- *               that counts and exposed to the registry, which reads
- *               that same object at snapshot time -- so a count the
- *               store, schedule cache, service, or server keeps has
- *               exactly one home and costs nothing extra to scrape;
+ *               always owned by the component that counts and exposed
+ *               to the registry, which reads that same object at
+ *               snapshot time -- so a count the store, schedule cache,
+ *               service, or server keeps has exactly one home and
+ *               costs nothing extra to scrape;
  *  - Gauge:     last-write-wins i64 (active connections, queue depth);
  *  - Histogram: log2-bucketed latency/size distribution with exact
  *               count and sum, and p50/p95/p99 extraction from the
@@ -51,9 +51,8 @@
 
 namespace sps::obs {
 
-/** Monotonic counter. Obtain from MetricsRegistry::counter() (the
- *  handle stays valid for the registry's lifetime), or own one and
- *  publish it with MetricsRegistry::expose(). */
+/** Monotonic counter. Its owner publishes it with
+ *  MetricsRegistry::expose(). */
 class Counter
 {
   public:
@@ -194,10 +193,10 @@ struct MetricsSnapshot
 };
 
 /**
- * Registry of named metrics. counter()/gauge()/histogram() register
- * on first use and return the existing handle on repeated calls with
- * the same (name, labels) -- handles are stable for the registry's
- * lifetime. expose() registers a counter some component owns.
+ * Registry of named metrics. gauge()/histogram() register on first
+ * use and return the existing handle on repeated calls with the same
+ * (name, labels) -- handles are stable for the registry's lifetime.
+ * expose() registers a counter some component owns.
  * Registration takes a mutex; recording through a handle never does.
  * A snapshot reads metrics in registration order.
  */
@@ -208,9 +207,6 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    Counter *counter(const std::string &name,
-                     const std::string &labels = "",
-                     const std::string &help = "");
     Gauge *gauge(const std::string &name,
                  const std::string &labels = "",
                  const std::string &help = "");
@@ -220,8 +216,8 @@ class MetricsRegistry
 
     /**
      * Publish a counter owned by the caller under (name, labels): a
-     * snapshot reads `c` in place, exactly like an owned counter, so
-     * the owner keeps its one copy of the count. Exposing the same
+     * snapshot reads `c` in place, so the owner keeps its one copy of
+     * the count. Exposing the same
      * counter again is a no-op; any other clash panics. `c` must
      * outlive the registry's last snapshot().
      */
@@ -240,9 +236,8 @@ class MetricsRegistry
         std::string labels;
         std::string help;
         MetricKind kind;
-        /** The counter a snapshot reads: ownedC, or an exposed one. */
+        /** The exposed counter a snapshot reads. */
         const Counter *c = nullptr;
-        std::unique_ptr<Counter> ownedC;
         std::unique_ptr<Gauge> g;
         std::unique_ptr<Histogram> h;
     };

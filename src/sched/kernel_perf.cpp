@@ -1,6 +1,8 @@
 #include "sched/kernel_perf.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 #include "sched/depgraph.h"
@@ -42,9 +44,13 @@ static_assert(kUnrollFactors[0] == 1,
 CompiledKernel
 compileKernel(const kernel::Kernel &k, const MachineModel &m)
 {
-    SPS_ASSERT(m.canExecute(k),
-               "kernel %s cannot execute on C=%d N=%d", k.name.c_str(),
-               m.size().clusters, m.size().alusPerCluster);
+    // A client's machine size or params reach here (an N=1 cluster has
+    // no multiplier), so this is an exception, not an abort.
+    if (!m.canExecute(k))
+        throw std::invalid_argument(
+            "kernel " + k.name + " cannot execute on C=" +
+            std::to_string(m.size().clusters) +
+            " N=" + std::to_string(m.size().alusPerCluster));
     kernel::Census census = kernel::takeCensus(k);
 
     CompiledKernel best;

@@ -99,6 +99,8 @@ inline constexpr int kMaxUnrolledOps = 4096;
  * the best per-original-iteration throughput (ties go to the smaller
  * factor). A factor above 1 whose MII bound cannot beat the best so
  * far is skipped without modulo scheduling; the choice is the same.
+ * Throws std::invalid_argument when `m` lacks a unit class `k` issues
+ * on (MachineModel::canExecute).
  */
 CompiledKernel compileKernel(const kernel::Kernel &k,
                              const MachineModel &m);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/log.h"
+#include "isa/fu_mix.h"
 
 namespace sps::sched {
 
@@ -12,12 +12,19 @@ using isa::OpTiming;
 
 MachineModel::MachineModel(vlsi::MachineSize size,
                            const vlsi::CostModel &model)
-    : size_(size), mix_(isa::mixFor(size.alusPerCluster))
+    : size_(size)
 {
+    isa::FuMix mix = isa::mixFor(size.alusPerCluster);
     vlsi::DerivedCounts d = model.derive(size.alusPerCluster);
-    spUnits_ = d.nSp;
-    commUnits_ = d.nComm;
-    sbPorts_ = d.nClSb;
+    auto set = [this](FuClass cls, int n) {
+        units_[static_cast<size_t>(cls)] = n;
+    };
+    set(FuClass::Adder, mix.adders);
+    set(FuClass::Multiplier, mix.multipliers);
+    set(FuClass::Dsq, mix.dsq);
+    set(FuClass::Scratchpad, d.nSp);
+    set(FuClass::Comm, d.nComm);
+    set(FuClass::SbPort, d.nClSb);
     intraExtraStages_ = model.intraPipeStages(size.alusPerCluster);
     // A sparse crossbar (connectivity < 0.5) occasionally needs a
     // second hop to reach an unconnected input; charge one extra
@@ -38,33 +45,11 @@ MachineModel::forSize(vlsi::MachineSize size)
     return MachineModel(size, model);
 }
 
-int
-MachineModel::unitCount(FuClass cls) const
-{
-    switch (cls) {
-      case FuClass::Adder:
-        return mix_.adders;
-      case FuClass::Multiplier:
-        return mix_.multipliers;
-      case FuClass::Dsq:
-        return mix_.dsq;
-      case FuClass::Scratchpad:
-        return spUnits_;
-      case FuClass::Comm:
-        return commUnits_;
-      case FuClass::SbPort:
-        return sbPorts_;
-      case FuClass::None:
-        return 0;
-    }
-    return 0;
-}
-
 FuClass
 MachineModel::issueClass(Opcode op) const
 {
     FuClass cls = isa::fuClassOf(op);
-    if (cls == FuClass::Dsq && mix_.dsq == 0)
+    if (cls == FuClass::Dsq && unitCount(FuClass::Dsq) == 0)
         return FuClass::Multiplier;
     return cls;
 }
@@ -78,7 +63,7 @@ MachineModel::timing(Opcode op) const
         return t;
     if (cls == FuClass::Comm) {
         t.latency = commLatency_;
-    } else if (cls == FuClass::Dsq && mix_.dsq == 0) {
+    } else if (cls == FuClass::Dsq && unitCount(FuClass::Dsq) == 0) {
         // Iterative divide/sqrt microcoded on a multiplier: double
         // latency, and the multiplier is blocked for the duration.
         t.latency *= 2;

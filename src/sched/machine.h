@@ -3,16 +3,17 @@
  * The per-cluster machine resource and timing model used by the VLIW
  * scheduler. Built from a (C, N) machine size plus the VLSI cost model:
  * functional-unit counts come from the FU mix policy and the paper's
- * G* ratios, and communication latencies come from the Section 4 delay
- * analysis (extra intracluster pipeline stages once the switch
- * traversal exceeds half a cycle; intercluster COMM latency from the
- * intercluster delay model).
+ * G* ratios and sit in one array indexed by isa::FuClass, and
+ * operation timings are the isa::kOpTable base timings adjusted by the
+ * Section 4 delay analysis (extra intracluster pipeline stages once the
+ * switch traversal exceeds half a cycle; intercluster COMM latency from
+ * the intercluster delay model).
  */
 #ifndef SPS_SCHED_MACHINE_H
 #define SPS_SCHED_MACHINE_H
 
-#include "isa/fu_mix.h"
-#include "isa/latency.h"
+#include <array>
+
 #include "isa/opcode.h"
 #include "kernel/ir.h"
 #include "vlsi/cost_model.h"
@@ -33,10 +34,12 @@ class MachineModel
     static MachineModel forSize(vlsi::MachineSize size);
 
     const vlsi::MachineSize &size() const { return size_; }
-    const isa::FuMix &mix() const { return mix_; }
 
     /** Number of units available for a functional-unit class. */
-    int unitCount(isa::FuClass cls) const;
+    int unitCount(isa::FuClass cls) const
+    {
+        return units_[static_cast<size_t>(cls)];
+    }
 
     /**
      * The class whose issue slots an opcode occupies on this machine.
@@ -61,10 +64,8 @@ class MachineModel
 
   private:
     vlsi::MachineSize size_;
-    isa::FuMix mix_;
-    int spUnits_ = 1;
-    int commUnits_ = 1;
-    int sbPorts_ = 1;
+    /** Units per FuClass, indexed by the class (None has none). */
+    std::array<int, isa::kNumFuClasses> units_{};
     int intraExtraStages_ = 0;
     int commLatency_ = 2;
 };

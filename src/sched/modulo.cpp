@@ -1,6 +1,7 @@
 #include "sched/modulo.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -48,14 +49,10 @@ heights(const DepGraph &g, int ii)
 class Mrt
 {
   public:
-    Mrt(const MachineModel &m, int ii) : ii_(ii)
+    Mrt(const MachineModel &m, int ii) : m_(m), ii_(ii)
     {
-        for (FuClass cls :
-             {FuClass::Adder, FuClass::Multiplier, FuClass::Dsq,
-              FuClass::Scratchpad, FuClass::Comm, FuClass::SbPort}) {
-            units_[cls] = m.unitCount(cls);
-            table_[cls].assign(static_cast<size_t>(ii), {});
-        }
+        for (auto &rows : table_)
+            rows.assign(static_cast<size_t>(ii), {});
     }
 
     /** Columns a node occupies when issued at cycle t. */
@@ -68,8 +65,8 @@ class Mrt
     bool
     fits(const DepNode &n, int t) const
     {
-        const auto &rows = table_.at(n.cls);
-        int units = units_.at(n.cls);
+        const auto &rows = table_[static_cast<size_t>(n.cls)];
+        int units = m_.unitCount(n.cls);
         std::map<int, int> extra;
         for (int j = 0; j < occupancy(n); ++j)
             ++extra[(t + j) % ii_];
@@ -84,7 +81,7 @@ class Mrt
     void
     place(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[n.cls];
+        auto &rows = table_[static_cast<size_t>(n.cls)];
         for (int j = 0; j < occupancy(n); ++j)
             rows[static_cast<size_t>((t + j) % ii_)].push_back(node);
     }
@@ -92,7 +89,7 @@ class Mrt
     void
     remove(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[n.cls];
+        auto &rows = table_[static_cast<size_t>(n.cls)];
         for (int j = 0; j < occupancy(n); ++j) {
             auto &col = rows[static_cast<size_t>((t + j) % ii_)];
             auto it = std::find(col.begin(), col.end(), node);
@@ -110,8 +107,8 @@ class Mrt
               const std::vector<int64_t> &prio) const
     {
         std::set<int> out;
-        const auto &rows = table_.at(n.cls);
-        int units = units_.at(n.cls);
+        const auto &rows = table_[static_cast<size_t>(n.cls)];
+        int units = m_.unitCount(n.cls);
         std::map<int, int> extra;
         for (int j = 0; j < occupancy(n); ++j)
             ++extra[(t + j) % ii_];
@@ -132,9 +129,10 @@ class Mrt
     }
 
   private:
+    const MachineModel &m_;
     int ii_;
-    std::map<FuClass, int> units_;
-    std::map<FuClass, std::vector<std::vector<int>>> table_;
+    /** Per FuClass, per column: the nodes issued there. */
+    std::array<std::vector<std::vector<int>>, isa::kNumFuClasses> table_;
 };
 
 bool

@@ -12,11 +12,10 @@ machineConfigHash(const MachineModel &m)
     Fnv f;
     f.mix(static_cast<uint64_t>(m.size().clusters));
     f.mix(static_cast<uint64_t>(m.size().alusPerCluster));
-    for (isa::FuClass cls :
-         {isa::FuClass::Adder, isa::FuClass::Multiplier,
-          isa::FuClass::Dsq, isa::FuClass::Scratchpad,
-          isa::FuClass::Comm, isa::FuClass::SbPort})
-        f.mix(static_cast<uint64_t>(m.unitCount(cls)));
+    // Every class with issue slots, in enum order.
+    for (int c = 0; c < static_cast<int>(isa::FuClass::None); ++c)
+        f.mix(static_cast<uint64_t>(
+            m.unitCount(static_cast<isa::FuClass>(c))));
     f.mix(static_cast<uint64_t>(m.intraExtraStages()));
     f.mix(static_cast<uint64_t>(m.commLatency()));
     return f.h;
@@ -67,7 +66,12 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m)
             return;
         }
         uint64_t t0 = obs::monotonicMicros();
-        entry->ck = compileKernel(k, m);
+        try {
+            entry->ck = compileKernel(k, m);
+        } catch (...) {
+            entry->error = std::current_exception();
+            return;
+        }
         if (obs::Histogram *h =
                 compileUs_.load(std::memory_order_relaxed))
             h->observe(obs::monotonicMicros() - t0);
@@ -75,6 +79,8 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m)
         if (disk)
             disk->storeSchedule(skey, entry->ck);
     });
+    if (entry->error)
+        std::rethrow_exception(entry->error);
     switch (outcome) {
     case kCompiled:
         misses_.inc();
@@ -94,13 +100,6 @@ ScheduleCache::attachStore(store::ResultStore *s)
 {
     std::lock_guard<std::mutex> lock(mu_);
     store_ = s;
-}
-
-store::ResultStore *
-ScheduleCache::attachedStore() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_;
 }
 
 void

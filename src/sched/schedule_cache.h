@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -79,7 +80,10 @@ class ScheduleCache
      * A call that performs the compilation counts as a miss; a call
      * whose entry was decoded from the attached store counts as a
      * diskHit; every other call (including ones that waited on a
-     * concurrent winner) counts as a hit.
+     * concurrent winner) counts as a hit. A compile that throws
+     * (compileKernel refuses a kernel the machine cannot execute)
+     * counts nothing: the entry keeps the exception and every lookup
+     * of the key rethrows it.
      */
     const CompiledKernel &get(const kernel::Kernel &k,
                               const MachineModel &m);
@@ -91,7 +95,6 @@ class ScheduleCache
      * using the pointer they sampled.
      */
     void attachStore(store::ResultStore *s);
-    store::ResultStore *attachedStore() const;
 
     /**
      * Publish this cache's telemetry into `registry`: a compile
@@ -140,6 +143,10 @@ class ScheduleCache
     {
         std::once_flag once;
         CompiledKernel ck;
+        /** A refused compile. Kept rather than thrown through
+         *  call_once: ThreadSanitizer's pthread_once never releases a
+         *  flag whose callable threw, so a second lookup would hang. */
+        std::exception_ptr error;
     };
     using Map = std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash>;
 

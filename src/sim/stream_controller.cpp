@@ -235,7 +235,7 @@ executeProgram(const stream::StreamProgram &prog,
             desc.recordWords = op.memRecordWords;
             desc.startCycle = ready;
             desc.write = !is_load;
-            mem::TransferTrace ttr{tracer, ready, op.label, op_id};
+            mem::TransferTrace ttr{tracer, op.label, op_id};
             int ticket =
                 mem_sys.submit(desc, tracer ? &ttr : nullptr);
             pending_mem.push_back(PendingMemOp{i, ticket});

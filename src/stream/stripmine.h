@@ -20,8 +20,6 @@ struct BatchPlan
 {
     int64_t recordsPerBatch = 0;
     int64_t batches = 0;
-    /** True if the full dataset fits in one batch. */
-    bool singleBatch() const { return batches == 1; }
 };
 
 /**

@@ -1,6 +1,9 @@
 #include "vlsi/cost_model.h"
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 #include "common/log.h"
 
@@ -177,26 +180,47 @@ CostModel::delay(MachineSize size) const
                        interDelayFo4(size)};
 }
 
+namespace {
+/** `delayFo4` in whole cycles of `tCyc`. A client's params reach here,
+ *  so a count that is not finite or overflows an int (v0 = 0, a tiny
+ *  t_cyc) throws instead of casting undefined; NaN fails too. */
+int
+wholeCycles(double delayFo4, double tCyc, const char *what)
+{
+    double cycles = std::ceil(delayFo4 / tCyc);
+    if (!(std::fabs(cycles) <= std::numeric_limits<int>::max())) {
+        char msg[160];
+        std::snprintf(msg, sizeof msg,
+                      "bad params: %s of %g FO4 at t_cyc %g is not an "
+                      "int number of cycles",
+                      what, delayFo4, tCyc);
+        throw std::invalid_argument(msg);
+    }
+    return static_cast<int>(cycles);
+}
+} // namespace
+
 int
 CostModel::intraPipeStages(int n) const
 {
     // Half a cycle is budgeted for intracluster communication (as in the
-    // Imagine design); each additional half... no: each additional full
-    // cycle of delay becomes an extra pipeline stage on ALU operations
-    // and streambuffer reads.
+    // Imagine design); each further cycle of delay, whole or part,
+    // becomes an extra pipeline stage on ALU operations and
+    // streambuffer reads.
     double budget = p_.tCyc / 2.0;
     double t = intraDelayFo4(n);
     if (t <= budget)
         return 0;
-    return static_cast<int>(std::ceil((t - budget) / p_.tCyc));
+    return wholeCycles(t - budget, p_.tCyc,
+                       "intracluster delay beyond half a cycle");
 }
 
 int
 CostModel::interCommCycles(MachineSize size) const
 {
     // Intercluster traversals are fully pipelined in whole cycles.
-    return std::max(
-        1, static_cast<int>(std::ceil(interDelayFo4(size) / p_.tCyc)));
+    return std::max(1, wholeCycles(interDelayFo4(size), p_.tCyc,
+                                   "intercluster delay"));
 }
 
 // --------------------------------------------------------------------

@@ -137,6 +137,8 @@ class CostModel
      * Pipeline stages needed for a traversal given the cycle time.
      * The Imagine design budgeted half a cycle for intracluster
      * communication; extra latency is pipelined in whole cycles.
+     * Throws std::invalid_argument when the count is not finite or
+     * does not fit an int (as for interCommCycles).
      */
     int intraPipeStages(int n) const;
     /** Whole cycles of operation latency for an intercluster COMM. */

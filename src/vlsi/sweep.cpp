@@ -20,15 +20,19 @@ evaluate(const CostModel &model, MachineSize size)
     return pt;
 }
 
-/** Evaluate all sizes on the pool; out[i] always belongs to sizes[i]. */
+/** Evaluate all sizes on the pool, or inline without one; out[i]
+ *  always belongs to sizes[i]. */
 std::vector<SweepPoint>
 evaluateAll(const CostModel &model,
             const std::vector<MachineSize> &sizes, ThreadPool *pool)
 {
-    ThreadPool &p = pool ? *pool : ThreadPool::shared();
     std::vector<SweepPoint> out(sizes.size());
-    p.forEach(sizes.size(),
-              [&](size_t i) { out[i] = evaluate(model, sizes[i]); });
+    auto fill = [&](size_t i) { out[i] = evaluate(model, sizes[i]); };
+    if (pool)
+        pool->forEach(sizes.size(), fill);
+    else
+        for (size_t i = 0; i < sizes.size(); ++i)
+            fill(i);
     return out;
 }
 

@@ -3,10 +3,10 @@
  * Scaling-sweep utilities that evaluate the cost model across ranges of
  * C and N and produce the normalized series plotted in Figures 6-12.
  *
- * Sweep points evaluate concurrently on a thread pool (the same
- * substrate core::EvalEngine runs on; pass nullptr for the shared
- * pool) with results collected in axis order, so series are identical
- * whatever the thread count.
+ * Sweep points evaluate concurrently on a thread pool (pass the
+ * engine's, core::EvalEngine::pool(); with nullptr they evaluate
+ * inline on the caller) with results collected in axis order, so
+ * series are identical whatever the thread count.
  */
 #ifndef SPS_VLSI_SWEEP_H
 #define SPS_VLSI_SWEEP_H

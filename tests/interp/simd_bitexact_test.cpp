@@ -11,6 +11,7 @@
  * denormals-are-zero stayed off by checking an exact denormal product.
  */
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -230,10 +231,11 @@ TEST(SimdBitExactTest, StridedRecordGather)
         checkAllBackends(k, c, inputs, "gather");
 }
 
-/** FToI on NaN / inf / out-of-range must match the reference exactly
- *  (x86 cvttps2dq yields 0x80000000 on all of them — the scalar cast
- *  must agree). Singled out because it is the one case where scalar
- *  UB rules and hardware semantics could diverge. */
+/** FToI on NaN / inf / out-of-range must match the reference exactly,
+ *  and the reference must give 0x80000000 on all of them (what x86
+ *  cvttps2dq yields; isa::fpToInt pins the scalar engines to it).
+ *  Singled out because it is the one case where scalar UB rules and
+ *  hardware semantics could diverge. */
 TEST(SimdBitExactTest, FtoiSpecialsSaturateIdentically)
 {
     KernelBuilder b("bx_ftoi_edge");
@@ -256,6 +258,26 @@ TEST(SimdBitExactTest, FtoiSpecialsSaturateIdentically)
         inputs[0].words[i] = wbits(kFtoi[i % std::size(kFtoi)]);
     for (int c : {3, 8})
         checkAllBackends(k, c, inputs, "ftoi-specials");
+
+    // NaN, +-inf, 3.4e38, 2^31 and below -2^31 have no int32 value,
+    // and -2^31 is INT32_MIN itself: each gives 0x80000000.
+    const std::set<uint32_t> saturating = {
+        0x7fc00001u, 0x7f800000u, 0xff800000u, 0x7f7fffffu,
+        0x4f000000u, 0xcf000000u, 0xcf000001u};
+    for (int c : {3, 8}) {
+        const ExecResult ref =
+            sps::interp::runKernelReference(k, c, inputs);
+        const auto &in = inputs[0].words;
+        const auto &out = ref.outputs[0].words;
+        ASSERT_EQ(out.size(), in.size());
+        for (size_t i = 0; i < out.size(); ++i) {
+            if (saturating.count(in[i].bits)) {
+                EXPECT_EQ(out[i].bits, 0x80000000u)
+                    << "input 0x" << std::hex << in[i].bits
+                    << std::dec << " C=" << c;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-#include "isa/latency.h"
+#include "isa/opcode.h"
 
 #include <gtest/gtest.h>
 

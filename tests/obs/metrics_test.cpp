@@ -21,13 +21,14 @@ namespace {
 TEST(MetricsRegistryTest, CounterAndGaugeBasics)
 {
     MetricsRegistry reg;
-    Counter *c = reg.counter("sps_requests_total", "", "requests");
+    Counter c;
+    reg.expose("sps_requests_total", "", "requests", &c);
     Gauge *g = reg.gauge("sps_queue_depth", "", "depth");
-    c->inc();
-    c->inc(4);
+    c.inc();
+    c.inc(4);
     g->set(7);
     g->add(-2);
-    EXPECT_EQ(c->value(), 5u);
+    EXPECT_EQ(c.value(), 5u);
     EXPECT_EQ(g->value(), 5);
 
     MetricsSnapshot snap = reg.snapshot();
@@ -44,13 +45,12 @@ TEST(MetricsRegistryTest, CounterAndGaugeBasics)
 TEST(MetricsRegistryTest, HandlesAreIdempotentPerNameAndLabels)
 {
     MetricsRegistry reg;
-    Counter *a = reg.counter("sps_hits", "tier=\"mem\"");
-    Counter *b = reg.counter("sps_hits", "tier=\"mem\"");
-    Counter *c = reg.counter("sps_hits", "tier=\"disk\"");
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    a->inc(3);
-    c->inc(1);
+    Counter mem, disk;
+    reg.expose("sps_hits", "tier=\"mem\"", "", &mem);
+    reg.expose("sps_hits", "tier=\"mem\"", "", &mem); // a no-op
+    reg.expose("sps_hits", "tier=\"disk\"", "", &disk);
+    mem.inc(3);
+    disk.inc(1);
     EXPECT_EQ(reg.size(), 2u);
 
     MetricsSnapshot snap = reg.snapshot();
@@ -177,8 +177,11 @@ TEST(MetricsRegistryTest, ExposedCounterIsReadInPlace)
 TEST(MetricsRenderTest, PrometheusEmitsHelpAndTypeOncePerFamily)
 {
     MetricsRegistry reg;
-    reg.counter("sps_hits", "tier=\"mem\"", "tier hits")->inc(3);
-    reg.counter("sps_hits", "tier=\"disk\"", "tier hits")->inc(1);
+    Counter mem, disk;
+    reg.expose("sps_hits", "tier=\"mem\"", "tier hits", &mem);
+    reg.expose("sps_hits", "tier=\"disk\"", "tier hits", &disk);
+    mem.inc(3);
+    disk.inc(1);
     reg.gauge("sps_depth", "", "queue depth")->set(-2);
     std::string text = renderPrometheus(reg.snapshot());
 
@@ -232,7 +235,9 @@ TEST(MetricsRenderTest, PrometheusHistogramBucketsAreCumulative)
 TEST(MetricsRenderTest, PrometheusEveryLineParses)
 {
     MetricsRegistry reg;
-    reg.counter("sps_a", "", "a")->inc();
+    Counter a;
+    reg.expose("sps_a", "", "a", &a);
+    a.inc();
     reg.gauge("sps_b", "k=\"v\"", "b")->set(9);
     reg.histogram("sps_c", "", "c")->observe(5);
     std::string text = renderPrometheus(reg.snapshot());
@@ -272,7 +277,9 @@ TEST(MetricsRenderTest, JsonCarriesQuantilesAndEscapes)
     Histogram *h = reg.histogram("sps_lat_us", "app=\"DEPTH\"");
     for (int i = 0; i < 100; ++i)
         h->observe(2);
-    reg.counter("sps_req")->inc(7);
+    Counter req;
+    reg.expose("sps_req", "", "", &req);
+    req.inc(7);
     std::string json = renderJson(reg.snapshot());
 
     EXPECT_NE(json.find("\"name\": \"sps_lat_us\""),
@@ -297,8 +304,9 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
     // order; snapshots run until the last writer is done. CI runs
     // this under TSan.
     MetricsRegistry reg;
-    Counter *done = reg.counter("sps_done_total");
-    Counter *started = reg.counter("sps_started_total");
+    Counter done, started;
+    reg.expose("sps_done_total", "", "", &done);
+    reg.expose("sps_started_total", "", "", &started);
     Histogram *lat = reg.histogram("sps_lat_us");
 
     const int kThreads =
@@ -313,9 +321,9 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
             while (!go.load())
                 std::this_thread::yield();
             for (uint64_t i = 0; i < kPerThread; ++i) {
-                started->inc();
+                started.inc();
                 lat->observe(i % 1024);
-                done->inc();
+                done.inc();
             }
             running.fetch_sub(1);
         });

@@ -1,5 +1,7 @@
 #include "sched/kernel_perf.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"
@@ -139,8 +141,10 @@ TEST(KernelPerfTest, UnrollPruningIsExactOverTheFigureSuite)
     EXPECT_TRUE(saw_housegen_c128_n5);
 }
 
-TEST(KernelPerfDeathTest, UnexecutableKernelPanics)
+TEST(KernelPerfTest, UnexecutableKernelThrows)
 {
+    // A client's size can ask for this, so it is an exception the
+    // evaluation service returns as an error, not an abort.
     KernelBuilder b("mulheavy");
     int in = b.inStream("in");
     int out = b.outStream("out");
@@ -148,7 +152,7 @@ TEST(KernelPerfDeathTest, UnexecutableKernelPanics)
     b.sbWrite(out, b.imul(x, x));
     Kernel k = b.build();
     MachineModel m = MachineModel::forSize({8, 1}); // no multiplier
-    EXPECT_DEATH(compileKernel(k, m), "cannot execute");
+    EXPECT_THROW(compileKernel(k, m), std::invalid_argument);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -31,6 +32,20 @@ TEST(ScheduleCacheTest, SecondLookupHits)
     EXPECT_EQ(ctr.misses, 1u);
     EXPECT_EQ(ctr.hits, 1u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ScheduleCacheTest, RefusedCompileRethrowsOnEveryLookup)
+{
+    // An N=1 cluster has no multiplier: the refusal comes back on every
+    // lookup of the key, and counts neither a compile nor a hit.
+    ScheduleCache cache;
+    MachineModel m = machine(8, 1);
+    const kernel::Kernel &k = workloads::convolveKernel();
+    EXPECT_THROW(cache.get(k, m), std::invalid_argument);
+    EXPECT_THROW(cache.get(k, m), std::invalid_argument);
+    auto ctr = cache.counters();
+    EXPECT_EQ(ctr.misses, 0u);
+    EXPECT_EQ(ctr.hits, 0u);
 }
 
 TEST(ScheduleCacheTest, MatchesDirectCompilation)
@@ -185,8 +200,8 @@ TEST(ScheduleCacheTest, DiskTierAvoidsRecompilation)
 
     ScheduleCache first;
     first.attachStore(&store);
-    EXPECT_EQ(first.attachedStore(), &store);
     const CompiledKernel &compiled = first.get(k, m);
+    // The compile is written back: the store is attached.
     EXPECT_EQ(first.counters().misses, 1u);
     EXPECT_EQ(store.counters().writes, 1u);
 

@@ -16,7 +16,7 @@ TEST(StripmineTest, SingleBatchWhenDatasetFits)
 {
     srf::SrfModel srf = srfFor(128, 10); // 1.4M words
     BatchPlan plan = planBatches(10000, 20, srf, 128);
-    EXPECT_TRUE(plan.singleBatch());
+    EXPECT_EQ(plan.batches, 1);
     EXPECT_EQ(plan.recordsPerBatch, 10000);
 }
 

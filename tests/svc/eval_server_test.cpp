@@ -22,6 +22,7 @@
 #include "core/eval_engine.h"
 #include "svc/eval_client.h"
 #include "svc/protocol.h"
+#include "workloads/suite.h"
 
 namespace sps::svc {
 namespace {
@@ -183,24 +184,31 @@ TEST(EvalServerTest, UnknownAppTravelsBackAsErrorFrame)
     server.stop();
 }
 
-TEST(EvalServerTest, NonPositiveSizeTravelsBackAsErrorFrame)
+TEST(EvalServerTest, UnrunnableSizeTravelsBackAsErrorFrame)
 {
     // A machine with no clusters or no ALUs would trip the SRF and
-    // FU-mix invariants and abort the daemon for every client; the
-    // service turns it into an Error frame for the one requester.
+    // FU-mix invariants, and an N=1 cluster has no multiplier for any
+    // app's kernels; each used to abort the daemon for every client.
+    // The service turns each into an Error frame for the one requester.
     core::EvalEngine engine(2);
     EvalService service(&engine);
     std::string sock = freshSock("badsize");
     EvalServer server(&service, sock);
 
     EvalClient client(sock);
+    std::vector<EvalPoint> bad;
     for (vlsi::MachineSize size : {vlsi::MachineSize{0, 5},
                                    vlsi::MachineSize{8, 0},
                                    vlsi::MachineSize{-4, 5},
-                                   vlsi::MachineSize{8, -1}}) {
-        EXPECT_THROW(client.eval({"DEPTH", size, {}}),
-                     std::runtime_error)
-            << "C=" << size.clusters << " N=" << size.alusPerCluster;
+                                   vlsi::MachineSize{8, -1}})
+        bad.push_back({"DEPTH", size, {}});
+    for (const workloads::AppEntry &app : workloads::appSuite())
+        bad.push_back({app.name, {8, 1}, {}});
+    ASSERT_EQ(bad.size(), 10u);
+    for (const EvalPoint &pt : bad) {
+        EXPECT_THROW(client.eval(pt), std::runtime_error)
+            << pt.app << " C=" << pt.size.clusters
+            << " N=" << pt.size.alusPerCluster;
         EXPECT_FALSE(client.dead());
     }
     EXPECT_GT(client.eval({"DEPTH", {8, 5}, {}}).cycles, 0);

@@ -271,6 +271,18 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
         // Any NaN double would poison the cycles or the energy.
         with([&](C &c) { c.params.h = nan; }),
         with([&](C &c) { c.energyConfig.idleFraction = nan; }),
+        // No streambuffer ports: no kernel can issue.
+        with([](C &c) { c.params.lC = -6; }),
+        // Switch delays that are no int number of cycles.
+        with([](C &c) { c.params.tCyc = 1e-300; }),
+        with([](C &c) { c.params.v0 = 0; }),
+        // Negative or NaN energy rates, a negative idle fraction and a
+        // negative DRAM energy.
+        with([](C &c) { c.params.b = -32; }),
+        with([](C &c) { c.params.gSrf = 0; }),
+        with([](C &c) { c.params.eAlu = -2e6; }),
+        with([](C &c) { c.energyConfig.idleFraction = -1; }),
+        with([](C &c) { c.energyConfig.dram.rowHitEnergyEw = -1e9; }),
     };
     core::EvalEngine engine(2);
     EvalService service(&engine);

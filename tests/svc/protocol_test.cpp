@@ -227,7 +227,9 @@ sampleSnapshot()
     // One of each kind, with labels, help, and a populated histogram
     // -- the shape a live daemon scrape actually carries.
     obs::MetricsRegistry reg;
-    reg.counter("sps_requests_total", "", "requests")->inc(42);
+    obs::Counter requests;
+    reg.expose("sps_requests_total", "", "requests", &requests);
+    requests.inc(42);
     reg.gauge("sps_queue_depth", "app=\"DEPTH\"", "depth")->set(-3);
     obs::Histogram *h =
         reg.histogram("sps_request_duration_us", "tier=\"compute\"");
@@ -295,7 +297,8 @@ TEST(EvalProtocolTest, MetricsSnapshotEveryTruncationRejected)
 TEST(EvalProtocolTest, MetricsSnapshotUnknownKindRejected)
 {
     obs::MetricsRegistry reg;
-    reg.counter("sps_a");
+    obs::Counter a;
+    reg.expose("sps_a", "", "", &a);
     store::ByteWriter w;
     encodeMetricsSnapshot(reg.snapshot(), &w);
     std::vector<uint8_t> bytes = w.bytes();
