@@ -4,11 +4,13 @@
  * Prints the design report for a (C, N) stream processor -- VLSI
  * costs and each suite kernel's compiled II, unroll factor, stages and
  * ALU ops per cycle -- and, when an application name is given,
- * simulates it and renders the stream-operation timeline.
+ * simulates it and renders the stream-operation timeline. A size
+ * the app cannot run on exits 2 with the reason, like a bad argument.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/design.h"
 #include "sim/timeline.h"
@@ -71,9 +73,15 @@ main(int argc, char **argv)
             if (std::strcmp(app.name.c_str(), app_name) != 0)
                 continue;
             sim::StreamProcessor proc = d.makeProcessor();
-            stream::StreamProgram prog =
-                app.build(d.size(), proc.srf());
-            sim::SimResult r = proc.run(prog);
+            sim::SimResult r;
+            try {
+                r = proc.run(app.build(d.size(), proc.srf()));
+            } catch (const std::invalid_argument &e) {
+                // The machine cannot run the app (e.g. N=1 has no
+                // multiplier for its kernels): a bad input, not a crash.
+                std::fprintf(stderr, "explore_cli: %s\n", e.what());
+                return 2;
+            }
             std::printf("\n%s: %lld cycles, %.1f GOPS, memory busy "
                         "%.0f%%, SRF high water %lld/%lld words\n\n",
                         app.name.c_str(),

@@ -161,40 +161,48 @@ ResultStore::attachMetrics(obs::MetricsRegistry *registry)
 bool
 ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
 {
-    std::ifstream in(entryPath(key), std::ios::binary);
+    const std::string path = entryPath(key);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
         misses_.inc();
         return false;
     }
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-        corrupt_.inc();
-        return false;
+    // One size query, then one read of the payload into the caller's
+    // buffer. The buffer is sized from the file, never from the
+    // header's length field, which is checked against it instead.
+    const std::streamoff size = in.tellg();
+    uint8_t header[kHeaderBytes] = {};
+    bool read_ok = size >= static_cast<std::streamoff>(kHeaderBytes) &&
+                   in.seekg(0) &&
+                   in.read(reinterpret_cast<char *>(header), kHeaderBytes);
+    if (read_ok) {
+        payload->resize(static_cast<size_t>(size) - kHeaderBytes);
+        read_ok = static_cast<bool>(
+            in.read(reinterpret_cast<char *>(payload->data()),
+                    static_cast<std::streamsize>(payload->size())));
     }
 
-    ByteReader r(bytes);
+    ByteReader r(header, kHeaderBytes);
     uint32_t magic = 0, version = 0, kind = 0, reserved = 0;
     uint64_t length = 0, checksum = 0;
-    bool header_ok = r.u32(&magic) && r.u32(&version) && r.u32(&kind) &&
-                     r.u32(&reserved) && r.u64(&length) &&
-                     r.u64(&checksum);
+    bool header_ok = read_ok && r.u32(&magic) && r.u32(&version) &&
+                     r.u32(&kind) && r.u32(&reserved) &&
+                     r.u64(&length) && r.u64(&checksum);
     if (!header_ok || magic != kMagic ||
         version != kStoreSchemaVersion ||
         kind != static_cast<uint32_t>(key.kind) ||
-        bytes.size() != kHeaderBytes + length ||
-        checksum != fnv1aBytes(bytes.data() + kHeaderBytes, length)) {
+        length != payload->size() ||
+        checksum != fnv1aBytes(payload->data(), payload->size())) {
         corrupt_.inc();
+        payload->clear();
         return false;
     }
-    payload->assign(bytes.begin() + kHeaderBytes, bytes.end());
     // Refresh the entry's file time so the LRU sweep orders entries
     // by *access* recency. Best effort: an entry evicted between the
     // read and the touch was still served correctly.
     std::error_code ec;
     std::filesystem::last_write_time(
-        entryPath(key), std::filesystem::file_time_type::clock::now(),
-        ec);
+        path, std::filesystem::file_time_type::clock::now(), ec);
     return true;
 }
 

@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -23,13 +22,13 @@ namespace sps::svc {
 namespace {
 
 /** One queued response: either an immediate frame (metrics, errors) or
- *  a pending evaluation whose result frame is produced on delivery. */
+ *  a memory-tier entry whose result frame is delivered once ready. */
 struct PendingResponse
 {
     bool immediate = false;
     FrameKind kind = FrameKind::Error;
     std::vector<uint8_t> payload;
-    std::shared_future<sim::SimResult> future;
+    std::shared_ptr<ResultEntry> entry;
     /** Request span to close after delivery (may be null). */
     std::shared_ptr<obs::RequestSpan> span;
 };
@@ -40,6 +39,19 @@ errorPayload(const std::string &message)
     store::ByteWriter w;
     encodeErrorString(message, &w);
     return w.bytes();
+}
+
+/** The whole EvalResult frame of `res`: header, checksum and the
+ *  store-codec payload. */
+std::vector<uint8_t>
+resultFrame(const sim::SimResult &res)
+{
+    store::ByteWriter w;
+    store::encodeSimResult(res, &w);
+    std::vector<uint8_t> frame;
+    frame.reserve(kFrameHeaderBytes + w.bytes().size());
+    encodeFrame(FrameKind::EvalResult, w.bytes(), &frame);
+    return frame;
 }
 
 } // namespace
@@ -66,6 +78,10 @@ EvalServer::EvalServer(EvalService *service, std::string socketPath,
                     "Well-formed frames handled", &requests_);
         reg->expose("sps_server_protocol_errors", "",
                     "Malformed frames/streams", &protocolErrors_);
+        reg->expose("sps_server_result_encodes", "",
+                    "EvalResult frames built (one per memory-tier "
+                    "entry delivered)",
+                    &resultEncodes_);
     }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -182,23 +198,28 @@ EvalServer::serveConnection(int fd)
                 ok = writeFrame(fd, r.kind, r.payload);
             } else {
                 uint64_t tDeliver = obs::monotonicMicros();
-                FrameKind kind = FrameKind::Error;
-                std::vector<uint8_t> payload;
+                // The entry's frame, built here only on its first
+                // delivery; an exceptional result is never kept and
+                // goes out as an Error frame.
+                const std::vector<uint8_t> *frame = nullptr;
+                std::vector<uint8_t> error;
                 try {
-                    const sim::SimResult &res = r.future.get();
-                    store::ByteWriter w;
-                    store::encodeSimResult(res, &w);
-                    kind = FrameKind::EvalResult;
-                    payload = w.bytes();
+                    frame = &r.entry->frame(
+                        [this](const sim::SimResult &res) {
+                            std::vector<uint8_t> bytes = resultFrame(res);
+                            resultEncodes_.inc();
+                            return bytes;
+                        });
                 } catch (const std::exception &e) {
-                    payload = errorPayload(e.what());
+                    error = errorPayload(e.what());
                 } catch (...) {
-                    payload = errorPayload("evaluation failed");
+                    error = errorPayload("evaluation failed");
                 }
                 if (r.span) {
-                    // future.get() synchronized with the worker's
-                    // set_value, so the stages it wrote are visible
-                    // here; after finish() the span is immutable.
+                    // frame() waited on the result's future, which
+                    // synchronized with the worker's set_value, so the
+                    // stages it wrote are visible here; after finish()
+                    // the span is immutable.
                     // Recorded *before* the frame goes out: a scrape
                     // the client issues after receiving this reply
                     // must already include it.
@@ -212,7 +233,8 @@ EvalServer::serveConnection(int fd)
                         warn("slow request: %s",
                              r.span->describe().c_str());
                 }
-                ok = writeFrame(fd, kind, payload);
+                ok = frame ? writeFrameBytes(fd, *frame)
+                           : writeFrame(fd, FrameKind::Error, error);
             }
             if (!ok) {
                 // Peer vanished mid-delivery: wake the reader too.
@@ -263,7 +285,7 @@ EvalServer::serveConnection(int fd)
                         "x" +
                         std::to_string(pt.size.alusPerCluster));
             }
-            r.future = service_->submit(pt, r.span);
+            r.entry = service_->submitEntry(pt, r.span);
             enqueue(std::move(r));
             break;
         }
@@ -330,7 +352,7 @@ EvalServer::Counters
 EvalServer::counters() const
 {
     return Counters{connections_.value(), requests_.value(),
-                    protocolErrors_.value()};
+                    protocolErrors_.value(), resultEncodes_.value()};
 }
 
 } // namespace sps::svc

@@ -10,6 +10,12 @@
  * asking for the same point share one simulation through the
  * memory -> disk -> compute tiers).
  *
+ * A result reply is the memory-tier entry's EvalResult frame
+ * (svc::ResultEntry): the writer encodes and checksums it on the
+ * entry's first delivery and writes the same bytes for every later
+ * reply from that entry, on any connection. Error and metrics frames
+ * are encoded per reply.
+ *
  * Robustness contract: a malformed frame (truncated, bit-flipped,
  * wrong magic/version/kind, checksum mismatch) terminates only that
  * connection -- after a best-effort Error frame -- and never the
@@ -84,6 +90,7 @@ class EvalServer
         uint64_t connections = 0;    ///< accepted connections
         uint64_t requests = 0;       ///< well-formed frames handled
         uint64_t protocolErrors = 0; ///< malformed frames/streams
+        uint64_t resultEncodes = 0;  ///< EvalResult frames built
     };
     Counters counters() const;
 
@@ -118,6 +125,9 @@ class EvalServer
     obs::Counter connections_;
     obs::Counter requests_;
     obs::Counter protocolErrors_;
+    /** EvalResult frames built: one per memory-tier entry the first
+     *  time a socket delivers it, however many replies reuse it. */
+    obs::Counter resultEncodes_;
 
     std::thread acceptor_;
 };

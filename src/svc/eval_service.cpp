@@ -96,10 +96,17 @@ std::shared_future<sim::SimResult>
 EvalService::submit(const EvalPoint &pt,
                     std::shared_ptr<obs::RequestSpan> span)
 {
+    return submitEntry(pt, std::move(span))->result();
+}
+
+std::shared_ptr<ResultEntry>
+EvalService::submitEntry(const EvalPoint &pt,
+                         std::shared_ptr<obs::RequestSpan> span)
+{
     Metrics *m = metrics_.load(std::memory_order_acquire);
     uint64_t t0 = m ? obs::monotonicMicros() : 0;
     std::string key = requestKey(pt);
-    std::shared_future<sim::SimResult> future;
+    std::shared_ptr<ResultEntry> entry;
     {
         std::lock_guard<std::mutex> lock(mu_);
         requests_.inc();
@@ -110,7 +117,7 @@ EvalService::submit(const EvalPoint &pt,
             // in-flight twin rides the winner's work).
             constexpr int kMem = static_cast<int>(obs::Tier::Mem);
             tier_[kMem].inc();
-            if (it->second.wait_for(std::chrono::seconds(0)) !=
+            if (it->second->result().wait_for(std::chrono::seconds(0)) !=
                 std::future_status::ready)
                 inflightDedup_.inc();
             if (span)
@@ -124,12 +131,13 @@ EvalService::submit(const EvalPoint &pt,
         job.pt = pt;
         job.span = std::move(span);
         job.enqueueUs = obs::monotonicMicros();
-        future = job.promise.get_future().share();
-        results_.emplace(std::move(key), future);
+        entry = std::make_shared<ResultEntry>(
+            job.promise.get_future().share());
+        results_.emplace(std::move(key), entry);
         pending_.push_back(std::move(job));
     }
     wake_.notify_one();
-    return future;
+    return entry;
 }
 
 sim::SimResult
@@ -343,7 +351,7 @@ EvalService::clearMemory()
     // mapped so later identical submissions keep deduplicating onto
     // it instead of double-computing.
     for (auto it = results_.begin(); it != results_.end();) {
-        if (it->second.wait_for(std::chrono::seconds(0)) ==
+        if (it->second->result().wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready)
             it = results_.erase(it);
         else

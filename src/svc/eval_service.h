@@ -19,6 +19,13 @@
  *  - compute: the simulation runs on the engine pool and the result
  *             is written back to the store.
  *
+ * A memory-tier entry (ResultEntry) is the result's future plus, once
+ * the socket server has delivered it, the result's whole EvalResult
+ * frame: built on the entry's first socket delivery, written as-is
+ * for every later reply from the entry, and freed with the entry by
+ * clearMemory(). In-process callers of submit() read only the future
+ * and never build a frame.
+ *
  * Kernel compilations inside the simulations flow through the shared
  * sched::ScheduleCache, which holds the same store as its own disk
  * tier, so a warm run performs zero schedule compiles as well as zero
@@ -32,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -104,6 +112,51 @@ assembleAppPoints(const AppSweepPlan &plan,
                   const std::vector<sim::SimResult> &base_by_app,
                   std::vector<sim::SimResult> grid_results);
 
+/**
+ * One memory-tier entry: a request's result future and, once a socket
+ * has delivered the result, its complete EvalResult frame (header,
+ * checksum and store-codec payload). The server builds the frame on
+ * the entry's first delivery and writes those same bytes for every
+ * later reply served from the entry.
+ */
+class ResultEntry
+{
+  public:
+    explicit ResultEntry(std::shared_future<sim::SimResult> result)
+        : result_(std::move(result))
+    {
+    }
+
+    const std::shared_future<sim::SimResult> &result() const
+    {
+        return result_;
+    }
+
+    /**
+     * Wait for the result and return its frame, calling build(result)
+     * to make it only when no earlier delivery has. An exceptional
+     * result rethrows before anything is kept, and a build that throws
+     * leaves the entry empty for the next delivery, so an error is
+     * never cached as a frame. Safe from any thread; the bytes stay
+     * unchanged for as long as the caller holds the entry.
+     */
+    template <typename Build>
+    const std::vector<uint8_t> &
+    frame(Build &&build)
+    {
+        const sim::SimResult &res = result_.get();
+        std::lock_guard<std::mutex> lock(frameMu_);
+        if (frame_.empty())
+            frame_ = build(res);
+        return frame_;
+    }
+
+  private:
+    std::shared_future<sim::SimResult> result_;
+    std::mutex frameMu_;
+    std::vector<uint8_t> frame_; ///< empty until the first delivery
+};
+
 /** Monotonic per-tier counts of one service instance: a view over
  *  the service's own counters (EvalService::counters()). */
 struct ServiceCounters
@@ -150,6 +203,16 @@ class EvalService
     std::shared_future<sim::SimResult>
     submit(const EvalPoint &pt, std::shared_ptr<obs::RequestSpan> span);
 
+    /**
+     * submit() for a caller that delivers the result over a socket:
+     * the memory-tier entry itself, whose frame() every later request
+     * served from the same entry reuses. The entry outlives
+     * clearMemory() for as long as the caller holds it.
+     */
+    std::shared_ptr<ResultEntry>
+    submitEntry(const EvalPoint &pt,
+                std::shared_ptr<obs::RequestSpan> span);
+
     /** submit() and wait. */
     sim::SimResult eval(const EvalPoint &pt);
 
@@ -166,9 +229,9 @@ class EvalService
                    const std::vector<int> &n_values);
 
     /**
-     * Forget completed in-memory results (the memory tier only; the
-     * disk store is untouched). Outstanding futures stay valid. Does
-     * not reset the counters.
+     * Forget completed in-memory results and their frames (the memory
+     * tier only; the disk store is untouched). Outstanding futures and
+     * entries stay valid. Does not reset the counters.
      */
     void clearMemory();
 
@@ -227,9 +290,9 @@ class EvalService
     std::condition_variable wake_;
     bool stop_ = false;
     std::deque<Job> pending_;
-    /** Request key -> future (in-flight or completed): the memory
+    /** Request key -> entry (in-flight or completed): the memory
      *  tier and the in-flight dedup table in one map. */
-    std::unordered_map<std::string, std::shared_future<sim::SimResult>>
+    std::unordered_map<std::string, std::shared_ptr<ResultEntry>>
         results_;
 
     /** The one copy of every count, with or without a registry:

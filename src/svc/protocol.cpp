@@ -273,6 +273,12 @@ writeFrame(int fd, FrameKind kind, const std::vector<uint8_t> &payload)
     std::vector<uint8_t> frame;
     frame.reserve(kFrameHeaderBytes + payload.size());
     encodeFrame(kind, payload, &frame);
+    return writeFrameBytes(fd, frame);
+}
+
+bool
+writeFrameBytes(int fd, const std::vector<uint8_t> &frame)
+{
     return writeAll(fd, frame.data(), frame.size());
 }
 

@@ -157,6 +157,10 @@ enum class ReadStatus {
 bool writeFrame(int fd, FrameKind kind,
                 const std::vector<uint8_t> &payload);
 
+/** Write bytes encodeFrame() already framed (a kept frame), as they
+ *  are; same error handling as writeFrame(). */
+bool writeFrameBytes(int fd, const std::vector<uint8_t> &frame);
+
 /** Read and verify one frame; blocks until a full frame or EOF. */
 ReadStatus readFrame(int fd, Frame *out);
 

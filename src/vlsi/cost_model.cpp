@@ -9,6 +9,29 @@
 
 namespace sps::vlsi {
 
+namespace {
+[[noreturn]] void
+notAnInt(double v, const char *what)
+{
+    char msg[160];
+    std::snprintf(msg, sizeof msg, "bad params: %s of %g is not an int",
+                  what, v);
+    throw std::invalid_argument(msg);
+}
+
+/** `v` (a whole number) as an int. A client's params reach every
+ *  caller, so a count that is not finite or overflows an int (a huge
+ *  G ratio, v0 = 0, a tiny t_cyc) throws instead of casting
+ *  undefined; NaN fails too. */
+int
+checkedInt(double v, const char *what)
+{
+    if (!(std::fabs(v) <= std::numeric_limits<int>::max()))
+        notAnInt(v, what);
+    return static_cast<int>(v);
+}
+} // namespace
+
 DerivedCounts
 CostModel::derive(int n) const
 {
@@ -17,12 +40,16 @@ CostModel::derive(int n) const
     // A cluster always contains at least one COMM and one SP unit; the
     // G* ratios add more as N grows. The ceiling is what produces the
     // small-N overhead visible in Figure 6 ("the COMM and SP units
-    // contribute to larger area per ALU").
-    d.nComm = std::max(1, static_cast<int>(std::ceil(p_.gComm * n)));
-    d.nSp = std::max(1, static_cast<int>(std::ceil(p_.gSp * n)));
-    d.nFu = n + d.nSp + d.nComm;
-    d.nClSb = static_cast<int>(std::ceil(p_.lC + p_.lN * n));
-    d.nSb = static_cast<int>(p_.lO) + d.nClSb;
+    // contribute to larger area per ALU"). The sums are taken in
+    // double too, so no count overflows an int on the way.
+    d.nComm =
+        std::max(1, checkedInt(std::ceil(p_.gComm * n), "COMM units"));
+    d.nSp = std::max(1, checkedInt(std::ceil(p_.gSp * n), "SP units"));
+    d.nFu = checkedInt(static_cast<double>(n) + d.nSp + d.nComm,
+                       "functional units");
+    d.nClSb = checkedInt(std::ceil(p_.lC + p_.lN * n),
+                         "cluster streambuffers");
+    d.nSb = checkedInt(std::trunc(p_.lO) + d.nClSb, "streambuffers");
     d.pe = d.nClSb;
     return d;
 }
@@ -180,26 +207,6 @@ CostModel::delay(MachineSize size) const
                        interDelayFo4(size)};
 }
 
-namespace {
-/** `delayFo4` in whole cycles of `tCyc`. A client's params reach here,
- *  so a count that is not finite or overflows an int (v0 = 0, a tiny
- *  t_cyc) throws instead of casting undefined; NaN fails too. */
-int
-wholeCycles(double delayFo4, double tCyc, const char *what)
-{
-    double cycles = std::ceil(delayFo4 / tCyc);
-    if (!(std::fabs(cycles) <= std::numeric_limits<int>::max())) {
-        char msg[160];
-        std::snprintf(msg, sizeof msg,
-                      "bad params: %s of %g FO4 at t_cyc %g is not an "
-                      "int number of cycles",
-                      what, delayFo4, tCyc);
-        throw std::invalid_argument(msg);
-    }
-    return static_cast<int>(cycles);
-}
-} // namespace
-
 int
 CostModel::intraPipeStages(int n) const
 {
@@ -211,16 +218,17 @@ CostModel::intraPipeStages(int n) const
     double t = intraDelayFo4(n);
     if (t <= budget)
         return 0;
-    return wholeCycles(t - budget, p_.tCyc,
-                       "intracluster delay beyond half a cycle");
+    return checkedInt(std::ceil((t - budget) / p_.tCyc),
+                      "intracluster cycles beyond half a cycle");
 }
 
 int
 CostModel::interCommCycles(MachineSize size) const
 {
     // Intercluster traversals are fully pipelined in whole cycles.
-    return std::max(1, wholeCycles(interDelayFo4(size), p_.tCyc,
-                                   "intercluster delay"));
+    return std::max(
+        1, checkedInt(std::ceil(interDelayFo4(size) / p_.tCyc),
+                      "intercluster cycles"));
 }
 
 // --------------------------------------------------------------------

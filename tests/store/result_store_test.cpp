@@ -119,6 +119,26 @@ TEST(ResultStoreTest, EveryTruncationIsAMiss)
     EXPECT_EQ(out, payload);
 }
 
+TEST(ResultStoreTest, TrailingBytesAreAMiss)
+{
+    // The header's length must match the file: a valid entry with
+    // bytes appended is damaged, not a hit on its first part.
+    ResultStore store(freshRoot("trailing"));
+    Key key{Kind::SimResult, 3, 1, 4};
+    std::vector<uint8_t> payload{1, 5, 9, 2, 6};
+    ASSERT_TRUE(store.put(key, payload));
+    std::vector<uint8_t> entry = readFile(store.entryPath(key));
+    for (size_t extra : {1, 7, 64}) {
+        std::vector<uint8_t> longer = entry;
+        longer.insert(longer.end(), extra, 0);
+        writeFile(store.entryPath(key), longer);
+        std::vector<uint8_t> out;
+        EXPECT_FALSE(store.get(key, &out)) << extra << " bytes appended";
+    }
+    EXPECT_EQ(store.counters().hits, 0u);
+    EXPECT_EQ(store.counters().corrupt, 3u);
+}
+
 TEST(ResultStoreTest, EveryBitFlipIsAMissOrTheTruth)
 {
     ResultStore store(freshRoot("flip"));

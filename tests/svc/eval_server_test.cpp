@@ -1,9 +1,10 @@
 // End-to-end tests of the Unix-domain-socket front end: a client's
 // result is bit-identical to an in-process evaluation, pipelined
 // responses come back in request order, concurrent clients dedup
-// through the shared service, a garbage stream kills only its own
-// connection, and errors travel back as Error frames instead of
-// wedging the conversation.
+// through the shared service, each memory-tier entry's reply frame is
+// built once however many replies reuse it, a garbage stream kills
+// only its own connection, and errors travel back as Error frames
+// instead of wedging the conversation.
 #ifndef _WIN32
 
 #include "svc/eval_server.h"
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +62,26 @@ rawConnect(const std::string &path)
                         sizeof addr),
               0);
     return fd;
+}
+
+/** Pipeline `n` EvalRequests for `pt` on a raw socket. */
+void
+sendRequests(int fd, const EvalPoint &pt, int n)
+{
+    store::ByteWriter w;
+    encodeEvalRequest(pt, &w);
+    for (int i = 0; i < n; ++i)
+        ASSERT_TRUE(writeFrame(fd, FrameKind::EvalRequest, w.bytes()));
+}
+
+/** Read one reply frame, expecting `kind`; its payload. */
+std::vector<uint8_t>
+readReply(int fd, FrameKind kind)
+{
+    Frame frame;
+    EXPECT_EQ(readFrame(fd, &frame), ReadStatus::Ok);
+    EXPECT_EQ(frame.kind, kind);
+    return frame.payload;
 }
 
 TEST(EvalServerTest, ClientResultBitIdenticalToInProcess)
@@ -138,6 +160,122 @@ TEST(EvalServerTest, ConcurrentClientsShareOneSimulation)
     EXPECT_EQ(vc.memHits + vc.inflightDedup, 3u);
     server.stop();
     EXPECT_EQ(server.counters().connections, 4u);
+}
+
+TEST(EvalServerTest, RepeatRepliesReuseOneFrame)
+{
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    std::string sock = freshSock("oneframe");
+    EvalServer server(&service, sock);
+
+    // An in-process evaluation fills the memory tier but builds no
+    // frame: only a socket delivery does.
+    EvalPoint pt{"DEPTH", {8, 5}, {}};
+    const std::vector<uint8_t> want = resultBytes(service.eval(pt));
+    EXPECT_EQ(server.counters().resultEncodes, 0u);
+
+    // Twelve replies from one entry over two connections: every
+    // payload is the in-process result's encoding, and the frame is
+    // built once.
+    int a = rawConnect(sock);
+    int b = rawConnect(sock);
+    sendRequests(a, pt, 6);
+    sendRequests(b, pt, 6);
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(readReply(a, FrameKind::EvalResult), want) << i;
+        EXPECT_EQ(readReply(b, FrameKind::EvalResult), want) << i;
+    }
+    ::close(a);
+    ::close(b);
+    server.stop();
+    EXPECT_EQ(server.counters().requests, 12u);
+    EXPECT_EQ(server.counters().resultEncodes, 1u);
+    EXPECT_EQ(service.counters().computed, 1u);
+}
+
+TEST(EvalServerTest, RacingFirstDeliveriesBuildOneFrame)
+{
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    std::string sock = freshSock("raceframe");
+    EvalServer server(&service, sock);
+
+    // Eight connections ask for one never-seen point at once, so their
+    // writers race the entry's first delivery.
+    EvalPoint pt{"CONV", {16, 5}, {}};
+    constexpr int kConns = 8;
+    std::vector<std::vector<uint8_t>> got(kConns);
+    std::latch start(kConns);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kConns; ++i)
+        clients.emplace_back([&, i] {
+            int fd = rawConnect(sock);
+            start.arrive_and_wait();
+            sendRequests(fd, pt, 1);
+            got[i] = readReply(fd, FrameKind::EvalResult);
+            ::close(fd);
+        });
+    for (auto &t : clients)
+        t.join();
+    const std::vector<uint8_t> want = resultBytes(service.eval(pt));
+    for (int i = 0; i < kConns; ++i)
+        EXPECT_EQ(got[i], want) << "connection " << i;
+    server.stop();
+    EXPECT_EQ(server.counters().resultEncodes, 1u);
+    EXPECT_EQ(service.counters().computed, 1u);
+}
+
+TEST(EvalServerTest, ClearMemoryDropsTheFrame)
+{
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    std::string sock = freshSock("clearframe");
+    EvalServer server(&service, sock);
+
+    EvalPoint pt{"DEPTH", {8, 5}, {}};
+    int fd = rawConnect(sock);
+    sendRequests(fd, pt, 1);
+    const std::vector<uint8_t> first = readReply(fd, FrameKind::EvalResult);
+    // The frame went with its entry: the next reply comes from a new
+    // entry, whose frame is built again, to the same bytes.
+    service.clearMemory();
+    sendRequests(fd, pt, 1);
+    EXPECT_EQ(readReply(fd, FrameKind::EvalResult), first);
+    EXPECT_EQ(first, resultBytes(service.eval(pt)));
+    ::close(fd);
+    server.stop();
+    EXPECT_EQ(server.counters().resultEncodes, 2u);
+    EXPECT_EQ(service.counters().computed, 2u);
+}
+
+TEST(EvalServerTest, ErrorRepliesKeepNoFrame)
+{
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    std::string sock = freshSock("errframe");
+    EvalServer server(&service, sock);
+
+    // The second request is a memory-tier hit on the failed entry: it
+    // is answered with an Error frame again, and nothing is kept.
+    int fd = rawConnect(sock);
+    sendRequests(fd, {"NO_SUCH_APP", {8, 5}, {}}, 2);
+    for (int i = 0; i < 2; ++i) {
+        std::string message;
+        EXPECT_TRUE(decodeErrorString(readReply(fd, FrameKind::Error),
+                                      &message));
+        EXPECT_NE(message.find("NO_SUCH_APP"), std::string::npos);
+    }
+    EXPECT_EQ(server.counters().resultEncodes, 0u);
+    // The connection stays usable.
+    EvalPoint pt{"DEPTH", {8, 5}, {}};
+    sendRequests(fd, pt, 1);
+    EXPECT_EQ(readReply(fd, FrameKind::EvalResult),
+              resultBytes(service.eval(pt)));
+    ::close(fd);
+    server.stop();
+    EXPECT_EQ(server.counters().resultEncodes, 1u);
+    EXPECT_EQ(server.counters().protocolErrors, 0u);
 }
 
 TEST(EvalServerTest, GarbageStreamKillsOnlyItsConnection)

@@ -283,6 +283,11 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
         with([](C &c) { c.params.eAlu = -2e6; }),
         with([](C &c) { c.energyConfig.idleFraction = -1; }),
         with([](C &c) { c.energyConfig.dram.rowHitEnergyEw = -1e9; }),
+        // Unit and streambuffer counts that are no int.
+        with([](C &c) { c.params.gComm = 1e300; }),
+        with([](C &c) { c.params.gSp = 1e300; }),
+        with([](C &c) { c.params.lN = 1e300; }),
+        with([](C &c) { c.params.lO = 1e300; }),
     };
     core::EvalEngine engine(2);
     EvalService service(&engine);

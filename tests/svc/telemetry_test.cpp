@@ -291,6 +291,10 @@ TEST(ServerTelemetryTest, MetricsRoundTripThroughTheSocket)
     EXPECT_EQ(sc.requests, scraped(snap, "sps_server_requests"));
     EXPECT_EQ(sc.protocolErrors,
               scraped(snap, "sps_server_protocol_errors"));
+    // Two replies from one entry: one frame built.
+    EXPECT_EQ(sc.resultEncodes, 1u);
+    EXPECT_EQ(sc.resultEncodes,
+              scraped(snap, "sps_server_result_encodes"));
     // The decoded snapshot renders exactly like a local one.
     std::string text = obs::renderPrometheus(snap);
     EXPECT_NE(text.find("sps_requests_total 3\n"), std::string::npos);
