@@ -1,8 +1,16 @@
 #include "store/codec.h"
 
 #include "common/fnv.h"
+#include "common/xxh64.h"
 
 namespace sps::store {
+
+uint64_t
+headerChecksum(const uint8_t *prefix, const std::vector<uint8_t> &payload)
+{
+    return xxh64(payload.data(), payload.size(),
+                 xxh64(prefix, kHeaderPrefixBytes, 0));
+}
 
 uint64_t
 fnv1aBytes(const uint8_t *data, size_t n)

@@ -41,10 +41,31 @@ namespace sps::store {
  * History:
  *  1 = initial format (CompiledKernel, SimResult with counters,
  *      energy report, bottleneck report, full timeline).
+ *  2 = the entry header's checksum is headerChecksum (XXH64 over the
+ *      24 prefix bytes and the payload) instead of FNV-1a over the
+ *      payload alone. No payload byte changed; bumped so a version-1
+ *      entry reads as corrupt and is recomputed, never checked by the
+ *      wrong rule.
  */
-inline constexpr uint32_t kStoreSchemaVersion = 1;
+inline constexpr uint32_t kStoreSchemaVersion = 2;
 
-/** FNV-1a over a raw byte range (per-entry payload checksum). */
+/** Header bytes before the checksum word in both 32-byte headers (a
+ *  store entry's and a socket frame's): magic, version, kind, a
+ *  reserved word and the u64 payload length. */
+inline constexpr size_t kHeaderPrefixBytes = 24;
+
+/**
+ * The checksum word of both 32-byte headers: XXH64 (common/xxh64.h)
+ * of the payload, seeded with XXH64 of the header's first
+ * kHeaderPrefixBytes bytes. Covering the prefix means a flip in any
+ * header field -- the kind and the reserved word included -- breaks
+ * it as surely as a flip in the payload.
+ */
+uint64_t headerChecksum(const uint8_t *prefix,
+                        const std::vector<uint8_t> &payload);
+
+/** FNV-1a over a raw byte range: payload digest for golden pins and
+ *  perfbench; not an entry checksum. */
 uint64_t fnv1aBytes(const uint8_t *data, size_t n);
 
 /** Little-endian byte-at-a-time encoder. */

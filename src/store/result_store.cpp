@@ -22,7 +22,7 @@ namespace {
 constexpr uint32_t kMagic = 0x52535053; // "SPSR" little-endian
 
 // Entry header: magic, schema version, kind, pad, payload length,
-// payload checksum -- 32 bytes, followed by the payload.
+// headerChecksum -- 32 bytes, followed by the payload.
 constexpr size_t kHeaderBytes = 32;
 
 const char *
@@ -55,7 +55,7 @@ putHeader(const Key &key, const std::vector<uint8_t> &payload,
     w->u32(static_cast<uint32_t>(key.kind));
     w->u32(0); // reserved
     w->u64(payload.size());
-    w->u64(fnv1aBytes(payload.data(), payload.size()));
+    w->u64(headerChecksum(w->bytes().data(), payload));
 }
 
 } // namespace
@@ -192,7 +192,7 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
         version != kStoreSchemaVersion ||
         kind != static_cast<uint32_t>(key.kind) ||
         length != payload->size() ||
-        checksum != fnv1aBytes(payload->data(), payload->size())) {
+        checksum != headerChecksum(header, *payload)) {
         corrupt_.inc();
         payload->clear();
         return false;

@@ -14,10 +14,11 @@
  *    complete entries, and concurrent writers of the same key are
  *    harmless (last rename wins; same content either way).
  *  - Every entry carries a magic, the store schema version, its kind,
- *    the payload length, and an FNV-1a payload checksum. get()
- *    verifies all of them; a truncated, bit-flipped, mis-kinded, or
- *    version-mismatched entry is treated as a miss (counted in
- *    `corrupt`), never decoded into a wrong result.
+ *    the payload length, and a headerChecksum (store/codec.h) over
+ *    those header bytes and the payload. get() verifies all of them;
+ *    a truncated, bit-flipped, mis-kinded, or version-mismatched
+ *    entry is treated as a miss (counted in `corrupt`), never decoded
+ *    into a wrong result.
  *
  * Thread safety: get()/put() may be called concurrently from any
  * number of threads (and processes); counters are obs::Counters.

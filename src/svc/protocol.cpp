@@ -24,28 +24,6 @@ knownKind(uint32_t kind)
     return false;
 }
 
-/**
- * FNV-1a over the header prefix (magic through length, 24 bytes)
- * chained with the payload. Covering the header means a bit flip in
- * the *kind* field breaks the checksum too -- a damaged EvalResult
- * can never decode as a well-formed Error (or vice versa), which a
- * payload-only checksum would allow.
- */
-uint64_t
-frameChecksum(const uint8_t *prefix, const std::vector<uint8_t> &payload)
-{
-    uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const uint8_t *d, size_t n) {
-        for (size_t i = 0; i < n; ++i) {
-            h ^= d[i];
-            h *= 1099511628211ull;
-        }
-    };
-    mix(prefix, kFrameHeaderBytes - 8);
-    mix(payload.data(), payload.size());
-    return h;
-}
-
 void
 putFrameHeader(FrameKind kind, const std::vector<uint8_t> &payload,
                store::ByteWriter *w)
@@ -56,7 +34,7 @@ putFrameHeader(FrameKind kind, const std::vector<uint8_t> &payload,
     w->u32(static_cast<uint32_t>(kind));
     w->u32(0); // reserved
     w->u64(payload.size());
-    w->u64(frameChecksum(w->bytes().data() + base, payload));
+    w->u64(store::headerChecksum(w->bytes().data() + base, payload));
 }
 
 /**
@@ -106,7 +84,7 @@ decodeFrame(const std::vector<uint8_t> &bytes, Frame *out)
         return false; // truncated payload or trailing bytes
     std::vector<uint8_t> payload(bytes.begin() + kFrameHeaderBytes,
                                  bytes.end());
-    if (checksum != frameChecksum(bytes.data(), payload))
+    if (checksum != store::headerChecksum(bytes.data(), payload))
         return false;
     out->kind = kind;
     out->payload = std::move(payload);
@@ -298,7 +276,7 @@ readFrame(int fd, Frame *out)
     std::vector<uint8_t> payload(static_cast<size_t>(length));
     if (readAll(fd, payload.data(), payload.size()) != payload.size())
         return ReadStatus::Malformed;
-    if (checksum != frameChecksum(header, payload))
+    if (checksum != store::headerChecksum(header, payload))
         return ReadStatus::Malformed;
     out->kind = kind;
     out->payload = std::move(payload);

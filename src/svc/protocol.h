@@ -5,10 +5,10 @@
  * primitives (store::ByteWriter / store::ByteReader) so the same
  * discipline that protects disk entries protects the wire -- every
  * frame carries a magic, the protocol version, its kind, the payload
- * length, and an FNV-1a checksum over header and payload both, and a
- * truncated, bit-flipped,
- * mis-kinded, or version-mismatched frame is rejected outright, never
- * decoded into a wrong result.
+ * length, and a store::headerChecksum over header and payload both --
+ * the one checksum rule of store entries too -- and a truncated,
+ * bit-flipped, mis-kinded, or version-mismatched frame is rejected
+ * outright, never decoded into a wrong result.
  *
  * Conversation shape (client-initiated, ordered per connection):
  *   EvalRequest    -> EvalResult | Error
@@ -65,14 +65,20 @@ inline constexpr uint32_t kProtocolMagic = 0x50535053;
  *      decode with its leaves shifted. No result payload changed, so
  *      store::kStoreSchemaVersion stays; sim entries re-key through
  *      simConfigHash.
+ *  5 = the header's checksum is store::headerChecksum (XXH64 of the
+ *      payload seeded with XXH64 of the 24 prefix bytes) instead of
+ *      FNV-1a over the prefix chained with the payload. No payload
+ *      changed; bumped so a v4 peer fails the version check instead
+ *      of reading every frame as a checksum mismatch.
  */
-inline constexpr uint32_t kProtocolVersion = 4;
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /** Frame header size: magic, version, kind, reserved, payload
  *  length (u64), checksum (u64) -- the same 32-byte shape as a store
- *  entry header. The checksum is FNV-1a over the preceding 24 header
- *  bytes chained with the payload, so a bit flip anywhere in the
- *  frame (the kind field included) is caught. */
+ *  entry header, checked by the same rule: store::headerChecksum of
+ *  the preceding store::kHeaderPrefixBytes header bytes and the
+ *  payload, so a bit flip anywhere in the frame (the kind field
+ *  included) is caught. */
 inline constexpr size_t kFrameHeaderBytes = 32;
 
 /** Upper bound on a payload a peer may announce; a length beyond it

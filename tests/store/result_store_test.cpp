@@ -143,25 +143,37 @@ TEST(ResultStoreTest, EveryBitFlipIsAMissOrTheTruth)
 {
     ResultStore store(freshRoot("flip"));
     Key key{Kind::SimResult, 0xf00, 0xba5, 0x123};
-    std::vector<uint8_t> payload;
-    for (int i = 0; i < 64; ++i)
-        payload.push_back(static_cast<uint8_t>(i * 7));
-    ASSERT_TRUE(store.put(key, payload));
-    std::vector<uint8_t> entry = readFile(store.entryPath(key));
-
-    for (size_t byte = 0; byte < entry.size(); ++byte) {
-        std::vector<uint8_t> damaged = entry;
-        damaged[byte] ^= 0x40;
-        writeFile(store.entryPath(key), damaged);
-        std::vector<uint8_t> out;
-        // Flipping a byte anywhere in the entry must never produce a
-        // *different* payload: either validation rejects it (flips in
-        // the magic/version/kind/length/checksum/payload), or the
-        // payload served is still the original (flips in the reserved
-        // header field, which carries no meaning).
-        if (store.get(key, &out))
-            EXPECT_EQ(out, payload) << "byte " << byte;
+    uint64_t flips = 0;
+    // Payload sizes reach every branch of the checksum: empty, one
+    // 32-byte stripe plus a 7-byte tail (39), and two stripes plus
+    // 4-byte and 3-byte tails (71).
+    for (size_t n : {0, 39, 71}) {
+        std::vector<uint8_t> payload;
+        for (size_t i = 0; i < n; ++i)
+            payload.push_back(static_cast<uint8_t>(i * 7));
+        ASSERT_TRUE(store.put(key, payload));
+        std::vector<uint8_t> entry = readFile(store.entryPath(key));
+        ASSERT_EQ(entry.size(), 32 + n);
+        for (size_t byte = 0; byte < entry.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::vector<uint8_t> damaged = entry;
+                damaged[byte] ^= static_cast<uint8_t>(1u << bit);
+                writeFile(store.entryPath(key), damaged);
+                std::vector<uint8_t> out;
+                // The checksum covers every header byte before it --
+                // the reserved word included -- and the payload, so a
+                // flip anywhere in the entry is a corrupt miss, never
+                // a payload, let alone a different one.
+                EXPECT_FALSE(store.get(key, &out))
+                    << n << "-byte payload, byte " << byte << " bit "
+                    << bit;
+                EXPECT_TRUE(out.empty());
+                ++flips;
+            }
+        }
     }
+    EXPECT_EQ(store.counters().corrupt, flips);
+    EXPECT_EQ(store.counters().hits, 0u);
 }
 
 TEST(ResultStoreTest, VersionMismatchIsAMiss)

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/eval_engine.h"
@@ -63,13 +64,13 @@ errorBytes(const std::string &message)
 class FakeServer
 {
   public:
-    explicit FakeServer(const std::string &path)
+    explicit FakeServer(std::string path) : path_(std::move(path))
     {
         listen_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
         EXPECT_GE(listen_, 0);
         sockaddr_un addr{};
         addr.sun_family = AF_UNIX;
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
         EXPECT_EQ(::bind(listen_,
                          reinterpret_cast<sockaddr *>(&addr),
                          sizeof addr),
@@ -81,6 +82,7 @@ class FakeServer
     {
         join();
         ::close(listen_);
+        ::unlink(path_.c_str()); // bind() made the file; remove it
     }
 
     /** Accept one client, send the scripted frames, then either hang
@@ -116,6 +118,7 @@ class FakeServer
     }
 
   private:
+    std::string path_;
     int listen_ = -1;
     std::thread thread_;
 };

@@ -1,7 +1,8 @@
 // Property tests for the evaluation wire protocol, in the store-codec
 // style: a frame survives a round trip bit-for-bit, and every prefix
-// truncation, trailing byte, bit flip, version bump, or kind mismatch
-// is rejected outright -- never decoded into a wrong frame. The
+// truncation, trailing byte, bit flip (and every two-bit flip within
+// a payload stripe), version bump, or kind mismatch is rejected
+// outright -- never decoded into a wrong frame. The
 // EvalRequest payload codec is held to the same standard, including
 // the config override surviving with an identical simConfigHash.
 #include "svc/protocol.h"
@@ -75,28 +76,62 @@ TEST(EvalProtocolTest, TrailingBytesRejected)
     EXPECT_FALSE(decodeFrame(bytes, &out));
 }
 
+/** A deterministic payload of `n` bytes. */
+std::vector<uint8_t>
+samplePayload(size_t n)
+{
+    std::vector<uint8_t> payload(n);
+    for (size_t i = 0; i < n; ++i)
+        payload[i] = static_cast<uint8_t>(i * 7 + 1);
+    return payload;
+}
+
 TEST(EvalProtocolTest, EveryBitFlipRejectedOrTheTruth)
 {
-    std::vector<uint8_t> payload{0x55, 0xaa, 0x00, 0x7f};
-    std::vector<uint8_t> bytes =
-        frameBytes(FrameKind::EvalResult, payload);
-    for (size_t byte = 0; byte < bytes.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::vector<uint8_t> damaged = bytes;
-            damaged[byte] ^= static_cast<uint8_t>(1u << bit);
-            Frame out;
-            // A flip anywhere must never yield a *different* frame:
-            // either the decode fails (magic/version/kind/length/
-            // checksum/payload flips) or the decoded frame is still
-            // the original (flips in the reserved header word).
-            if (decodeFrame(damaged, &out)) {
-                EXPECT_EQ(out.kind, FrameKind::EvalResult)
-                    << "byte " << byte << " bit " << bit;
-                EXPECT_EQ(out.payload, payload)
-                    << "byte " << byte << " bit " << bit;
+    // Payload sizes reach every branch of the checksum: empty, a
+    // 4-byte lane, one 32-byte stripe plus a 7-byte tail (39), and two
+    // stripes plus 4-byte and 3-byte tails (71).
+    for (size_t n : {0, 4, 39, 71}) {
+        std::vector<uint8_t> bytes =
+            frameBytes(FrameKind::EvalResult, samplePayload(n));
+        for (size_t byte = 0; byte < bytes.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::vector<uint8_t> damaged = bytes;
+                damaged[byte] ^= static_cast<uint8_t>(1u << bit);
+                Frame out;
+                // The checksum covers every header byte before it --
+                // the reserved word included -- and the payload, so
+                // no flip anywhere survives: the decode never yields
+                // a frame, let alone a different one.
+                EXPECT_FALSE(decodeFrame(damaged, &out))
+                    << n << "-byte payload, byte " << byte << " bit "
+                    << bit;
             }
         }
     }
+}
+
+TEST(EvalProtocolTest, EveryTwoBitFlipInFirstStripeRejected)
+{
+    // Every pair of flipped bits within the first 32-byte stripe of a
+    // 71-byte payload: 256 * 255 / 2 = 32,640 damaged frames.
+    std::vector<uint8_t> bytes =
+        frameBytes(FrameKind::EvalResult, samplePayload(71));
+    const size_t first = kFrameHeaderBytes * 8;
+    const size_t last = first + 32 * 8;
+    size_t tried = 0;
+    for (size_t a = first; a < last; ++a) {
+        for (size_t b = a + 1; b < last; ++b) {
+            std::vector<uint8_t> damaged = bytes;
+            damaged[a / 8] ^= static_cast<uint8_t>(1u << (a % 8));
+            damaged[b / 8] ^= static_cast<uint8_t>(1u << (b % 8));
+            Frame out;
+            EXPECT_FALSE(decodeFrame(damaged, &out))
+                << "payload bits " << a - first << " and " << b - first;
+            ++tried;
+        }
+    }
+    EXPECT_EQ(tried, 32640u);
 }
 
 TEST(EvalProtocolTest, VersionMismatchRejected)
