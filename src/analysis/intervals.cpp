@@ -7,10 +7,13 @@ namespace sps::analysis {
 std::vector<CycleInterval>
 mergeIntervals(std::vector<CycleInterval> v)
 {
-    std::sort(v.begin(), v.end(),
-              [](const CycleInterval &a, const CycleInterval &b) {
-                  return a.start < b.start;
-              });
+    // The merge below gives the same set for any order of equal
+    // starts, so input already in start order skips the sort.
+    auto by_start = [](const CycleInterval &a, const CycleInterval &b) {
+        return a.start < b.start;
+    };
+    if (!std::is_sorted(v.begin(), v.end(), by_start))
+        std::sort(v.begin(), v.end(), by_start);
     std::vector<CycleInterval> out;
     for (const CycleInterval &iv : v) {
         if (iv.end <= iv.start)

@@ -21,8 +21,9 @@ struct CycleInterval
     int64_t end = 0;
 };
 
-/** Sort and merge possibly-overlapping intervals into a disjoint,
- *  sorted set (empty intervals dropped). */
+/** Sort (unless already in start order) and merge possibly-overlapping
+ *  intervals into a disjoint, sorted set (empty intervals dropped;
+ *  touching ones joined). */
 std::vector<CycleInterval> mergeIntervals(std::vector<CycleInterval> v);
 
 /** Total length of a disjoint interval set. */

@@ -72,6 +72,43 @@ checkedTCol(const StreamMemConfig &cfg)
 } // namespace
 
 /**
+ * A transfer's simulated prefix as a walk over records, with the base
+ * address and the stride split into quotient and residue by the
+ * channel count. It depends on the transfer alone, so a batch derives
+ * it once per transfer, and each channel's cursor starts from a copy.
+ */
+struct StreamMemSystem::Geometry
+{
+    Geometry(const TransferDesc &d, int64_t sim_words, int channels)
+    {
+        int64_t rec = std::max<int64_t>(1, d.recordWords);
+        int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
+        if (stride == rec)
+            rec = std::max<int64_t>(1, sim_words);
+        recWords = rec;
+        recsLeft = (sim_words + rec - 1) / rec;
+        lastWords = sim_words - (recsLeft - 1) * rec;
+        startQ = d.baseWord / channels;
+        startR = static_cast<int>(d.baseWord % channels);
+        strideQ = stride / channels;
+        strideR = static_cast<int>(stride % channels);
+    }
+
+    /** Words per record (the whole prefix when dense). */
+    int64_t recWords = 0;
+    /** Records not yet passed, the current one included. */
+    int64_t recsLeft = 0;
+    /** Words in the final, possibly partial, record. */
+    int64_t lastWords = 0;
+    /** Current record's start address: quotient and residue by the
+     *  channel count, and the same split of the stride. */
+    int64_t startQ = 0;
+    int startR = 0;
+    int64_t strideQ = 0;
+    int strideR = 0;
+};
+
+/**
  * Lazy address generator for one (transfer, channel) pair: yields, in
  * transfer order, the DRAM coordinates of the transfer's simulated
  * words that live on the channel (word address mod channels).
@@ -79,7 +116,7 @@ checkedTCol(const StreamMemConfig &cfg)
  * A record's words on one channel sit `channels` apart, so their
  * channel-local addresses are consecutive: the cursor decodes the
  * first word of each such run once and steps through the rest. Record
- * starts advance by a precomputed quotient and residue of the stride,
+ * starts advance by the geometry's quotient and residue of the stride,
  * so moving to the next record divides nothing either, and skipping a
  * record with no word on the channel costs a few adds. A dense
  * transfer is one record, hence one run per channel.
@@ -87,21 +124,10 @@ checkedTCol(const StreamMemConfig &cfg)
 class StreamMemSystem::ChannelCursor
 {
   public:
-    ChannelCursor(const TransferDesc &d, int64_t sim_words, int channel,
-                  int channels, const DramChannel &dram)
-        : dram_(&dram), channel_(channel), channels_(channels)
+    ChannelCursor(const Geometry &g, int channel, int channels,
+                  const DramChannel &dram)
+        : dram_(&dram), channel_(channel), channels_(channels), g_(g)
     {
-        int64_t rec = std::max<int64_t>(1, d.recordWords);
-        int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
-        if (stride == rec)
-            rec = std::max<int64_t>(1, sim_words);
-        recWords_ = rec;
-        recsLeft_ = (sim_words + rec - 1) / rec;
-        lastWords_ = sim_words - (recsLeft_ - 1) * rec;
-        startQ_ = d.baseWord / channels;
-        startR_ = static_cast<int>(d.baseWord % channels);
-        strideQ_ = stride / channels;
-        strideR_ = static_cast<int>(stride % channels);
         seek();
     }
 
@@ -123,7 +149,7 @@ class StreamMemSystem::ChannelCursor
     bool rowHolds(int64_t n) const
     {
         int64_t run = rowRun();
-        return run >= n || (run == left_ && recsLeft_ == 1);
+        return run >= n || (run == left_ && g_.recsLeft == 1);
     }
 
     /** Move past `n` requests, 1 <= n <= rowRun(). */
@@ -142,12 +168,12 @@ class StreamMemSystem::ChannelCursor
   private:
     void nextRecord()
     {
-        --recsLeft_;
-        startQ_ += strideQ_;
-        startR_ += strideR_;
-        if (startR_ >= channels_) {
-            startR_ -= channels_;
-            ++startQ_;
+        --g_.recsLeft;
+        g_.startQ += g_.strideQ;
+        g_.startR += g_.strideR;
+        if (g_.startR >= channels_) {
+            g_.startR -= channels_;
+            ++g_.startQ;
         }
     }
 
@@ -155,15 +181,15 @@ class StreamMemSystem::ChannelCursor
      *  has a word on this channel; done when there is none. */
     void seek()
     {
-        for (; recsLeft_ > 0; nextRecord()) {
-            int64_t len = recsLeft_ == 1 ? lastWords_ : recWords_;
-            int off = channel_ - startR_;
+        for (; g_.recsLeft > 0; nextRecord()) {
+            int64_t len = g_.recsLeft == 1 ? g_.lastWords : g_.recWords;
+            int off = channel_ - g_.startR;
             if (off < 0)
                 off += channels_;
             if (off < len) {
                 left_ = (len - off - 1) / channels_ + 1;
-                at_ = dram_->decode(startQ_ +
-                                    (startR_ + off >= channels_ ? 1 : 0));
+                at_ = dram_->decode(g_.startQ +
+                                    (g_.startR + off >= channels_ ? 1 : 0));
                 return;
             }
         }
@@ -173,18 +199,8 @@ class StreamMemSystem::ChannelCursor
     const DramChannel *dram_;
     int channel_;
     int channels_;
-    /** Words per record (the whole prefix when dense). */
-    int64_t recWords_ = 0;
-    /** Records not yet passed, the current one included. */
-    int64_t recsLeft_ = 0;
-    /** Words in the final, possibly partial, record. */
-    int64_t lastWords_ = 0;
-    /** Current record's start address: quotient and residue by the
-     *  channel count, and the same split of the stride. */
-    int64_t startQ_ = 0;
-    int startR_ = 0;
-    int64_t strideQ_ = 0;
-    int strideR_ = 0;
+    /** The record walk, advanced in place. */
+    Geometry g_;
     /** This channel's words left in the current run; 0 when done. */
     int64_t left_ = 0;
     DramAddr at_;
@@ -283,7 +299,6 @@ StreamMemSystem::resolveAll()
     Batch &b = batch_;
     const size_t ntc = nt * static_cast<size_t>(C);
     b.factor.assign(nt, 1.0);
-    b.simWords.assign(nt, 0);
     b.svcStart.assign(nt, kFar);
     b.simHits.assign(nt, 0);
     b.simConflicts.assign(nt, 0);
@@ -291,18 +306,24 @@ StreamMemSystem::resolveAll()
     b.simReorderMax.assign(nt, 0);
     b.busyTC.assign(ntc, 0);
     b.lastEndTC.assign(ntc, -1);
-    b.doneTC.assign(ntc, -1);
+    b.geom.clear();
 
     // Each transfer is simulated up to the cap; a longer one is
-    // extrapolated from that prefix by `factor`.
+    // extrapolated from that prefix by `factor`. Its geometry is
+    // derived here, once for all channels.
+    bool capped = false;
     for (size_t t = 0; t < nt; ++t) {
         const TransferDesc &d = pending_[t].desc;
         int64_t sim = std::min(d.words, kSimCap);
-        b.simWords[t] = sim;
+        capped = capped || sim < d.words;
         b.factor[t] = sim > 0 ? static_cast<double>(d.words) /
                                     static_cast<double>(sim)
                               : 1.0;
+        b.geom.emplace_back(d, sim, C);
     }
+    // Only a capped transfer stretches a channel's later service.
+    if (capped)
+        b.doneTC.assign(ntc, -1);
 
     // --- Joint service: one FR-FCFS window per channel over all
     // transfers in the batch. Requests go to channel `wordAddr % C`
@@ -317,8 +338,7 @@ StreamMemSystem::resolveAll()
         b.cur.clear();
         size_t live = 0; // cursors with requests left
         for (size_t t = 0; t < nt; ++t) {
-            b.cur.emplace_back(pending_[t].desc, b.simWords[t], c, C,
-                               chan.dram);
+            b.cur.emplace_back(b.geom[t], c, C, chan.dram);
             live += b.cur.back().done() ? 0 : 1;
         }
         if (live == 0)
@@ -460,6 +480,9 @@ StreamMemSystem::resolveAll()
                    s.rowHit ? 1 : 0, s.bankConflict, s.pickIndex);
         }
         close_run();
+        chan.freeCycle = now;
+        if (!capped)
+            continue;
 
         // Extrapolation stretch: capped transfers own f-times their
         // simulated pin time, so later service on this channel (and
@@ -490,16 +513,17 @@ StreamMemSystem::resolveAll()
             b.doneTC[s.tc] = s.lastEnd + prefix;
         }
         if (total_extra > 0) {
-            chan.freeCycle = now + total_extra;
+            chan.freeCycle += total_extra;
             cs.busyCycles += total_extra;
             if (!busyIvs_.empty())
                 busyIvs_.back().end += total_extra;
-        } else {
-            chan.freeCycle = now;
         }
     }
 
-    // --- Per-transfer results.
+    // --- Per-transfer results. With no capped transfer nothing
+    // stretched, so each (transfer, channel) pair is done where its
+    // service ended.
+    const std::vector<int64_t> &done_tc = capped ? b.doneTC : b.lastEndTC;
     for (size_t t = 0; t < nt; ++t) {
         const Pending &p = pending_[t];
         const TransferDesc &d = p.desc;
@@ -518,8 +542,8 @@ StreamMemSystem::resolveAll()
             int64_t true_busy = scaleCount(b.busyTC[tc], f);
             busy_total += true_busy;
             busy_max = std::max(busy_max, true_busy);
-            if (b.doneTC[tc] >= 0)
-                done = std::max(done, b.doneTC[tc]);
+            if (done_tc[tc] >= 0)
+                done = std::max(done, done_tc[tc]);
         }
         r.serviceStart = b.svcStart[t] == kFar ? d.startCycle
                                                : b.svcStart[t];

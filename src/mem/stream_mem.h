@@ -8,12 +8,14 @@
  * (word interleaving by address, so stride-aliased streams collapse
  * onto a subset of the channels instead of being credited full
  * aggregate bandwidth). Requests are generated lazily by one cursor
- * per (transfer, channel): it decodes the first word of each run of
- * consecutive channel-local addresses into (bank, row) once and steps
- * through the rest, so a request inside a run costs a few adds and no
- * division. Channel state -- open rows, bank contents, and the
- * per-channel busy cursor -- is owned by the StreamMemSystem and
- * persists across transfers within one program run.
+ * per (transfer, channel), started from the transfer's record geometry
+ * (derived once per transfer, not per channel): it decodes the first
+ * word of each run of consecutive channel-local addresses into (bank,
+ * row) once and steps through the rest, so a request inside a run
+ * costs a few adds and no division. Channel state -- open rows, bank
+ * contents, and the per-channel busy cursor -- is owned by the
+ * StreamMemSystem and persists across transfers within one program
+ * run.
  *
  * Contention is modelled by batched joint service: transfers submitted
  * between two resolve points are interleaved request-by-request into
@@ -35,8 +37,8 @@
  * service, and a transfer alone on a channel costs O(rows), not
  * O(words).
  *
- * The batch buffers -- the cursors, the per-transfer and
- * per-(transfer, channel) totals, and the one FR-FCFS window that
+ * The batch buffers -- the geometries and cursors, the per-transfer
+ * and per-(transfer, channel) totals, and the one FR-FCFS window that
  * serves each channel in turn -- are owned by the StreamMemSystem and
  * reset, not reallocated, by every resolve: once they have grown to
  * the largest batch, a batch allocates nothing.
@@ -240,8 +242,10 @@ class StreamMemSystem
                             const TransferTrace *tr = nullptr);
 
   private:
-    /** Lazy request generator of one (transfer, channel) pair
-     *  (stream_mem.cpp). */
+    /** A transfer's record walk, split by the channel count, and the
+     *  lazy request generator of one (transfer, channel) pair that
+     *  starts from it (stream_mem.cpp). */
+    struct Geometry;
     class ChannelCursor;
 
     struct Channel
@@ -268,13 +272,14 @@ class StreamMemSystem
     /**
      * resolveAll's buffers. Every batch resets the per-transfer arrays
      * (indexed t) and the per-(transfer, channel) ones (indexed
-     * t * channels + c); every channel clears `cur` and `stretch`. The
-     * vectors keep their capacity from batch to batch.
+     * t * channels + c), `doneTC` only when a transfer is capped; every
+     * channel clears `cur` and, when capped, `stretch`. The vectors
+     * keep their capacity from batch to batch.
      */
     struct Batch
     {
+        std::vector<Geometry> geom;
         std::vector<double> factor;
-        std::vector<int64_t> simWords;
         std::vector<int64_t> svcStart;
         std::vector<int64_t> simHits, simConflicts, simReorderSum,
             simReorderMax;

@@ -235,9 +235,13 @@ executeProgram(const stream::StreamProgram &prog,
             desc.recordWords = op.memRecordWords;
             desc.startCycle = ready;
             desc.write = !is_load;
-            mem::TransferTrace ttr{tracer, op.label, op_id};
-            int ticket =
-                mem_sys.submit(desc, tracer ? &ttr : nullptr);
+            int ticket;
+            if (SPS_TRACE_ENABLED(tracer)) {
+                mem::TransferTrace ttr{tracer, op.label, op_id};
+                ticket = mem_sys.submit(desc, &ttr);
+            } else {
+                ticket = mem_sys.submit(desc);
+            }
             pending_mem.push_back(PendingMemOp{i, ticket});
             unresolved[i] = true;
             // Timeline/completion filled in by resolve_mem; until

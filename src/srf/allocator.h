@@ -9,13 +9,17 @@
 #define SPS_SRF_ALLOCATOR_H
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "srf/srf.h"
 
 namespace sps::srf {
 
-/** First-fit-free bump allocator over SRF capacity. */
+/**
+ * First-fit-free bump allocator over SRF capacity. Stream ids are a
+ * program's dense stream indices, so residency is a flat table indexed
+ * by id that grows to the largest id allocated; a negative id panics.
+ */
 class Allocator
 {
   public:
@@ -43,17 +47,27 @@ class Allocator
      */
     void forceAllocate(int64_t stream_id, int64_t words);
 
-    /** Release a stream's space. No-op if it was never allocated. */
-    void release(int64_t stream_id);
+    /** Release a stream's space; returns false and does nothing if it
+     *  holds none. */
+    bool release(int64_t stream_id);
 
-    /** True if the stream currently holds SRF space. */
+    /** True if the stream currently holds SRF space (possibly 0 words). */
     bool resident(int64_t stream_id) const;
 
   private:
+    /** live_ entry of a stream that holds no space. */
+    static constexpr int64_t kAbsent = -1;
+
+    /** The stream's words, or kAbsent; a negative id panics. */
+    int64_t held(int64_t stream_id) const;
+    /** Record `words` for a stream that holds no space. */
+    void hold(int64_t stream_id, int64_t words);
+
     int64_t capacity_;
     int64_t used_ = 0;
     int64_t highWater_ = 0;
-    std::map<int64_t, int64_t> live_;
+    /** Words held per stream id; kAbsent when not resident. */
+    std::vector<int64_t> live_;
 };
 
 } // namespace sps::srf

@@ -1,79 +1,102 @@
 #include "stream/deps.h"
 
 #include <algorithm>
-#include <set>
-
-#include "common/log.h"
 
 namespace sps::stream {
+
+namespace {
+
+/** Append the distinct values of `v`, ascending, as the next list of
+ *  `out`, and empty `v`. */
+void
+closeAsSet(OpLists &out, std::vector<int> &v)
+{
+    std::sort(v.begin(), v.end());
+    out.items.insert(out.items.end(), v.begin(),
+                     std::unique(v.begin(), v.end()));
+    out.close();
+    v.clear();
+}
+
+} // namespace
 
 ProgramDeps
 analyzeDeps(const StreamProgram &prog)
 {
     const auto &ops = prog.ops();
-    const int n_streams = static_cast<int>(prog.streams().size());
+    const size_t n_streams = prog.streams().size();
     ProgramDeps out;
-    out.deps.resize(ops.size());
-    out.lastUseOf.resize(ops.size());
-    out.reads.resize(ops.size());
-    out.writes.resize(ops.size());
+    for (OpLists *l : {&out.deps, &out.lastUseOf, &out.reads, &out.writes})
+        l->offsets.reserve(ops.size() + 1);
 
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const StreamOp &op = ops[i];
+    for (const StreamOp &op : ops) {
         switch (op.kind) {
           case OpKind::Load:
-            out.writes[i].push_back(op.stream);
+            out.writes.items.push_back(op.stream);
             break;
           case OpKind::Store:
-            out.reads[i].push_back(op.stream);
+            out.reads.items.push_back(op.stream);
             break;
           case OpKind::Kernel:
             for (size_t p = 0; p < op.args.size(); ++p) {
                 if (op.k->streams[p].dir == kernel::PortDir::In)
-                    out.reads[i].push_back(op.args[p]);
+                    out.reads.items.push_back(op.args[p]);
                 else
-                    out.writes[i].push_back(op.args[p]);
+                    out.writes.items.push_back(op.args[p]);
             }
             break;
         }
+        out.reads.close();
+        out.writes.close();
     }
 
-    std::vector<int> last_writer(static_cast<size_t>(n_streams), -1);
-    std::vector<std::vector<int>> readers_since(
-        static_cast<size_t>(n_streams));
+    // The readers of each stream since its last write: one list per
+    // stream, linked through a single pool (newest first) and emptied
+    // by resetting its head.
+    struct Reader
+    {
+        int op;
+        int next;
+    };
+    std::vector<Reader> readers;
+    readers.reserve(out.reads.items.size());
+    std::vector<int> readers_head(n_streams, -1);
+    std::vector<int> last_writer(n_streams, -1);
+    std::vector<int> last_use(n_streams, -1);
+    std::vector<int> d;
     for (size_t i = 0; i < ops.size(); ++i) {
-        std::set<int> d;
+        const int op = static_cast<int>(i);
         for (int s : out.reads[i]) {
-            if (last_writer[static_cast<size_t>(s)] >= 0)
-                d.insert(last_writer[static_cast<size_t>(s)]);
-            readers_since[static_cast<size_t>(s)].push_back(
-                static_cast<int>(i));
+            const auto su = static_cast<size_t>(s);
+            if (last_writer[su] >= 0)
+                d.push_back(last_writer[su]);
+            readers.push_back(Reader{op, readers_head[su]});
+            readers_head[su] = static_cast<int>(readers.size()) - 1;
+            last_use[su] = op;
         }
         for (int s : out.writes[i]) {
-            if (last_writer[static_cast<size_t>(s)] >= 0)
-                d.insert(last_writer[static_cast<size_t>(s)]);
-            for (int r : readers_since[static_cast<size_t>(s)])
-                d.insert(r);
-            last_writer[static_cast<size_t>(s)] = static_cast<int>(i);
-            readers_since[static_cast<size_t>(s)].clear();
+            const auto su = static_cast<size_t>(s);
+            if (last_writer[su] >= 0)
+                d.push_back(last_writer[su]);
+            for (int r = readers_head[su]; r >= 0;
+                 r = readers[static_cast<size_t>(r)].next)
+                d.push_back(readers[static_cast<size_t>(r)].op);
+            last_writer[su] = op;
+            readers_head[su] = -1;
+            last_use[su] = op;
         }
-        d.erase(static_cast<int>(i));
-        out.deps[i].assign(d.begin(), d.end());
+        std::erase(d, op);
+        closeAsSet(out.deps, d);
     }
 
-    // Last use per stream.
-    std::vector<int> last_use(static_cast<size_t>(n_streams), -1);
+    // An op is the last use of each stream it touches that no later op
+    // touches.
     for (size_t i = 0; i < ops.size(); ++i) {
-        for (int s : out.reads[i])
-            last_use[static_cast<size_t>(s)] = static_cast<int>(i);
-        for (int s : out.writes[i])
-            last_use[static_cast<size_t>(s)] = static_cast<int>(i);
-    }
-    for (int s = 0; s < n_streams; ++s) {
-        if (last_use[static_cast<size_t>(s)] >= 0)
-            out.lastUseOf[static_cast<size_t>(
-                              last_use[static_cast<size_t>(s)])]
-                .push_back(s);
+        for (std::span<const int> l : {out.reads[i], out.writes[i]})
+            for (int s : l)
+                if (last_use[static_cast<size_t>(s)] == static_cast<int>(i))
+                    d.push_back(s);
+        closeAsSet(out.lastUseOf, d);
     }
     return out;
 }

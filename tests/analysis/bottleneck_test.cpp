@@ -3,6 +3,8 @@
  * Unit tests for the interval arithmetic and the stall-attribution
  * waterfall of analysis::attributeBottleneck.
  */
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,25 @@ TEST(IntervalTest, MergeSortsCoalescesAndDropsEmpty)
     EXPECT_TRUE(same(merged, {{0, 5}, {10, 35}}));
     EXPECT_EQ(intervalLength(merged), 5 + 25);
     EXPECT_TRUE(mergeIntervals({}).empty());
+}
+
+TEST(IntervalTest, SortedAndShuffledInputsMergeAlike)
+{
+    // Touching, nested, duplicate-start and zero-length intervals, in
+    // start order.
+    const Ivs sorted = {{0, 4},   {0, 2},   {4, 9},   {5, 6},
+                        {5, 5},   {12, 12}, {12, 20}, {12, 15},
+                        {20, 22}, {30, 31}, {40, 40}};
+    const Ivs expected = {{0, 9}, {12, 22}, {30, 31}};
+    EXPECT_TRUE(same(mergeIntervals(sorted), expected));
+    Ivs v = sorted;
+    std::reverse(v.begin(), v.end());
+    EXPECT_TRUE(same(mergeIntervals(v), expected));
+    std::mt19937 rng(7);
+    for (int k = 0; k < 100; ++k) {
+        std::shuffle(v.begin(), v.end(), rng);
+        EXPECT_TRUE(same(mergeIntervals(v), expected)) << "shuffle " << k;
+    }
 }
 
 TEST(IntervalTest, IntersectAndSubtract)
