@@ -11,9 +11,10 @@
  * caches, each the min of three runs, with the recompilation and
  * re-simulation counts that prove the warm runs compile and simulate
  * nothing, the slowest single kernel compile of the suite, the warm
- * kernel lookups of the Figure-15 grid programs, and the warm
- * Figure-15 sweep through the socket daemon -- written to
- * BENCH_suite.json. App runs route through
+ * kernel lookups of the Figure-15 grid programs, the warm
+ * Figure-15 sweep through the socket daemon, and the store codec's
+ * encode and decode ns per byte over the 120 Figure-15 results --
+ * written to BENCH_suite.json. App runs route through
  * svc::EvalService; pass --cache-dir DIR to add the disk tier (a warm
  * DIR makes even the "cold" rows compile/simulate nothing) and a
  * cache-tier counter section prints at the end.
@@ -43,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -58,6 +60,7 @@
 #include "obs/metrics.h"
 #include "sched/kernel_perf.h"
 #include "sim/processor.h"
+#include "store/codec.h"
 #include "svc/eval_client.h"
 #include "svc/eval_server.h"
 #include "svc/eval_service.h"
@@ -324,6 +327,58 @@ secondsOf(Fn &&fn)
         .count();
 }
 
+/** Passes of the codec timing; each direction keeps its fastest. */
+constexpr int kCodecRepeats = 20;
+
+/** The store codec over a set of results: ns per encoded byte. */
+struct CodecRow
+{
+    size_t results = 0;
+    size_t bytes = 0;
+    double encodeNsPerByte = 0.0;
+    double decodeNsPerByte = 0.0;
+};
+
+/**
+ * Encode every result with store::encodeSimResult, then decode every
+ * encoding into a fresh SimResult; each pass covers all of them, and
+ * each direction's ns per byte comes from its fastest of
+ * kCodecRepeats passes.
+ */
+CodecRow
+timeCodec(const std::vector<sps::core::AppPoint> &pts)
+{
+    using namespace sps;
+    CodecRow row;
+    row.results = pts.size();
+    std::vector<store::ByteWriter> enc;
+    double encode_s = std::numeric_limits<double>::infinity();
+    double decode_s = encode_s;
+    for (int r = 0; r < kCodecRepeats; ++r) {
+        std::vector<store::ByteWriter> w(pts.size());
+        encode_s = std::min(encode_s, secondsOf([&] {
+            for (size_t i = 0; i < pts.size(); ++i)
+                store::encodeSimResult(pts[i].result, &w[i]);
+        }));
+        enc = std::move(w);
+    }
+    for (const store::ByteWriter &w : enc)
+        row.bytes += w.bytes().size();
+    for (int r = 0; r < kCodecRepeats; ++r)
+        decode_s = std::min(decode_s, secondsOf([&] {
+            for (const store::ByteWriter &w : enc) {
+                sim::SimResult back;
+                if (!store::decodeSimResult(w.bytes(), &back))
+                    std::fprintf(stderr, "codec: a result failed to "
+                                         "decode\n");
+            }
+        }));
+    const double bytes = static_cast<double>(row.bytes);
+    row.encodeNsPerByte = bytes > 0 ? encode_s * 1e9 / bytes : 0.0;
+    row.decodeNsPerByte = bytes > 0 ? decode_s * 1e9 / bytes : 0.0;
+    return row;
+}
+
 struct InterpRow
 {
     std::string name;
@@ -479,7 +534,8 @@ writeEnergyJson(const char *path,
 void
 writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                size_t pairs, const SlowestCompile &slowest,
-               const WarmPass &warm, const WarmPass &daemon)
+               const WarmPass &warm, const WarmPass &daemon,
+               const CodecRow &codec)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -507,14 +563,19 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  "  \"warm_lookups\": {\"lookups\": %llu, "
                  "\"min_wall_s\": %.4f},\n"
                  "  \"warm_daemon\": {\"requests\": %llu, "
-                 "\"min_wall_s\": %.4f}\n}\n",
+                 "\"min_wall_s\": %.4f},\n"
+                 "  \"codec\": {\"results\": %zu, \"bytes\": %zu, "
+                 "\"repeats\": %d, \"encode_ns_per_byte\": %.3f, "
+                 "\"decode_ns_per_byte\": %.3f}\n}\n",
                  pairs, slowest.pair->kernel->name.c_str(),
                  slowest.pair->size.clusters,
                  slowest.pair->size.alusPerCluster, slowest.seconds,
                  static_cast<unsigned long long>(warm.ops),
                  warm.seconds,
                  static_cast<unsigned long long>(daemon.ops),
-                 daemon.seconds);
+                 daemon.seconds, codec.results, codec.bytes,
+                 kCodecRepeats, codec.encodeNsPerByte,
+                 codec.decodeNsPerByte);
     std::fclose(f);
 }
 
@@ -642,6 +703,9 @@ main(int argc, char **argv)
     const SlowestCompile slowest = slowestCompile(pairs);
     const WarmPass warm = timeWarmLookups();
     const WarmPass daemon = timeWarmDaemon(parallel);
+    // The suite rows left every grid result in the service's memory.
+    const CodecRow codec = timeCodec(
+        parallel_svc.appPerformance(sps::core::kGridC, sps::core::kGridN));
     std::printf("Evaluation engine: full figure-suite wall-clock "
                 "(min of %d runs)\n\n"
                 "%s\n"
@@ -653,7 +717,10 @@ main(int argc, char **argv)
                 "in %.4f s (min of %d; written to BENCH_suite.json)\n"
                 "warm Figure-15 sweep through the socket daemon: %llu "
                 "requests in %.4f s (min of %d; written to "
-                "BENCH_suite.json)\n",
+                "BENCH_suite.json)\n"
+                "store codec over the %zu Figure-15 results (%zu "
+                "bytes): encode %.3f ns/B, decode %.3f ns/B (min of "
+                "%d; written to BENCH_suite.json)\n",
                 kSuiteRepeats, e.toString().c_str(),
                 cold_parallel.seconds > 0.0
                     ? cold_serial.seconds / cold_parallel.seconds
@@ -667,9 +734,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(warm.ops),
                 warm.seconds, kSuiteRepeats,
                 static_cast<unsigned long long>(daemon.ops),
-                daemon.seconds, kSuiteRepeats);
+                daemon.seconds, kSuiteRepeats, codec.results,
+                codec.bytes, codec.encodeNsPerByte,
+                codec.decodeNsPerByte, kCodecRepeats);
     writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
-                   slowest, warm, daemon);
+                   slowest, warm, daemon, codec);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

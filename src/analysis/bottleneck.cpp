@@ -6,33 +6,32 @@ namespace sps::analysis {
 
 BottleneckReport
 attributeBottleneck(const std::vector<sim::OpInterval> &timeline,
-                    std::vector<CycleInterval> memBusy,
-                    std::vector<CycleInterval> ucBusy, int64_t cycles)
+                    const std::vector<CycleInterval> &memBusy,
+                    const std::vector<CycleInterval> &ucBusy,
+                    int64_t cycles)
 {
     BottleneckReport r;
     r.valid = true;
-
-    std::vector<CycleInterval> mem = mergeIntervals(std::move(memBusy));
-    std::vector<CycleInterval> uc = mergeIntervals(std::move(ucBusy));
 
     // Busy attribution: microcontroller-busy cycles are kernel-bound
     // whether or not memory overlapped them; memory-only cycles are
     // memory-bound. This matches the SimCounters cycle breakdown
     // (kernelBound == kernelOnly + overlap, memoryBound == memOnly).
-    r.kernelBoundCycles = intervalLength(uc);
-    r.memoryBoundCycles =
-        intervalLength(mem) - intervalLength(intersectIntervals(mem, uc));
+    // Memory-only is the busy union less the microcontroller's share:
+    // |mem \ uc| = |mem u uc| - |uc|.
+    std::vector<CycleInterval> busy = unionIntervals(memBusy, ucBusy);
+    r.kernelBoundCycles = intervalLength(ucBusy);
+    r.memoryBoundCycles = intervalLength(busy) - r.kernelBoundCycles;
 
     // Quiet cycles: the complement of all busy intervals in [0, cycles).
-    std::vector<CycleInterval> busy;
-    busy.reserve(mem.size() + uc.size());
-    busy.insert(busy.end(), mem.begin(), mem.end());
-    busy.insert(busy.end(), uc.begin(), uc.end());
     std::vector<CycleInterval> idle =
-        subtractIntervals({{0, cycles}}, mergeIntervals(std::move(busy)));
+        subtractIntervals({{0, cycles}}, busy);
 
     // Per-op wait windows from the issue metadata.
     std::vector<CycleInterval> sb, host, dep;
+    sb.reserve(timeline.size());
+    host.reserve(timeline.size());
+    dep.reserve(timeline.size());
     for (const sim::OpInterval &op : timeline) {
         if (op.issueStart > op.sbWaitStart)
             sb.push_back({op.sbWaitStart, op.issueStart});

@@ -30,13 +30,15 @@ namespace sps::analysis {
 
 /**
  * Attribute every cycle of a run. `memBusy` and `ucBusy` are the
- * run's busy intervals (any order, overlaps allowed; they are merged
- * internally); `timeline` supplies the per-op wait windows.
+ * run's busy intervals, each a disjoint set sorted by start with no
+ * empty interval (as mergeIntervals returns; the stream controller
+ * passes its merged sets as they are); `timeline` supplies the per-op
+ * wait windows.
  */
 BottleneckReport attributeBottleneck(
     const std::vector<sim::OpInterval> &timeline,
-    std::vector<CycleInterval> memBusy,
-    std::vector<CycleInterval> ucBusy, int64_t cycles);
+    const std::vector<CycleInterval> &memBusy,
+    const std::vector<CycleInterval> &ucBusy, int64_t cycles);
 
 } // namespace sps::analysis
 

@@ -36,6 +36,26 @@ intervalLength(const std::vector<CycleInterval> &v)
 }
 
 std::vector<CycleInterval>
+unionIntervals(const std::vector<CycleInterval> &a,
+               const std::vector<CycleInterval> &b)
+{
+    std::vector<CycleInterval> out;
+    out.reserve(a.size() + b.size());
+    size_t i = 0, j = 0;
+    while (i < a.size() || j < b.size()) {
+        const CycleInterval &iv =
+            j == b.size() || (i < a.size() && a[i].start <= b[j].start)
+                ? a[i++]
+                : b[j++];
+        if (!out.empty() && iv.start <= out.back().end)
+            out.back().end = std::max(out.back().end, iv.end);
+        else
+            out.push_back(iv);
+    }
+    return out;
+}
+
+std::vector<CycleInterval>
 intersectIntervals(const std::vector<CycleInterval> &a,
                    const std::vector<CycleInterval> &b)
 {

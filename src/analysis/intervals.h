@@ -29,6 +29,12 @@ std::vector<CycleInterval> mergeIntervals(std::vector<CycleInterval> v);
 /** Total length of a disjoint interval set. */
 int64_t intervalLength(const std::vector<CycleInterval> &v);
 
+/** Union of two disjoint sorted sets, in one linear merge: a disjoint
+ *  sorted set (touching intervals joined). */
+std::vector<CycleInterval> unionIntervals(
+    const std::vector<CycleInterval> &a,
+    const std::vector<CycleInterval> &b);
+
 /** Intersection of two disjoint sorted sets. */
 std::vector<CycleInterval> intersectIntervals(
     const std::vector<CycleInterval> &a,

@@ -356,8 +356,7 @@ executeProgram(const stream::StreamProgram &prog,
         result.ucBusy * cfg.clusters * cfg.alusPerCluster;
 
     result.bottleneck = analysis::attributeBottleneck(
-        result.timeline, std::move(mem_busy), std::move(uc_busy),
-        result.cycles);
+        result.timeline, mem_busy, uc_busy, result.cycles);
     return result;
 }
 

@@ -2,10 +2,12 @@
  * @file
  * Versioned binary serialization for the persistent result store:
  * encode/decode of sched::CompiledKernel and sim::SimResult. The wire
- * format is little-endian, written byte-at-a-time so encodings are
- * deterministic across platforms, and doubles are carried as raw
- * IEEE-754 bit patterns so a decoded result is *bit-identical* to the
- * computed one (warm runs reproduce cold-run CSVs byte for byte).
+ * format is explicit little-endian on any host: each integer field is
+ * assembled from its shifted bytes, never stored or loaded as a
+ * host-order integer, so encodings are deterministic across
+ * platforms. Doubles are carried as raw IEEE-754 bit patterns so a
+ * decoded result is *bit-identical* to the computed one (warm runs
+ * reproduce cold-run CSVs byte for byte).
  *
  * Structs are encoded by walking their field tables (common/fields.h):
  * each member's C++ type picks its encoding (encodeValue/decodeValue
@@ -68,7 +70,8 @@ uint64_t headerChecksum(const uint8_t *prefix,
  *  perfbench; not an entry checksum. */
 uint64_t fnv1aBytes(const uint8_t *data, size_t n);
 
-/** Little-endian byte-at-a-time encoder. */
+/** Little-endian encoder: a u32 or u64 field is assembled in a local
+ *  array and appended with one insert. */
 class ByteWriter
 {
   public:
@@ -80,19 +83,8 @@ class ByteWriter
         bytes_.push_back(v);
     }
 
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+    void u32(uint32_t v) { put<4>(v); }
+    void u64(uint64_t v) { put<8>(v); }
 
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
     void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
@@ -114,6 +106,16 @@ class ByteWriter
     }
 
   private:
+    template <int N>
+    void
+    put(uint64_t v)
+    {
+        uint8_t b[N];
+        for (int i = 0; i < N; ++i)
+            b[i] = static_cast<uint8_t>(v >> (8 * i));
+        bytes_.insert(bytes_.end(), b, b + N);
+    }
+
     std::vector<uint8_t> bytes_;
 };
 
@@ -147,26 +149,14 @@ class ByteReader
     bool
     u32(uint32_t *out)
     {
-        if (!take(4))
+        uint64_t v = 0;
+        if (!get<4>(&v))
             return false;
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(data_[pos_ - 4 + i]) << (8 * i);
-        *out = v;
+        *out = static_cast<uint32_t>(v);
         return true;
     }
 
-    bool
-    u64(uint64_t *out)
-    {
-        if (!take(8))
-            return false;
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data_[pos_ - 8 + i]) << (8 * i);
-        *out = v;
-        return true;
-    }
+    bool u64(uint64_t *out) { return get<8>(out); }
 
     bool
     i64(int64_t *out)
@@ -210,6 +200,23 @@ class ByteReader
     }
 
   private:
+    /** One bounds check, one memcpy of the field, then little-endian
+     *  assembly from the local copy. */
+    template <int N>
+    bool
+    get(uint64_t *out)
+    {
+        if (!take(N))
+            return false;
+        uint8_t b[N];
+        std::memcpy(b, data_ + pos_ - N, N);
+        uint64_t v = 0;
+        for (int i = 0; i < N; ++i)
+            v |= static_cast<uint64_t>(b[i]) << (8 * i);
+        *out = v;
+        return true;
+    }
+
     bool
     take(size_t k)
     {

@@ -45,19 +45,36 @@ simConfigHash(const sim::SimConfig &cfg)
 
 EvalService::EvalService(core::EvalEngine *engine,
                          store::ResultStore *store)
-    : engine_(&core::resolveEngine(engine)), store_(store),
-      dispatcher_([this] { dispatchLoop(); })
+    : store_(store)
 {
+    int n = core::resolveEngine(engine).threadCount();
+    workers_.reserve(static_cast<size_t>(n));
+    try {
+        for (int i = 0; i < n; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        // The workers already started hold `this`: join them before
+        // the exception leaves the half-built service.
+        stopWorkers();
+        throw;
+    }
 }
 
 EvalService::~EvalService()
+{
+    stopWorkers();
+}
+
+void
+EvalService::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         stop_ = true;
     }
     wake_.notify_all();
-    dispatcher_.join();
+    for (std::thread &w : workers_)
+        w.join();
 }
 
 sim::SimConfig
@@ -113,7 +130,7 @@ EvalService::submitEntry(const EvalPoint &pt,
         auto it = results_.find(key);
         if (it != results_.end()) {
             // Both flavors count as the memory tier: the request was
-            // served without touching disk or the engine (a dedup'd
+            // served without touching disk or a worker (a dedup'd
             // in-flight twin rides the winner's work).
             constexpr int kMem = static_cast<int>(obs::Tier::Mem);
             tier_[kMem].inc();
@@ -147,33 +164,27 @@ EvalService::eval(const EvalPoint &pt)
 }
 
 void
-EvalService::dispatchLoop()
+EvalService::workerLoop()
 {
     for (;;) {
-        std::vector<Job> batch;
+        Job job;
         {
             std::unique_lock<std::mutex> lock(mu_);
             wake_.wait(lock,
                        [&] { return stop_ || !pending_.empty(); });
-            if (pending_.empty() && stop_)
+            // Stop only once the queue is drained: every job queued
+            // before destruction still resolves its promise.
+            if (pending_.empty())
                 return;
-            // Everything submitted since the last batch dispatches as
-            // one engine job set: points evaluate concurrently on the
-            // pool while later submissions accumulate for the next
-            // batch.
-            batch.reserve(pending_.size());
-            while (!pending_.empty()) {
-                batch.push_back(std::move(pending_.front()));
-                pending_.pop_front();
-            }
+            job = std::move(pending_.front());
+            pending_.pop_front();
         }
         try {
-            engine_->forEach(batch.size(),
-                             [&](size_t i) { runJob(batch[i]); });
+            runJob(job);
         } catch (...) {
-            // Per-job failures already reached their promises (and
-            // jobs whose promise died unfulfilled deliver
-            // broken_promise); keep the dispatcher alive.
+            // Evaluation failures already reached the promise; a job
+            // whose promise dies unfulfilled delivers broken_promise.
+            // Keep the worker alive.
         }
     }
 }
@@ -320,8 +331,8 @@ EvalService::appPerformance(const std::vector<int> &c_values,
 {
     // Submit the whole sweep -- baselines first, then the grid in the
     // canonical app -> n -> c axis order -- and only then collect, so
-    // the service batches everything into one engine dispatch and the
-    // baseline dedups against its grid twin.
+    // every worker has a point to take and the baseline dedups against
+    // its grid twin.
     AppSweepPlan plan = appSweepPlan(c_values, n_values);
     std::vector<std::shared_future<sim::SimResult>> base_futures;
     base_futures.reserve(plan.baselines.size());

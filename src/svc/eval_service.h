@@ -4,8 +4,9 @@
  * layered on core::EvalEngine that turns the one-shot evaluation
  * stack into a long-lived sweep server. Clients submit() design
  * points (an application at a machine size) from any thread and get
- * shared futures back; a background dispatcher batches everything
- * submitted since the last batch onto the engine's thread pool.
+ * shared futures back. The service owns one worker thread per thread
+ * of its engine; each worker takes the oldest queued job, evaluates
+ * it and takes the next, so a slow point holds up only its own worker.
  *
  * Every request passes through three tiers:
  *  - memory:  a completed identical request resolves immediately, and
@@ -16,8 +17,8 @@
  *             simConfigHash) decodes bit-identically instead of
  *             re-simulating -- this is what a warm --cache-dir run
  *             hits, across processes;
- *  - compute: the simulation runs on the engine pool and the result
- *             is written back to the store.
+ *  - compute: the simulation runs on the worker that took the job and
+ *             the result is written back to the store.
  *
  * A memory-tier entry (ResultEntry) is the result's future plus, once
  * the socket server has delivered it, the result's whole EvalResult
@@ -172,9 +173,10 @@ class EvalService
 {
   public:
     /**
-     * engine == nullptr uses EvalEngine::global(); store == nullptr
-     * runs memory-only (no persistent tier). The store must outlive
-     * the service.
+     * Starts engine.threadCount() workers; engine == nullptr sizes
+     * them by EvalEngine::global(). Only the thread count is read: the
+     * engine's pool runs no request. store == nullptr runs memory-only
+     * (no persistent tier). The store must outlive the service.
      */
     explicit EvalService(core::EvalEngine *engine = nullptr,
                          store::ResultStore *store = nullptr);
@@ -240,7 +242,6 @@ class EvalService
      *  mem tier). Counted with or without a registry attached. */
     ServiceCounters counters() const;
     store::ResultStore *store() const { return store_; }
-    core::EvalEngine &engine() const { return *engine_; }
 
     /**
      * Publish this service's telemetry into `registry`: its own
@@ -279,16 +280,22 @@ class EvalService
         obs::Histogram *simDuration = nullptr;
     };
 
-    void dispatchLoop();
+    /** One worker: pop the oldest job and run it, until stop_ is set
+     *  and pending_ is empty. */
+    void workerLoop();
+    /** Set stop_ and join every started worker (they drain first). */
+    void stopWorkers();
     void runJob(Job &job);
     std::string requestKey(const EvalPoint &pt) const;
 
-    core::EvalEngine *engine_;
     store::ResultStore *store_;
 
     mutable std::mutex mu_;
+    /** Wakes one idle worker per submitted job, and all at stop. */
     std::condition_variable wake_;
+    /** Set by the destructor; workers drain pending_ before exiting. */
     bool stop_ = false;
+    /** Submitted jobs no worker has taken yet, oldest first. */
     std::deque<Job> pending_;
     /** Request key -> entry (in-flight or completed): the memory
      *  tier and the in-flight dedup table in one map. */
@@ -306,7 +313,9 @@ class EvalService
     std::unique_ptr<Metrics> metricsStorage_;
     std::atomic<Metrics *> metrics_{nullptr};
 
-    std::thread dispatcher_;
+    /** Started last and joined by the destructor, so every member
+     *  above outlives them. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace sps::svc

@@ -67,6 +67,37 @@ TEST(IntervalTest, IntersectAndSubtract)
     EXPECT_TRUE(subtractIntervals(a, {{0, 30}}).empty());
 }
 
+TEST(IntervalTest, UnionMatchesMergeOfConcatenation)
+{
+    // Two disjoint sorted sets that overlap, nest and touch each
+    // other; the linear merge must give what merging their
+    // concatenation gives.
+    const Ivs a = {{0, 4}, {6, 10}, {20, 25}, {30, 31}};
+    const Ivs b = {{4, 5}, {7, 8}, {9, 21}, {40, 50}};
+    EXPECT_TRUE(same(unionIntervals(a, b),
+                     {{0, 5}, {6, 25}, {30, 31}, {40, 50}}));
+    EXPECT_TRUE(same(unionIntervals(a, {}), a));
+    EXPECT_TRUE(same(unionIntervals({}, b), b));
+    EXPECT_TRUE(unionIntervals({}, {}).empty());
+    std::mt19937 rng(11);
+    for (int k = 0; k < 200; ++k) {
+        Ivs x, y;
+        for (Ivs *v : {&x, &y}) {
+            int64_t t = 0;
+            for (int n = static_cast<int>(rng() % 8); n > 0; --n) {
+                t += static_cast<int64_t>(rng() % 6);
+                int64_t len = 1 + static_cast<int64_t>(rng() % 6);
+                v->push_back({t, t + len});
+                t += len + 1;
+            }
+        }
+        Ivs cat = x;
+        cat.insert(cat.end(), y.begin(), y.end());
+        EXPECT_TRUE(same(unionIntervals(x, y), mergeIntervals(cat)))
+            << "case " << k;
+    }
+}
+
 TEST(BottleneckTest, AttributesEveryCycleExactlyOnce)
 {
     // A 100-cycle run: uc busy [10,40), memory busy [30,60).

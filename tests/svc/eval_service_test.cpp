@@ -1,19 +1,23 @@
 // Tests for the evaluation service: the memory tier (completed and
 // in-flight dedup), the disk tier (cross-service warm hits,
-// bit-identical to computed results), the corruption contract, and
-// the service's Figure-15 sweep: every point equal to core::runApp,
-// and the same bytes on one thread as on four.
+// bit-identical to computed results), the corruption contract, the
+// workers (no head-of-line blocking, a draining shutdown), and the
+// service's Figure-15 sweep: every point equal to core::runApp, and
+// the same bytes on one thread as on four.
 #include "svc/eval_service.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "store/codec.h"
 #include "workloads/suite.h"
 
@@ -222,6 +226,56 @@ TEST(EvalServiceTest, UnknownAppDeliversExceptionNotExit)
     EXPECT_THROW(f.get(), std::runtime_error);
     // The service survives and keeps answering real requests.
     EXPECT_GT(service.eval(kPoint).cycles, 0);
+}
+
+// A slow point holds up only the worker that took it: with two
+// workers, a point queued behind it resolves while it still runs.
+TEST(EvalServiceTest, SlowPointDoesNotHoldUpTheNextRequest)
+{
+    core::EvalEngine engine(2);
+    // Declared before the service, so it outlives every job.
+    obs::MetricsRegistry registry;
+    EvalService service(&engine);
+    service.attachMetrics(&registry);
+    obs::Histogram *queue_wait = registry.histogram("sps_queue_wait_us");
+    // DEPTH on a fiftieth of the default SRF runs 61,440 stream ops:
+    // tens of milliseconds even in a release build.
+    sim::SimConfig small_srf;
+    small_srf.params.rM *= 0.02;
+    auto slow = service.submit(EvalPoint{"DEPTH", {8, 5}, small_srf});
+    // A worker records the queue wait when it takes the job, right
+    // after the span's queue stage; the histogram's count is atomic,
+    // so this thread can poll it where it could not read a span.
+    while (queue_wait->count() == 0)
+        std::this_thread::yield();
+    // An unknown app fails at once inside the job.
+    auto fast = service.submit(EvalPoint{"NOSUCHAPP", {8, 5}, {}});
+    fast.wait();
+    EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    EXPECT_THROW(fast.get(), std::runtime_error);
+    EXPECT_GT(slow.get().cycles, 0);
+}
+
+// Destruction drains the queue: every point submitted before the
+// service goes away resolves to a result, none to broken_promise.
+TEST(EvalServiceTest, DestructionResolvesEveryQueuedPoint)
+{
+    core::EvalEngine engine(2);
+    std::vector<std::shared_future<sim::SimResult>> futures;
+    {
+        EvalService service(&engine);
+        for (const auto &app : workloads::appSuite())
+            for (int c : {8, 16})
+                for (int n : {2, 5})
+                    futures.push_back(
+                        service.submit(EvalPoint{app.name, {c, n}, {}}));
+    }
+    for (auto &f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        EXPECT_GT(f.get().cycles, 0);
+    }
 }
 
 TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
