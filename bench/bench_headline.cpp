@@ -12,9 +12,10 @@
  * re-simulation counts that prove the warm runs compile and simulate
  * nothing, the slowest single kernel compile of the suite, the warm
  * kernel lookups of the Figure-15 grid programs, the warm
- * Figure-15 sweep through the socket daemon, and the store codec's
- * encode and decode ns per byte over the 120 Figure-15 results --
- * written to BENCH_suite.json. App runs route through
+ * Figure-15 sweep through the socket daemon, the store codec's
+ * encode and decode ns per byte over the 120 Figure-15 results, and
+ * the DRAM model's ns per resolve over the Figure-15 programs' loads
+ * and stores -- written to BENCH_suite.json. App runs route through
  * svc::EvalService; pass --cache-dir DIR to add the disk tier (a warm
  * DIR makes even the "cold" rows compile/simulate nothing) and a
  * cache-tier counter section prints at the end.
@@ -57,10 +58,12 @@
 #include "core/experiments.h"
 #include "interp/interpreter.h"
 #include "interp/lowered.h"
+#include "mem/stream_mem.h"
 #include "obs/metrics.h"
 #include "sched/kernel_perf.h"
 #include "sim/processor.h"
 #include "store/codec.h"
+#include "stream/deps.h"
 #include "svc/eval_client.h"
 #include "svc/eval_server.h"
 #include "svc/eval_service.h"
@@ -379,6 +382,158 @@ timeCodec(const std::vector<sps::core::AppPoint> &pts)
     return row;
 }
 
+/** Passes of the DRAM replay timing; the fastest counts. */
+constexpr int kDramRepeats = 20;
+
+/**
+ * One Figure-15 program's loads and stores as the stream controller
+ * submits them, cut into the batches it resolves: a batch ends before
+ * an op that depends on an unresolved transfer, and before an op that
+ * finds the scoreboard full, which pending transfers occupy as well as
+ * in-flight ops. Once the scoreboard has filled, every op issue
+ * resolves the one transfer submitted since the last.
+ */
+struct DramProgram
+{
+    sps::mem::StreamMemConfig cfg;
+    std::vector<sps::mem::TransferDesc> transfers;
+    /** One past each batch's last transfer, in order. */
+    std::vector<size_t> batchEnds;
+    /** DRAM accesses the program's simulation counted. */
+    int64_t accesses = 0;
+};
+
+/** Simulate every Figure-15 program once for the cycle each transfer
+ *  is ready, and cut its transfers into batches. */
+std::vector<DramProgram>
+dramPrograms()
+{
+    using namespace sps;
+    std::map<std::string, workloads::AppEntry> apps;
+    for (auto &app : workloads::appSuite())
+        apps.emplace(app.name, app);
+    std::vector<DramProgram> progs;
+    for (const svc::EvalPoint &pt :
+         svc::appSweepPlan(core::kGridC, core::kGridN).grid) {
+        sim::StreamProcessor proc(svc::effectiveSimConfig(pt));
+        const stream::StreamProgram prog =
+            apps.at(pt.app).build(pt.size, proc.srf());
+        const sim::SimResult res = proc.run(prog);
+        const stream::ProgramDeps deps = stream::analyzeDeps(prog);
+        const auto &ops = prog.ops();
+        DramProgram p;
+        p.cfg = proc.config().memConfig;
+        p.accesses = res.counters.dramAccesses;
+        // The controller's scoreboard, by count: which op retires
+        // first changes no batch.
+        const size_t depth =
+            static_cast<size_t>(proc.config().scoreboardDepth);
+        size_t in_flight = 0;
+        std::vector<bool> unresolved(ops.size(), false);
+        std::vector<size_t> pending;
+        auto resolve = [&] {
+            if (pending.empty())
+                return;
+            p.batchEnds.push_back(p.transfers.size());
+            for (size_t i : pending)
+                unresolved[i] = false;
+            in_flight += pending.size();
+            pending.clear();
+        };
+        for (size_t i = 0; i < ops.size(); ++i) {
+            while (in_flight + pending.size() >= depth) {
+                resolve();
+                if (in_flight >= depth)
+                    --in_flight;
+            }
+            for (int d : deps.deps[i])
+                if (unresolved[static_cast<size_t>(d)]) {
+                    resolve();
+                    break;
+                }
+            const stream::StreamOp &op = ops[i];
+            if (op.kind == stream::OpKind::Kernel) {
+                ++in_flight;
+                continue;
+            }
+            mem::TransferDesc desc;
+            desc.words =
+                prog.streams()[static_cast<size_t>(op.stream)].memWords();
+            desc.baseWord = op.memBase;
+            desc.strideWords = op.memStride;
+            desc.recordWords = op.memRecordWords;
+            desc.startCycle = res.timeline[i].readyCycle;
+            desc.write = op.kind == stream::OpKind::Store;
+            p.transfers.push_back(desc);
+            pending.push_back(i);
+            unresolved[i] = true;
+        }
+        resolve();
+        progs.push_back(std::move(p));
+    }
+    return progs;
+}
+
+/** The DRAM model alone over the Figure-15 programs. */
+struct DramRow
+{
+    size_t programs = 0;
+    size_t resolves = 0;
+    size_t transfers = 0;
+    double seconds = 0.0;
+    double nsPerResolve = 0.0;
+};
+
+/**
+ * Replay every program's batches through a fresh StreamMemSystem:
+ * submit a batch, resolve it and read each result. The time is the
+ * fastest of kDramRepeats passes over all programs.
+ */
+DramRow
+timeDram(const std::vector<DramProgram> &progs)
+{
+    using namespace sps;
+    DramRow row;
+    row.programs = progs.size();
+    int64_t expected = 0;
+    for (const DramProgram &p : progs) {
+        row.resolves += p.batchEnds.size();
+        row.transfers += p.transfers.size();
+        expected += p.accesses;
+    }
+    row.seconds = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < kDramRepeats; ++r) {
+        int64_t accesses = 0;
+        row.seconds = std::min(row.seconds, secondsOf([&] {
+            for (const DramProgram &p : progs) {
+                mem::StreamMemSystem memsys(p.cfg);
+                size_t begin = 0;
+                for (size_t end : p.batchEnds) {
+                    for (size_t i = begin; i < end; ++i)
+                        memsys.submit(p.transfers[i]);
+                    memsys.resolveAll();
+                    // A fresh system tickets its transfers 0, 1, ...
+                    for (size_t i = begin; i < end; ++i)
+                        accesses +=
+                            memsys.result(static_cast<int>(i)).dramAccesses;
+                    begin = end;
+                }
+            }
+        }));
+        if (accesses != expected)
+            std::fprintf(stderr,
+                         "dram: the replay made %lld DRAM accesses, the "
+                         "simulations %lld\n",
+                         static_cast<long long>(accesses),
+                         static_cast<long long>(expected));
+    }
+    row.nsPerResolve =
+        row.resolves > 0
+            ? row.seconds * 1e9 / static_cast<double>(row.resolves)
+            : 0.0;
+    return row;
+}
+
 struct InterpRow
 {
     std::string name;
@@ -535,7 +690,7 @@ void
 writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                size_t pairs, const SlowestCompile &slowest,
                const WarmPass &warm, const WarmPass &daemon,
-               const CodecRow &codec)
+               const CodecRow &codec, const DramRow &dram)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -566,7 +721,10 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  "\"min_wall_s\": %.4f},\n"
                  "  \"codec\": {\"results\": %zu, \"bytes\": %zu, "
                  "\"repeats\": %d, \"encode_ns_per_byte\": %.3f, "
-                 "\"decode_ns_per_byte\": %.3f}\n}\n",
+                 "\"decode_ns_per_byte\": %.3f},\n"
+                 "  \"dram\": {\"programs\": %zu, \"resolves\": %zu, "
+                 "\"transfers\": %zu, \"repeats\": %d, "
+                 "\"min_wall_s\": %.4f, \"ns_per_resolve\": %.1f}\n}\n",
                  pairs, slowest.pair->kernel->name.c_str(),
                  slowest.pair->size.clusters,
                  slowest.pair->size.alusPerCluster, slowest.seconds,
@@ -575,7 +733,9 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  static_cast<unsigned long long>(daemon.ops),
                  daemon.seconds, codec.results, codec.bytes,
                  kCodecRepeats, codec.encodeNsPerByte,
-                 codec.decodeNsPerByte);
+                 codec.decodeNsPerByte, dram.programs, dram.resolves,
+                 dram.transfers, kDramRepeats, dram.seconds,
+                 dram.nsPerResolve);
     std::fclose(f);
 }
 
@@ -706,6 +866,7 @@ main(int argc, char **argv)
     // The suite rows left every grid result in the service's memory.
     const CodecRow codec = timeCodec(
         parallel_svc.appPerformance(sps::core::kGridC, sps::core::kGridN));
+    const DramRow dram = timeDram(dramPrograms());
     std::printf("Evaluation engine: full figure-suite wall-clock "
                 "(min of %d runs)\n\n"
                 "%s\n"
@@ -720,7 +881,10 @@ main(int argc, char **argv)
                 "BENCH_suite.json)\n"
                 "store codec over the %zu Figure-15 results (%zu "
                 "bytes): encode %.3f ns/B, decode %.3f ns/B (min of "
-                "%d; written to BENCH_suite.json)\n",
+                "%d; written to BENCH_suite.json)\n"
+                "DRAM model over the %zu Figure-15 programs: %zu "
+                "resolves of %zu transfers in %.4f s, %.1f ns per "
+                "resolve (min of %d; written to BENCH_suite.json)\n",
                 kSuiteRepeats, e.toString().c_str(),
                 cold_parallel.seconds > 0.0
                     ? cold_serial.seconds / cold_parallel.seconds
@@ -736,9 +900,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(daemon.ops),
                 daemon.seconds, kSuiteRepeats, codec.results,
                 codec.bytes, codec.encodeNsPerByte,
-                codec.decodeNsPerByte, kCodecRepeats);
+                codec.decodeNsPerByte, kCodecRepeats, dram.programs,
+                dram.resolves, dram.transfers, dram.seconds,
+                dram.nsPerResolve, kDramRepeats);
     writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
-                   slowest, warm, daemon, codec);
+                   slowest, warm, daemon, codec, dram);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

@@ -10,12 +10,16 @@
  * AccessWindow is the scheduling core: StreamMemSystem's interleaved
  * per-channel service loop pushes requests in arrival order and pops
  * them in scheduled order, so concurrent stream transfers share one
- * window per channel. Requests arrive decoded into bank and row, and
- * the window is a fixed ring: when the oldest request hits its open
- * row (the usual case for a stream), a pick costs one bank-table
- * lookup and no shifting. The window holds no channel: serviceNext()
- * takes the one to service on, so StreamMemSystem serves every channel
- * of every batch with one window and allocates its ring once.
+ * window per channel. Requests arrive decoded into bank and row and
+ * sit in arrival order in a buffer of twice the window: when the
+ * oldest request hits its open row (the usual case for a stream), a
+ * pick costs one bank-table lookup and no shifting, and a deeper pick
+ * closes its gap with one block move from the shorter side. No pick
+ * touches the requests it bypasses: each request's bypass count
+ * follows from the window's pick count and its own index (see
+ * Entry::key). The window holds no channel: serviceNext() takes the
+ * one to service on, so StreamMemSystem serves every channel of every
+ * batch with one window and allocates its buffer once.
  *
  * A pick is in arrival order (index 0, nothing bypassed, the age cap
  * moot) whenever the oldest request hits its open row, or every
@@ -28,6 +32,7 @@
 #ifndef SPS_MEM_ACCESS_SCHED_H
 #define SPS_MEM_ACCESS_SCHED_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -87,14 +92,30 @@ class AccessWindow
      *  want more. */
     void push(const DramAddr &addr, int tag)
     {
-        at(size_) = Entry{addr, 0, tag};
+        if (head_ + size_ == buf_.size()) {
+            // Out of room at the back: move the window to the front.
+            std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                      buf_.begin() +
+                          static_cast<std::ptrdiff_t>(head_ + size_),
+                      buf_.begin());
+            head_ = 0;
+        }
+        // Field by field: the caller's cursor has just stepped them one
+        // at a time, and one wide load of the whole address would stall
+        // on those narrower stores.
+        Entry &e = buf_[head_ + size_];
+        e.addr.row = addr.row;
+        e.addr.bank = addr.bank;
+        e.addr.col = addr.col;
+        e.key = picks_ + static_cast<int64_t>(size_);
+        e.tag = tag;
         ++size_;
     }
 
     /** The oldest request's address and tag; the window must be
      *  non-empty. */
-    const DramAddr &headAddr() const { return at(0).addr; }
-    int headTag() const { return at(0).tag; }
+    const DramAddr &headAddr() const { return buf_[head_].addr; }
+    int headTag() const { return buf_[head_].tag; }
 
     /**
      * True if every request has the oldest one's tag and lies in its
@@ -106,7 +127,11 @@ class AccessWindow
 
     /** Drop every request, once the caller has serviced them in
      *  arrival order. */
-    void clear() { size_ = 0; }
+    void clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
 
     /** Service the scheduled pick on `channel`, the channel every
      *  request in the window belongs to; the window must be
@@ -117,21 +142,86 @@ class AccessWindow
     struct Entry
     {
         DramAddr addr;
-        int64_t bypassed = 0;
+        /**
+         * picks_ + index when pushed. A request is bypassed once by
+         * every later pick of a younger request; an older request
+         * leaves only by a pick (or clear()), which lowers its index
+         * by one. So it has been bypassed picks_ + index - key times.
+         */
+        int64_t key = 0;
         int tag = 0;
     };
-    /** The i-th oldest entry. */
-    Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
-    const Entry &at(size_t i) const { return ring_[(head_ + i) & mask_]; }
 
-    /** Ring storage, the window rounded up to a power of two. */
-    std::vector<Entry> ring_;
-    size_t mask_;
+    /** Storage of twice the window; the window is buf_[head_, head_ +
+     *  size_), oldest first. */
+    std::vector<Entry> buf_;
     size_t head_ = 0;
     size_t size_ = 0;
     size_t window_;
     int64_t maxBypass_;
+    /** Picks made by serviceNext() so far. */
+    int64_t picks_ = 0;
 };
+
+inline bool
+AccessWindow::uniform() const
+{
+    const Entry *w = buf_.data() + head_;
+    for (size_t i = 1; i < size_; ++i) {
+        if (w[i].tag != w[0].tag || w[i].addr.bank != w[0].addr.bank ||
+            w[i].addr.row != w[0].addr.row)
+            return false;
+    }
+    return true;
+}
+
+inline WindowService
+AccessWindow::serviceNext(DramChannel &channel)
+{
+    // First-ready: oldest row hit, else oldest request. The window is
+    // in arrival order, so the pick's index is the number of older
+    // requests it bypasses. The age cap overrides first-ready: once
+    // the oldest request has been bypassed maxBypass_ times it goes
+    // next, bounding starvation under a row-hit flood (the oldest
+    // entry always has the largest bypass count, so checking the head
+    // suffices).
+    Entry *w = buf_.data() + head_;
+    size_t pick = 0;
+    bool hit = false;
+    if (picks_ - w[0].key < maxBypass_) {
+        for (size_t i = 0; i < size_; ++i) {
+            if (channel.isRowHit(w[i].addr)) {
+                pick = i;
+                hit = true;
+                break;
+            }
+        }
+    } else {
+        hit = channel.isRowHit(w[0].addr);
+    }
+
+    const Entry e = w[pick];
+    WindowService s;
+    s.tag = e.tag;
+    s.pickIndex = static_cast<int64_t>(pick);
+    s.bypassed = picks_ + static_cast<int64_t>(pick) - e.key;
+    s.rowHit = hit;
+    s.bankConflict = !hit && channel.isBankOpen(e.addr);
+    s.cycles = channel.service(e.addr);
+
+    // Close the gap from the shorter side: the older entries move one
+    // slot back and the head advances, or the younger ones move one
+    // slot forward.
+    if (pick < size_ - 1 - pick) {
+        std::copy_backward(w, w + pick, w + pick + 1);
+        ++head_;
+    } else {
+        std::copy(w + pick + 1, w + size_, w + pick);
+    }
+    --size_;
+    ++picks_;
+    return s;
+}
 
 } // namespace sps::mem
 

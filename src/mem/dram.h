@@ -13,6 +13,7 @@
 #ifndef SPS_MEM_DRAM_H
 #define SPS_MEM_DRAM_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -43,6 +44,39 @@ forEachField(S &t, F &&f)
     f("banks", t.banks);
     f("row_words", t.rowWords);
 }
+
+/**
+ * Division of a non-negative address or count by a fixed positive
+ * divisor: a shift and a mask when the divisor is a power of two (the
+ * default channel count, bank count and row size all are), the
+ * hardware divide otherwise. Exact either way; it saves the divides
+ * the memory system makes once per transfer.
+ */
+class Divisor
+{
+  public:
+    explicit Divisor(int64_t d = 1)
+        : d_(d), shift_(std::has_single_bit(static_cast<uint64_t>(d))
+                            ? std::countr_zero(static_cast<uint64_t>(d))
+                            : -1)
+    {
+    }
+
+    int64_t value() const { return d_; }
+    int64_t quot(int64_t x) const
+    {
+        return shift_ >= 0 ? x >> shift_ : x / d_;
+    }
+    int64_t rem(int64_t x) const
+    {
+        return shift_ >= 0 ? x & (d_ - 1) : x % d_;
+    }
+
+  private:
+    int64_t d_;
+    /** log2(d_), or -1 when d_ is not a power of two. */
+    int shift_;
+};
 
 /**
  * A channel-local word address decoded into the channel's DRAM
@@ -76,7 +110,15 @@ class DramChannel
     int tCol() const { return tCol_; }
 
     /** Decode a channel-local word address. */
-    DramAddr decode(int64_t word_addr) const;
+    DramAddr decode(int64_t word_addr) const
+    {
+        int64_t rows = rowWords_.quot(word_addr);
+        DramAddr a;
+        a.col = static_cast<int>(word_addr - rows * timing_.rowWords);
+        a.row = banks_.quot(rows);
+        a.bank = static_cast<int>(rows - a.row * timing_.banks);
+        return a;
+    }
 
     /** Advance `a` to the next channel-local word address. */
     void step(DramAddr &a) const
@@ -130,6 +172,9 @@ class DramChannel
   private:
     DramTiming timing_;
     int tCol_;
+    /** decode()'s divisors: the row size and the bank count. */
+    Divisor rowWords_;
+    Divisor banks_;
     std::vector<int64_t> openRow_; // -1 = closed
 };
 

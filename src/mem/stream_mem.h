@@ -12,10 +12,12 @@
  * (derived once per transfer, not per channel): it decodes the first
  * word of each run of consecutive channel-local addresses into (bank,
  * row) once and steps through the rest, so a request inside a run
- * costs a few adds and no division. Channel state -- open rows, bank
- * contents, and the per-channel busy cursor -- is owned by the
- * StreamMemSystem and persists across transfers within one program
- * run.
+ * costs a few adds and no division. The geometry also splits the
+ * first record's length by the channel count and decodes its start,
+ * so a channel's cursor starts with adds and at most one step; no
+ * division is per channel. Channel state -- open rows, bank contents,
+ * and the per-channel busy cursor -- is owned by the StreamMemSystem
+ * and persists across transfers within one program run.
  *
  * Contention is modelled by batched joint service: transfers submitted
  * between two resolve points are interleaved request-by-request into
@@ -37,11 +39,23 @@
  * service, and a transfer alone on a channel costs O(rows), not
  * O(words).
  *
- * The batch buffers -- the geometries and cursors, the per-transfer
- * and per-(transfer, channel) totals, and the one FR-FCFS window that
- * serves each channel in turn -- are owned by the StreamMemSystem and
- * reset, not reallocated, by every resolve: once they have grown to
- * the largest batch, a batch allocates nothing.
+ * The usual channel of a resolve has one transfer's requests and an
+ * empty window (once the scoreboard fills, every op issue resolves the
+ * one transfer submitted since the last). Its cursor then stays a
+ * local and serves its row runs back to back, with no window,
+ * ready-scan or round-robin bookkeeping between them, until it is done
+ * or a head needs the window; only then are the batch's cursors built
+ * and the window loop entered, exactly where stepwise service would
+ * need it. The window stays the one place requests are reordered.
+ *
+ * The batch buffers -- one array of per-transfer entries (geometry,
+ * extrapolation factor and totals), one of per-(transfer, channel)
+ * totals, the cursors, and the one FR-FCFS window that serves each
+ * channel in turn -- are owned by the StreamMemSystem and reset, not
+ * reallocated, by every resolve: once they have grown to the largest
+ * batch, a batch allocates nothing. A submit adds its TransferDesc to
+ * the pending list; only a traced submit also copies its TransferTrace
+ * (label included), into a side list.
  *
  * Configured for the paper's 2007 technology point by default: eight
  * channels, 4 words per cycle (16 GB/s at the default 1 GHz clock)
@@ -203,7 +217,8 @@ class StreamMemSystem
      * Submit a transfer for joint service; returns a ticket valid
      * until the next beginProgram(). When `tr` carries a tracer, the
      * resolved transfer records a "mem" event with its DRAM
-     * behaviour. Transfers larger than the simulation cap are
+     * behaviour; `tr` is copied only then, so an untraced submit
+     * copies no label. Transfers larger than the simulation cap are
      * extrapolated from a simulated prefix with round-to-nearest
      * scaling (counter identities stay exact).
      */
@@ -254,14 +269,26 @@ class StreamMemSystem
         /** First cycle the channel's pins are free. */
         int64_t freeCycle = 0;
     };
-    struct Pending
+    /** A traced submit's trace, by its index in the pending list. */
+    struct PendingTrace
     {
-        TransferDesc desc;
+        size_t index;
         TransferTrace trace;
-        bool traced = false;
-        int ticket = 0;
     };
 
+    /** One transfer of a batch: its geometry and its simulated totals
+     *  over every channel. */
+    struct Transfer;
+    /** One (transfer, channel) pair's simulated pin time. */
+    struct Pair
+    {
+        int64_t busy = 0;
+        /** Cycle its last request ended; -1 before the first. */
+        int64_t lastEnd = -1;
+        /** lastEnd moved by the extrapolation stretch (capped batches
+         *  only). */
+        int64_t done = -1;
+    };
     /** An extrapolated (transfer, channel) pair's extra pin time. */
     struct Stretch
     {
@@ -270,29 +297,62 @@ class StreamMemSystem
         int64_t extra;
     };
     /**
-     * resolveAll's buffers. Every batch resets the per-transfer arrays
-     * (indexed t) and the per-(transfer, channel) ones (indexed
-     * t * channels + c), `doneTC` only when a transfer is capped; every
-     * channel clears `cur` and, when capped, `stretch`. The vectors
-     * keep their capacity from batch to batch.
+     * resolveAll's buffers. Every batch rebuilds `xfer` (indexed t) and
+     * resets `pair` (indexed t * channels + c); a channel that needs
+     * the window refills `cur`, and every channel of a capped batch
+     * refills `stretch`. The vectors keep their capacity from batch to
+     * batch.
      */
     struct Batch
     {
-        std::vector<Geometry> geom;
-        std::vector<double> factor;
-        std::vector<int64_t> svcStart;
-        std::vector<int64_t> simHits, simConflicts, simReorderSum,
-            simReorderMax;
-        std::vector<int64_t> busyTC, lastEndTC, doneTC;
+        std::vector<Transfer> xfer;
+        std::vector<Pair> pair;
         std::vector<ChannelCursor> cur;
         std::vector<Stretch> stretch;
     };
 
+    /** One channel's service within a batch: its clock, the busy
+     *  run being served and its live cursors. */
+    struct ChannelRun
+    {
+        int c;
+        int64_t now;
+        /** Start of the current busy run; -1 while idle. */
+        int64_t runStart;
+        /** Cursors with requests left. */
+        size_t live;
+    };
+
+    /** Serve channel c's requests of the batch from its free cycle
+     *  on, one of resolveAll's steps. */
+    void serveChannel(int c);
+    /** Serve cursor q, transfer t's and the only one live on channel
+     *  run.c, once the window is empty. */
+    void serveAlone(ChannelRun &run, size_t t, ChannelCursor &q);
+    /** Admit and serve channel run.c's requests through the FR-FCFS
+     *  window until it is empty with at most one cursor live. */
+    void serveWindow(ChannelRun &run);
+    /** Account `n` requests of transfer t served back to back from
+     *  run.now, taking `cycles` in all. */
+    void charge(ChannelRun &run, size_t t, int64_t cycles, int64_t n,
+                int64_t hits, int64_t conflicts, int64_t pick);
+    /** End the channel's busy run at run.now, recording its interval. */
+    void closeRun(ChannelRun &run);
+    /** Shift channel c's later service by the extra pin time of the
+     *  batch's capped transfers (a capped batch only). */
+    void stretchChannel(int c);
+
     StreamMemConfig cfg_;
     int tCol_;
+    /** cfg_.channels, for splitting addresses. */
+    Divisor channels_;
     std::vector<Channel> ch_;
     std::vector<ChannelStats> chStats_;
-    std::vector<Pending> pending_;
+    /** Unresolved transfers, in submit order: they hold the last
+     *  pending_.size() tickets. */
+    std::vector<TransferDesc> pending_;
+    /** The traced ones among them; empty when nothing is traced. */
+    std::vector<PendingTrace> traces_;
     std::vector<TransferResult> results_;
     std::vector<BusyInterval> busyIvs_;
     /** Serves each channel of a batch in turn; empty between them. */

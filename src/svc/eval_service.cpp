@@ -93,11 +93,12 @@ EvalService::requestKey(const EvalPoint &pt) const
 {
     // The request key dedups *requests*; the content-addressed store
     // key (program x machine x config) is derived in the worker once
-    // the program is built. Both must separate the same points: two
-    // requests differing only in configuration never share a key
-    // because both hash the *effective* configuration -- the same
-    // sim::SimConfig the worker instantiates the processor from, so
-    // the request key cannot diverge from the store key.
+    // the program is built, and only when a store is attached. Both
+    // must separate the same points: two requests differing only in
+    // configuration never share a key because both hash the
+    // *effective* configuration -- the same sim::SimConfig the worker
+    // instantiates the processor from, so the request key cannot
+    // diverge from the store key.
     return pt.app + "|" + std::to_string(pt.size.clusters) + "|" +
            std::to_string(pt.size.alusPerCluster) + "|" +
            std::to_string(simConfigHash(effectiveSimConfig(pt)));
@@ -230,12 +231,15 @@ EvalService::runJob(Job &job)
         if (span)
             span->stage("build", tBuild, obs::monotonicMicros());
 
-        store::Key key{store::Kind::SimResult,
-                       stream::programFingerprint(prog),
-                       sched::machineConfigHash(proc.machine()),
-                       simConfigHash(proc.config())};
+        // The store key fingerprints the whole program, which costs
+        // about as much as building it: only a store needs it.
+        store::Key key;
         bool from_disk = false;
         if (store_) {
+            key = store::Key{store::Kind::SimResult,
+                             stream::programFingerprint(prog),
+                             sched::machineConfigHash(proc.machine()),
+                             simConfigHash(proc.config())};
             obs::StageTimer t(span, "store_get");
             from_disk = store_->loadSimResult(key, &res);
         }

@@ -16,7 +16,10 @@
  *             keyed by (stream::programFingerprint, machineConfigHash,
  *             simConfigHash) decodes bit-identically instead of
  *             re-simulating -- this is what a warm --cache-dir run
- *             hits, across processes;
+ *             hits, across processes. The key is built only with a
+ *             store attached: fingerprinting the program costs about
+ *             as much as building it, and a storeless service never
+ *             reads the key;
  *  - compute: the simulation runs on the worker that took the job and
  *             the result is written back to the store.
  *

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
 #include <vector>
 
 #include "common/fnv.h"
@@ -181,6 +183,149 @@ TEST(StreamMemTest, SharedStartBatchesMatchPinnedDigest)
                 h.mix(static_cast<uint64_t>(v));
     }
     EXPECT_EQ(h.h, 0x8a869154940c4d6eull)
+        << std::hex << "digest 0x" << h.h;
+}
+
+/** A transfer's record layout: dense, gapped or channel-aliased. */
+void
+randomLayout(Prng &prng, const StreamMemConfig &cfg, TransferDesc &d)
+{
+    d.recordWords = 1 + prng.below(12);
+    switch (prng.below(4)) {
+    case 0: d.strideWords = 0; break;
+    case 1: d.strideWords = d.recordWords + 1 + prng.below(40); break;
+    case 2:
+        d.strideWords = static_cast<int64_t>(cfg.channels) *
+                        (1 + prng.below(64));
+        break;
+    default: d.strideWords = d.recordWords;
+    }
+}
+
+TEST(StreamMemTest, LoneTransferProgramsMatchPinnedDigest)
+{
+    // The batch shape of a Figure-15 program: once the scoreboard
+    // fills, every op issue resolves the one pending transfer, so a
+    // program is a long run of one-transfer batches. Here each program
+    // is 100-400 of them, over dense, gapped and channel-aliased
+    // layouts, starting before, at or after the channels free. Many
+    // bases sit a few words short of a channel row's end, with the
+    // next row opened, holding another row of its bank, or left as it
+    // is, so some heads miss with fewer than a window of words left
+    // in their row. Now and then a transfer is over the cap, and
+    // traced and untraced submits mix; the trace events fold in too.
+    Prng prng(0x10e'7a45);
+    Fnv h;
+    for (int trial = 0; trial < 60; ++trial) {
+        StreamMemConfig cfg;
+        if (prng.below(2) != 0) {
+            cfg.channels = 1 + static_cast<int>(prng.below(8));
+            cfg.peakWordsPerCycle = 0.5 * (1 + prng.below(16));
+            cfg.latencyCycles = static_cast<int>(prng.below(60));
+            cfg.timing.tRas = static_cast<int>(prng.below(10));
+            cfg.timing.tPre = static_cast<int>(prng.below(8));
+            cfg.timing.banks = 1 + static_cast<int>(prng.below(8));
+            cfg.timing.rowWords = 1 + static_cast<int>(
+                prng.below(prng.below(2) != 0 ? 64 : 600));
+            cfg.schedWindow = 1 + static_cast<int>(prng.below(20));
+            cfg.schedMaxBypass = 1 + static_cast<int>(prng.below(40));
+        }
+        const int64_t channels = cfg.channels;
+        const int64_t row = cfg.timing.rowWords;
+        StreamMemSystem sys(cfg);
+        trace::Tracer tracer;
+        sys.beginProgram();
+        // Where the channels were last seen to free, and the word
+        // after the previous transfer's last one.
+        int64_t free_at = 0;
+        int64_t next_word = 0;
+        auto run = [&](const TransferDesc &d, bool traced, int op) {
+            TransferTrace tr{&tracer,
+                             prng.below(4) != 0 ? "op" + std::to_string(op)
+                                                : std::string(),
+                             op};
+            int ticket = sys.submit(d, traced ? &tr : nullptr);
+            if (prng.below(2) != 0)
+                sys.resolveAll();
+            const TransferResult &r = sys.result(ticket);
+            mixResult(h, r);
+            free_at = std::max(free_at, r.doneCycle - cfg.latencyCycles);
+            next_word = d.baseWord +
+                        (d.strideWords > d.recordWords
+                             ? d.strideWords * ((d.words + d.recordWords - 1) /
+                                                d.recordWords)
+                             : d.words);
+            if (prng.below(4) == 0)
+                mixBusyIntervals(h, sys);
+        };
+        auto start = [&] {
+            switch (prng.below(3)) {
+            case 0:
+                return std::max<int64_t>(0, free_at - prng.below(2000));
+            case 1: return free_at;
+            default: return free_at + prng.below(2000);
+            }
+        };
+        int transfers = 100 + static_cast<int>(prng.below(301));
+        for (int op = 0; op < transfers; ++op) {
+            TransferDesc d;
+            d.words = prng.below(16) == 0 ? 8192 + prng.below(16384)
+                      : prng.below(24) == 0
+                          ? 0
+                          : 1 + prng.below(prng.below(2) != 0 ? 64
+                                                               : 8192);
+            randomLayout(prng, cfg, d);
+            d.write = prng.below(2) != 0;
+            bool traced = prng.below(2) != 0;
+            switch (prng.below(4)) {
+            case 0: d.baseWord = next_word; break;
+            case 1: d.baseWord = prng.below(1u << 20); break;
+            default: {
+                // A few words short of the end of channel-local row r
+                // (on every channel), after an opener that leaves the
+                // next row open, its bank holding another row, or
+                // nothing.
+                int64_t r = 1 + prng.below(2048);
+                int64_t short_by =
+                    1 + prng.below(static_cast<uint32_t>(cfg.schedWindow) + 4);
+                uint32_t opener = prng.below(3);
+                if (opener < 2) {
+                    TransferDesc o;
+                    o.words = 1 + prng.below(
+                                      static_cast<uint32_t>(2 * channels));
+                    o.baseWord =
+                        (r + (opener == 0 ? 0 : cfg.timing.banks)) * row *
+                        channels;
+                    o.startCycle = start();
+                    run(o, prng.below(2) != 0, op);
+                }
+                d.baseWord = std::max<int64_t>(
+                    0, (r * row - short_by) * channels +
+                           prng.below(static_cast<uint32_t>(channels)));
+            }
+            }
+            d.startCycle = start();
+            run(d, traced, op);
+        }
+        mixBusyIntervals(h, sys);
+        for (const ChannelStats &cs : sys.channelStats())
+            for (int64_t v : {cs.busyCycles, cs.accesses, cs.rowHits,
+                              cs.bankConflicts})
+                h.mix(static_cast<uint64_t>(v));
+        for (const trace::TraceEvent &e : tracer.events()) {
+            h.mix(e.name);
+            h.mix(e.cat);
+            for (int64_t v : {e.ts, e.dur, e.id,
+                              static_cast<int64_t>(e.phase),
+                              static_cast<int64_t>(e.tid)})
+                h.mix(static_cast<uint64_t>(v));
+            for (const trace::TraceArg &a : e.args) {
+                h.mix(a.first);
+                h.mix(static_cast<uint64_t>(a.second));
+            }
+        }
+    }
+    EXPECT_EQ(h.h, 0x0ed60d4c6eca8010ull)
         << std::hex << "digest 0x" << h.h;
 }
 

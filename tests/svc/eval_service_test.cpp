@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sched/schedule_cache.h"
 #include "store/codec.h"
+#include "stream/program.h"
 #include "workloads/suite.h"
 
 namespace sps::svc {
@@ -109,6 +111,44 @@ TEST(EvalServiceTest, WarmStoreSkipsSimulation)
     EXPECT_EQ(service.counters().computed, 0u);
     EXPECT_EQ(service.counters().diskHits, 1u);
     EXPECT_EQ(warm_store.counters().hits, 1u);
+}
+
+/** The store key is built only when a store is attached; wherever it
+ *  is built, it must stay the program's fingerprint with the machine
+ *  and config hashes of the configuration that was simulated. */
+TEST(EvalServiceTest, StoredEntryIsKeyedByProgramFingerprint)
+{
+    std::string root = freshRoot("keyed");
+    store::ResultStore store(root);
+    std::vector<uint8_t> stored_bytes;
+    {
+        core::EvalEngine engine(2);
+        EvalService service(&engine, &store);
+        stored_bytes = encodeRes(service.eval(kPoint));
+        EXPECT_EQ(service.counters().computed, 1u);
+    }
+
+    const sim::SimConfig cfg = effectiveSimConfig(kPoint);
+    sim::StreamProcessor proc(cfg);
+    const workloads::AppEntry *app = nullptr;
+    auto apps = workloads::appSuite();
+    for (const auto &a : apps)
+        if (a.name == kPoint.app)
+            app = &a;
+    ASSERT_NE(app, nullptr);
+    stream::StreamProgram prog = app->build(kPoint.size, proc.srf());
+    store::Key key{store::Kind::SimResult, stream::programFingerprint(prog),
+                   sched::machineConfigHash(proc.machine()),
+                   simConfigHash(cfg)};
+    sim::SimResult loaded;
+    ASSERT_TRUE(store.loadSimResult(key, &loaded));
+    EXPECT_EQ(encodeRes(loaded), stored_bytes);
+
+    // A storeless service computes the same bytes.
+    core::EvalEngine engine(2);
+    EvalService storeless(&engine);
+    EXPECT_EQ(encodeRes(storeless.eval(kPoint)), stored_bytes);
+    EXPECT_EQ(storeless.counters().computed, 1u);
 }
 
 TEST(EvalServiceTest, CorruptEntryIsRecomputedNeverServed)
