@@ -10,9 +10,11 @@
  * figure-suite computation serial vs parallel and cold vs warm
  * caches, each the min of three runs, with the recompilation and
  * re-simulation counts that prove the warm runs compile and simulate
- * nothing, the slowest single kernel compile of the suite, the warm
- * kernel lookups of the Figure-15 grid programs, the warm
- * Figure-15 sweep through the socket daemon, the store codec's
+ * nothing, the slowest single kernel compile of the suite, the
+ * suite's 240 compiles run serially through a cleared schedule cache
+ * (min of five), the warm kernel lookups of the Figure-15 grid
+ * programs, the warm Figure-15 sweep through the socket daemon, the
+ * store codec's
  * encode and decode ns per byte over the 120 Figure-15 results, and
  * the DRAM model's ns per resolve over the Figure-15 programs' loads
  * and stores -- written to BENCH_suite.json. App runs route through
@@ -61,6 +63,7 @@
 #include "mem/stream_mem.h"
 #include "obs/metrics.h"
 #include "sched/kernel_perf.h"
+#include "sched/schedule_cache.h"
 #include "sim/processor.h"
 #include "store/codec.h"
 #include "stream/deps.h"
@@ -159,6 +162,34 @@ slowestCompile(const std::vector<sps::core::SuiteCompile> &pairs)
             slowest = {&p, dt.count()};
     }
     return slowest;
+}
+
+constexpr int kCompileRepeats = 5;
+
+/**
+ * What a cold figure suite pays to compile, on one thread: every pair
+ * compiled through a ScheduleCache cleared before each of
+ * kCompileRepeats passes (so each kernel is planned once a pass, as in
+ * a cold suite). Returns the fastest pass.
+ */
+double
+timeCompiles(const std::vector<sps::core::SuiteCompile> &pairs)
+{
+    std::vector<sps::sched::MachineModel> machines;
+    for (const auto &p : pairs)
+        machines.push_back(sps::sched::MachineModel::forSize(p.size));
+    sps::sched::ScheduleCache cache;
+    double best = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < kCompileRepeats; ++r) {
+        cache.clear();
+        auto t0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < pairs.size(); ++i)
+            cache.get(*pairs[i].kernel, machines[i]);
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        best = std::min(best, dt.count());
+    }
+    return best;
 }
 
 /** The fastest of several warm passes: its operation count and wall
@@ -689,7 +720,8 @@ writeEnergyJson(const char *path,
 void
 writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                size_t pairs, const SlowestCompile &slowest,
-               const WarmPass &warm, const WarmPass &daemon,
+               double compile_s, const WarmPass &warm,
+               const WarmPass &daemon,
                const CodecRow &codec, const DramRow &dram)
 {
     std::FILE *f = std::fopen(path, "w");
@@ -715,6 +747,8 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  "  \"slowest_compile\": {\"kernel\": \"%s\", "
                  "\"clusters\": %d, \"alus_per_cluster\": %d, "
                  "\"seconds\": %.4f},\n"
+                 "  \"compile\": {\"pairs\": %zu, \"repeats\": %d, "
+                 "\"min_wall_s\": %.4f},\n"
                  "  \"warm_lookups\": {\"lookups\": %llu, "
                  "\"min_wall_s\": %.4f},\n"
                  "  \"warm_daemon\": {\"requests\": %llu, "
@@ -728,6 +762,7 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  pairs, slowest.pair->kernel->name.c_str(),
                  slowest.pair->size.clusters,
                  slowest.pair->size.alusPerCluster, slowest.seconds,
+                 pairs, kCompileRepeats, compile_s,
                  static_cast<unsigned long long>(warm.ops),
                  warm.seconds,
                  static_cast<unsigned long long>(daemon.ops),
@@ -861,6 +896,7 @@ main(int argc, char **argv)
     const std::vector<sps::core::SuiteCompile> pairs =
         sps::core::suiteCompiles();
     const SlowestCompile slowest = slowestCompile(pairs);
+    const double compile_s = timeCompiles(pairs);
     const WarmPass warm = timeWarmLookups();
     const WarmPass daemon = timeWarmDaemon(parallel);
     // The suite rows left every grid result in the service's memory.
@@ -874,6 +910,9 @@ main(int argc, char **argv)
                 "warm-cache speedup (serial): %.2fx\n"
                 "slowest of %zu kernel compiles: %s at C=%d N=%d, "
                 "%.4f s\n"
+                "all %zu compiled serially through a cleared schedule "
+                "cache: %.4f s (min of %d; written to "
+                "BENCH_suite.json)\n"
                 "warm kernel lookups of the Figure-15 programs: %llu "
                 "in %.4f s (min of %d; written to BENCH_suite.json)\n"
                 "warm Figure-15 sweep through the socket daemon: %llu "
@@ -895,6 +934,7 @@ main(int argc, char **argv)
                 pairs.size(), slowest.pair->kernel->name.c_str(),
                 slowest.pair->size.clusters,
                 slowest.pair->size.alusPerCluster, slowest.seconds,
+                pairs.size(), compile_s, kCompileRepeats,
                 static_cast<unsigned long long>(warm.ops),
                 warm.seconds, kSuiteRepeats,
                 static_cast<unsigned long long>(daemon.ops),
@@ -904,7 +944,7 @@ main(int argc, char **argv)
                 dram.resolves, dram.transfers, dram.seconds,
                 dram.nsPerResolve, kDramRepeats);
     writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
-                   slowest, warm, daemon, codec, dram);
+                   slowest, compile_s, warm, daemon, codec, dram);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

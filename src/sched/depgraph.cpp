@@ -1,5 +1,7 @@
 #include "sched/depgraph.h"
 
+#include <string>
+
 #include "common/log.h"
 
 namespace sps::sched {
@@ -45,46 +47,33 @@ resolve(const Kernel &k, const std::vector<int> &node_of, ValueId v,
 
 } // namespace
 
-DepGraph
-buildDepGraph(const Kernel &k, const MachineModel &m)
+DepSkeleton
+buildDepSkeleton(const Kernel &k)
 {
-    DepGraph g;
+    DepSkeleton s;
     std::vector<int> node_of(k.ops.size(), -1);
 
+    // An op's issue class is None on every machine or on none
+    // (MachineModel::issueClass only moves Dsq to the multipliers).
     for (size_t i = 0; i < k.ops.size(); ++i) {
-        const kernel::Op &op = k.ops[i];
-        FuClass cls = m.issueClass(op.code);
-        if (cls == FuClass::None)
+        if (isa::fuClassOf(k.ops[i].code) == FuClass::None)
             continue;
-        SPS_ASSERT(m.unitCount(cls) >= 1,
-                   "kernel %s not executable: no unit for %s",
-                   k.name.c_str(),
-                   std::string(isa::mnemonic(op.code)).c_str());
-        isa::OpTiming t = m.timing(op.code);
-        DepNode node;
-        node.code = op.code;
-        node.kernelOp = static_cast<ValueId>(i);
-        node.latency = t.latency;
-        node.issueInterval = t.issueInterval;
-        node.cls = cls;
-        node_of[i] = g.nodeCount();
-        g.nodes.push_back(node);
+        node_of[i] = static_cast<int>(s.codes.size());
+        s.codes.push_back(k.ops[i].code);
     }
 
-    auto add_edge = [&](int from, int to, int lat, int dist) {
-        g.edges.push_back(DepEdge{from, to, lat, dist});
-    };
-
+    std::vector<Source> sources;
     for (size_t i = 0; i < k.ops.size(); ++i) {
         const kernel::Op &op = k.ops[i];
         int to = node_of[i];
         if (to < 0)
             continue;
-        std::vector<Source> sources;
+        sources.clear();
         for (ValueId a : op.args)
             resolve(k, node_of, a, 0, sources);
-        for (const Source &s : sources)
-            add_edge(s.node, to, g.nodes[s.node].latency, s.distance);
+        for (const Source &src : sources)
+            s.edges.push_back(SkeletonEdge{src.node, to, src.distance,
+                                           EdgeLatency::Producer});
         for (ValueId t : op.orderAfter) {
             int from = node_of[static_cast<size_t>(t)];
             if (from < 0)
@@ -94,17 +83,54 @@ buildDepGraph(const Kernel &k, const MachineModel &m)
             // issue order.
             bool wr_rd = k.op(t).code == Opcode::SpWrite &&
                          op.code == Opcode::SpRead;
-            add_edge(from, to, wr_rd ? g.nodes[from].latency : 1, 0);
+            s.edges.push_back(SkeletonEdge{
+                from, to, 0,
+                wr_rd ? EdgeLatency::Producer : EdgeLatency::One});
         }
     }
 
-    g.succ.assign(g.nodes.size(), {});
-    g.pred.assign(g.nodes.size(), {});
-    for (size_t e = 0; e < g.edges.size(); ++e) {
-        g.succ[g.edges[e].from].push_back(static_cast<int>(e));
-        g.pred[g.edges[e].to].push_back(static_cast<int>(e));
+    s.succ = FlatLists::groupBy(s.codes.size(), s.edges.size(),
+                                [&](size_t e) { return s.edges[e].from; });
+    s.pred = FlatLists::groupBy(s.codes.size(), s.edges.size(),
+                                [&](size_t e) { return s.edges[e].to; });
+    return s;
+}
+
+DepGraph
+fillDepGraph(const DepSkeleton &s, const MachineModel &m)
+{
+    DepGraph g;
+    g.nodes.resize(s.codes.size());
+    for (size_t i = 0; i < s.codes.size(); ++i) {
+        DepNode &node = g.nodes[i];
+        node.code = s.codes[i];
+        node.cls = m.issueClass(node.code);
+        SPS_ASSERT(m.unitCount(node.cls) >= 1,
+                   "not executable: no unit for %s",
+                   std::string(isa::mnemonic(node.code)).c_str());
+        isa::OpTiming t = m.timing(node.code);
+        node.latency = t.latency;
+        node.issueInterval = t.issueInterval;
     }
+    g.edges.resize(s.edges.size());
+    for (size_t e = 0; e < s.edges.size(); ++e) {
+        const SkeletonEdge &se = s.edges[e];
+        g.edges[e] = DepEdge{
+            se.from, se.to,
+            se.latency == EdgeLatency::Producer
+                ? g.nodes[static_cast<size_t>(se.from)].latency
+                : 1,
+            se.distance};
+    }
+    g.succ = s.succ;
+    g.pred = s.pred;
     return g;
+}
+
+DepGraph
+buildDepGraph(const Kernel &k, const MachineModel &m)
+{
+    return fillDepGraph(buildDepSkeleton(k), m);
 }
 
 } // namespace sps::sched

@@ -41,8 +41,32 @@ CompiledKernel::loopCycles(int64_t iterations) const
 static_assert(kUnrollFactors[0] == 1,
               "the u=1 schedule supplies the short-call fields");
 
+KernelPlan
+planKernel(const kernel::Kernel &k)
+{
+    KernelPlan plan;
+    plan.census = kernel::takeCensus(k);
+    plan.gopsOpsPerIteration = kernel::gopsOpsPerIteration(k);
+    for (int u : kUnrollFactors) {
+        if (static_cast<int>(k.ops.size()) * u > kMaxUnrolledOps)
+            continue;
+        // Factor 1 is k itself: no copy.
+        plan.factors.push_back(KernelPlan::Factor{
+            u, u == 1 ? buildDepSkeleton(k)
+                      : buildDepSkeleton(unrollKernel(k, u))});
+    }
+    return plan;
+}
+
 CompiledKernel
 compileKernel(const kernel::Kernel &k, const MachineModel &m)
+{
+    return compileKernel(k, planKernel(k), m);
+}
+
+CompiledKernel
+compileKernel(const kernel::Kernel &k, const KernelPlan &plan,
+              const MachineModel &m)
 {
     // A client's machine size or params reach here (an N=1 cluster has
     // no multiplier), so this is an exception, not an abort.
@@ -51,16 +75,14 @@ compileKernel(const kernel::Kernel &k, const MachineModel &m)
             "kernel " + k.name + " cannot execute on C=" +
             std::to_string(m.size().clusters) +
             " N=" + std::to_string(m.size().alusPerCluster));
-    kernel::Census census = kernel::takeCensus(k);
+    const kernel::Census &census = plan.census;
 
     CompiledKernel best;
     bool have_best = false;
     int ii1 = 1, stages1 = 1, length1 = 1, list_len = 1;
-    for (int u : kUnrollFactors) {
-        if (static_cast<int>(k.ops.size()) * u > kMaxUnrolledOps)
-            continue;
-        kernel::Kernel body = unrollKernel(k, u);
-        DepGraph g = buildDepGraph(body, m);
+    for (const KernelPlan::Factor &f : plan.factors) {
+        const int u = f.unroll;
+        DepGraph g = fillDepGraph(f.skeleton, m);
         // moduloSchedule never returns an II below minII, so
         // u*aluOps/minII bounds this factor's throughput. When that
         // bound cannot beat the best so far by the pick's 1e-9
@@ -86,7 +108,7 @@ compileKernel(const kernel::Kernel &k, const MachineModel &m)
         c.stages = s.stages;
         c.length = s.length;
         c.aluOpsPerIteration = census.aluOps;
-        c.gopsOpsPerIteration = kernel::gopsOpsPerIteration(k);
+        c.gopsOpsPerIteration = plan.gopsOpsPerIteration;
         c.commOpsPerIteration = census.comms;
         c.spOpsPerIteration = census.spAccesses;
         c.srfAccessesPerIteration = census.srfAccesses;

@@ -10,10 +10,12 @@
 #define SPS_SCHED_KERNEL_PERF_H
 
 #include <array>
+#include <vector>
 
 #include "common/fields.h"
 #include "kernel/census.h"
 #include "kernel/ir.h"
+#include "sched/depgraph.h"
 #include "sched/machine.h"
 #include "sched/modulo.h"
 
@@ -95,14 +97,44 @@ inline constexpr std::array<int, 3> kUnrollFactors = {1, 2, 4};
 inline constexpr int kMaxUnrolledOps = 4096;
 
 /**
+ * The machine-independent half of compiling a kernel: its census and,
+ * for each factor of kUnrollFactors within kMaxUnrolledOps, the
+ * unrolled body's dependence skeleton. ScheduleCache keeps one per
+ * kernel and compiles every machine from it.
+ */
+struct KernelPlan
+{
+    kernel::Census census;
+    double gopsOpsPerIteration = 0.0;
+
+    struct Factor
+    {
+        int unroll = 1;
+        DepSkeleton skeleton;
+    };
+    /** The factors to try, smallest first. */
+    std::vector<Factor> factors;
+};
+
+/** Unroll `k` by each factor (factor 1 is `k` itself) and build the
+ *  skeletons of the bodies. */
+KernelPlan planKernel(const kernel::Kernel &k);
+
+/**
  * Compile `k` for machine `m`: pick the factor of kUnrollFactors with
  * the best per-original-iteration throughput (ties go to the smaller
  * factor). A factor above 1 whose MII bound cannot beat the best so
  * far is skipped without modulo scheduling; the choice is the same.
  * Throws std::invalid_argument when `m` lacks a unit class `k` issues
- * on (MachineModel::canExecute).
+ * on (MachineModel::canExecute). Builds k's plan and calls the
+ * overload below.
  */
 CompiledKernel compileKernel(const kernel::Kernel &k,
+                             const MachineModel &m);
+
+/** The per-machine half of compileKernel: `plan` is planKernel(k). */
+CompiledKernel compileKernel(const kernel::Kernel &k,
+                             const KernelPlan &plan,
                              const MachineModel &m);
 
 } // namespace sps::sched

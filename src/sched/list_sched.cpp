@@ -1,7 +1,9 @@
 #include "sched/list_sched.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <ranges>
+#include <span>
 
 #include "common/log.h"
 
@@ -18,13 +20,16 @@ listSchedule(const DepGraph &g, const MachineModel &m)
     if (n == 0)
         return out;
 
-    // Critical-path priorities over the same-iteration subgraph.
+    // Critical-path priorities over the same-iteration subgraph, by
+    // relaxation. The edges come by ascending `to` and a height flows
+    // back to `from`, so visiting them last first settles them in one
+    // pass; any order reaches the same fixed point.
     std::vector<int64_t> height(static_cast<size_t>(n), 0);
     for (int i = 0; i < n; ++i)
         height[i] = g.nodes[i].latency;
     for (int iter = 0; iter < n; ++iter) {
         bool changed = false;
-        for (const DepEdge &e : g.edges) {
+        for (const DepEdge &e : std::views::reverse(g.edges)) {
             if (e.distance != 0)
                 continue;
             int64_t cand = height[e.to] + e.latency;
@@ -42,38 +47,41 @@ listSchedule(const DepGraph &g, const MachineModel &m)
         if (e.distance == 0)
             ++remaining_preds[e.to];
 
-    // busyUntil[cls][unit]: next free cycle of each unit instance.
-    std::map<FuClass, std::vector<int>> busy;
-    for (int i = 0; i < n; ++i) {
-        FuClass cls = g.nodes[i].cls;
-        if (!busy.count(cls))
-            busy[cls].assign(
-                static_cast<size_t>(m.unitCount(cls)), 0);
+    // Next free cycle of each unit instance: class c's units start at
+    // first_unit[c].
+    std::array<int, isa::kNumFuClasses> first_unit{};
+    int total_units = 0;
+    for (size_t c = 0; c < isa::kNumFuClasses; ++c) {
+        first_unit[c] = total_units;
+        total_units += m.unitCount(static_cast<FuClass>(c));
     }
+    std::vector<int> busy(static_cast<size_t>(total_units), 0);
+
+    // Ready nodes in a heap whose top is the greatest height, the
+    // lowest id among equals. A node only ever becomes ready, so the
+    // top is the first ready node of that order.
+    auto later = [&](int a, int b) {
+        if (height[a] != height[b])
+            return height[a] < height[b];
+        return a > b;
+    };
+    std::vector<int> ready;
+    for (int i = 0; i < n; ++i)
+        if (remaining_preds[i] == 0)
+            ready.push_back(i);
+    std::make_heap(ready.begin(), ready.end(), later);
 
     std::vector<int> ready_at(static_cast<size_t>(n), 0);
-    std::vector<int> order(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-        order[static_cast<size_t>(i)] = i;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        if (height[a] != height[b])
-            return height[a] > height[b];
-        return a < b;
-    });
-
-    int placed = 0;
-    std::vector<bool> done(static_cast<size_t>(n), false);
-    while (placed < n) {
-        // Pick the highest-priority ready node.
-        int v = -1;
-        for (int cand : order) {
-            if (!done[cand] && remaining_preds[cand] == 0) {
-                v = cand;
-                break;
-            }
-        }
-        SPS_ASSERT(v >= 0, "list scheduler deadlock (dependence cycle)");
-        auto &units = busy[g.nodes[v].cls];
+    for (int placed = 0; placed < n; ++placed) {
+        SPS_ASSERT(!ready.empty(),
+                   "list scheduler deadlock (dependence cycle)");
+        std::pop_heap(ready.begin(), ready.end(), later);
+        int v = ready.back();
+        ready.pop_back();
+        const FuClass cls = g.nodes[v].cls;
+        auto units = std::span<int>(busy).subspan(
+            static_cast<size_t>(first_unit[static_cast<size_t>(cls)]),
+            static_cast<size_t>(m.unitCount(cls)));
         // Earliest unit whose availability works.
         int best_unit = 0;
         for (size_t u = 1; u < units.size(); ++u)
@@ -86,15 +94,16 @@ listSchedule(const DepGraph &g, const MachineModel &m)
             t + g.nodes[v].issueInterval;
         out.length =
             std::max(out.length, t + g.nodes[v].latency);
-        done[v] = true;
-        ++placed;
-        for (int e : g.succ[v]) {
+        for (int e : g.succ[static_cast<size_t>(v)]) {
             const DepEdge &edge = g.edges[static_cast<size_t>(e)];
             if (edge.distance != 0)
                 continue;
             ready_at[edge.to] = std::max(ready_at[edge.to],
                                          t + edge.latency);
-            --remaining_preds[edge.to];
+            if (--remaining_preds[edge.to] == 0) {
+                ready.push_back(edge.to);
+                std::push_heap(ready.begin(), ready.end(), later);
+            }
         }
     }
     return out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 
 #include "common/log.h"
 
@@ -15,14 +14,17 @@ resMii(const DepGraph &g, const MachineModel &m)
 {
     // Sum the issue-slot demand per class (non-pipelined operations
     // occupy issueInterval slots) and divide by the unit count.
-    std::map<FuClass, int> demand;
+    std::array<int, isa::kNumFuClasses> demand{};
     for (const DepNode &n : g.nodes)
-        demand[n.cls] += n.issueInterval;
+        demand[static_cast<size_t>(n.cls)] += n.issueInterval;
     int mii = 1;
-    for (const auto &[cls, slots] : demand) {
-        int units = m.unitCount(cls);
+    for (size_t c = 0; c < isa::kNumFuClasses; ++c) {
+        const int slots = demand[c];
+        if (slots == 0)
+            continue;
+        int units = m.unitCount(static_cast<FuClass>(c));
         SPS_ASSERT(units >= 1, "no units for class %d",
-                   static_cast<int>(cls));
+                   static_cast<int>(c));
         mii = std::max(mii, (slots + units - 1) / units);
     }
     return mii;

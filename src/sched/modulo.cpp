@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <set>
+#include <numeric>
+#include <ranges>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "sched/mii.h"
@@ -21,17 +22,20 @@ constexpr int kBudgetPerNode = 32;
  * Height-based priority: longest effective-latency path from each node
  * to any sink, with loop-carried edges weighted lat - ii*dist.
  * Computed by relaxation; converges because ii >= RecMII implies no
- * positive cycles.
+ * positive cycles. The fixed point does not depend on the order the
+ * edges are relaxed in; buildDepGraph lists them by ascending `to`,
+ * and a height flows from `to` back to `from`, so visiting them last
+ * first settles the same-iteration edges in one pass.
  */
-std::vector<int64_t>
-heights(const DepGraph &g, int ii)
+void
+heights(const DepGraph &g, int ii, std::vector<int64_t> &h)
 {
-    std::vector<int64_t> h(g.nodes.size(), 0);
+    h.resize(g.nodes.size());
     for (int i = 0; i < g.nodeCount(); ++i)
         h[i] = g.nodes[i].latency;
     for (int iter = 0; iter <= g.nodeCount(); ++iter) {
         bool changed = false;
-        for (const DepEdge &e : g.edges) {
+        for (const DepEdge &e : std::views::reverse(g.edges)) {
             int64_t w = e.latency - static_cast<int64_t>(ii) * e.distance;
             int64_t cand = h[e.to] + w;
             if (cand > h[e.from]) {
@@ -42,37 +46,44 @@ heights(const DepGraph &g, int ii)
         if (!changed)
             break;
     }
-    return h;
 }
 
-/** Modulo reservation table for one candidate II. */
+/**
+ * Modulo reservation table in flat arrays. Each (class, column) holds
+ * its occupants in the order they were placed, in a run of `units`
+ * slots: a column never holds more than the class has units, and a
+ * node whose issue interval exceeds II appears once per cycle it holds
+ * the column. reset() empties it for another II and keeps its storage.
+ */
 class Mrt
 {
   public:
-    Mrt(const MachineModel &m, int ii) : m_(m), ii_(ii)
+    explicit Mrt(const MachineModel &m)
     {
-        for (auto &rows : table_)
-            rows.assign(static_cast<size_t>(ii), {});
+        for (size_t c = 0; c < isa::kNumFuClasses; ++c)
+            units_[c] = m.unitCount(static_cast<FuClass>(c));
     }
 
-    /** Columns a node occupies when issued at cycle t. */
-    int
-    occupancy(const DepNode &n) const
+    void
+    reset(int ii)
     {
-        return n.issueInterval;
+        ii_ = ii;
+        int slots = 0;
+        for (size_t c = 0; c < isa::kNumFuClasses; ++c) {
+            base_[c] = slots;
+            slots += ii * units_[c];
+        }
+        occupants_.resize(static_cast<size_t>(slots));
+        count_.assign(isa::kNumFuClasses * static_cast<size_t>(ii), 0);
     }
 
     bool
     fits(const DepNode &n, int t) const
     {
-        const auto &rows = table_[static_cast<size_t>(n.cls)];
-        int units = m_.unitCount(n.cls);
-        std::map<int, int> extra;
-        for (int j = 0; j < occupancy(n); ++j)
-            ++extra[(t + j) % ii_];
-        for (const auto &[col, cnt] : extra) {
-            if (static_cast<int>(rows[static_cast<size_t>(col)].size()) +
-                    cnt > units)
+        const int units = unitsOf(n);
+        const int cols = std::min(n.issueInterval, ii_);
+        for (int j = 0; j < cols; ++j) {
+            if (count(n, (t + j) % ii_) + hits(n, j) > units)
                 return false;
         }
         return true;
@@ -81,62 +92,123 @@ class Mrt
     void
     place(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[static_cast<size_t>(n.cls)];
-        for (int j = 0; j < occupancy(n); ++j)
-            rows[static_cast<size_t>((t + j) % ii_)].push_back(node);
+        for (int j = 0; j < n.issueInterval; ++j) {
+            const int col = (t + j) % ii_;
+            int &cnt = count(n, col);
+            SPS_ASSERT(cnt < unitsOf(n), "MRT column over capacity");
+            occupants_[static_cast<size_t>(slot(n, col) + cnt++)] = node;
+        }
     }
 
     void
     remove(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[static_cast<size_t>(n.cls)];
-        for (int j = 0; j < occupancy(n); ++j) {
-            auto &col = rows[static_cast<size_t>((t + j) % ii_)];
-            auto it = std::find(col.begin(), col.end(), node);
-            SPS_ASSERT(it != col.end(), "MRT remove of absent node");
-            col.erase(it);
+        for (int j = 0; j < n.issueInterval; ++j) {
+            const int col = (t + j) % ii_;
+            int &cnt = count(n, col);
+            auto first = occupants_.begin() + slot(n, col);
+            auto last = first + cnt;
+            auto it = std::find(first, last, node);
+            SPS_ASSERT(it != last, "MRT remove of absent node");
+            std::copy(it + 1, last, it);
+            --cnt;
         }
     }
 
     /**
-     * Nodes that must be evicted so `n` can be placed at t. Lower-
-     * priority occupants are preferred.
+     * The nodes that must be evicted so `n` can be placed at t, in
+     * ascending id, into `out`. In each over-full column, in ascending
+     * column order, the lowest-priority occupants go: they are sorted
+     * by priority as placed, so ties break by placement order.
      */
-    std::vector<int>
-    conflicts(const DepNode &n, int t,
-              const std::vector<int64_t> &prio) const
+    void
+    conflicts(const DepNode &n, int t, const std::vector<int64_t> &prio,
+              std::vector<int> &out)
     {
-        std::set<int> out;
-        const auto &rows = table_[static_cast<size_t>(n.cls)];
-        int units = m_.unitCount(n.cls);
-        std::map<int, int> extra;
-        for (int j = 0; j < occupancy(n); ++j)
-            ++extra[(t + j) % ii_];
-        for (const auto &[col, cnt] : extra) {
-            const auto &occupants = rows[static_cast<size_t>(col)];
-            int over = static_cast<int>(occupants.size()) + cnt - units;
+        out.clear();
+        const int units = unitsOf(n);
+        const int cols = std::min(n.issueInterval, ii_);
+        const int first = t % ii_;
+        auto visit = [&](int col) {
+            const int cnt = count(n, col);
+            const int over = cnt + hits(n, (col - first + ii_) % ii_) -
+                             units;
             if (over <= 0)
-                continue;
-            // Evict the lowest-priority occupants of this column.
-            std::vector<int> sorted(occupants.begin(), occupants.end());
-            std::sort(sorted.begin(), sorted.end(),
+                return;
+            auto begin = occupants_.begin() + slot(n, col);
+            sorted_.assign(begin, begin + cnt);
+            std::sort(sorted_.begin(), sorted_.end(),
                       [&](int a, int b) { return prio[a] < prio[b]; });
-            for (int i = 0; i < over && i < static_cast<int>(
-                                              sorted.size()); ++i)
-                out.insert(sorted[static_cast<size_t>(i)]);
-        }
-        return {out.begin(), out.end()};
+            out.insert(out.end(), sorted_.begin(),
+                       sorted_.begin() + std::min(over, cnt));
+        };
+        // The columns first .. first + cols - 1 wrap past ii_ - 1.
+        for (int col = 0; col < first + cols - ii_; ++col)
+            visit(col);
+        for (int col = first; col < std::min(first + cols, ii_); ++col)
+            visit(col);
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
     }
 
   private:
-    const MachineModel &m_;
-    int ii_;
-    /** Per FuClass, per column: the nodes issued there. */
-    std::array<std::vector<std::vector<int>>, isa::kNumFuClasses> table_;
+    int unitsOf(const DepNode &n) const
+    {
+        return units_[static_cast<size_t>(n.cls)];
+    }
+
+    /** Cycles of `n` issued at column c0 that fall in column
+     *  c0 + j (mod ii), for 0 <= j < ii. */
+    int hits(const DepNode &n, int j) const
+    {
+        return (n.issueInterval - j + ii_ - 1) / ii_;
+    }
+
+    size_t countAt(const DepNode &n, int col) const
+    {
+        return static_cast<size_t>(n.cls) * static_cast<size_t>(ii_) +
+               static_cast<size_t>(col);
+    }
+    int &count(const DepNode &n, int col) { return count_[countAt(n, col)]; }
+    int count(const DepNode &n, int col) const
+    {
+        return count_[countAt(n, col)];
+    }
+
+    int slot(const DepNode &n, int col) const
+    {
+        return base_[static_cast<size_t>(n.cls)] + col * unitsOf(n);
+    }
+
+    int ii_ = 1;
+    std::array<int, isa::kNumFuClasses> units_{};
+    /** Per class: where its columns' occupant runs start. */
+    std::array<int, isa::kNumFuClasses> base_{};
+    /** Occupants per (class, column); count_ says how many are live. */
+    std::vector<int> occupants_;
+    std::vector<int> count_;
+    /** conflicts()'s copy of one column. */
+    std::vector<int> sorted_;
+};
+
+/** Everything tryIms allocates, kept across the II attempts of one
+ *  moduloSchedule call. */
+struct ImsScratch
+{
+    explicit ImsScratch(const MachineModel &m) : mrt(m) {}
+
+    Mrt mrt;
+    std::vector<int64_t> prio;
+    std::vector<int> time;
+    std::vector<int> prevTime;
+    std::vector<char> scheduled;
+    /** The worklist: a heap whose top is the next node to place. */
+    std::vector<int> work;
+    std::vector<int> evict;
 };
 
 bool
-tryIms(const DepGraph &g, const MachineModel &m, int ii,
+tryIms(const DepGraph &g, const MachineModel &m, int ii, ImsScratch &s,
        ModuloSchedule &result)
 {
     const int n = g.nodeCount();
@@ -149,31 +221,43 @@ tryIms(const DepGraph &g, const MachineModel &m, int ii,
             return false;
     }
 
-    std::vector<int64_t> prio = heights(g, ii);
-    std::vector<int> time(static_cast<size_t>(n), -1);
-    std::vector<int> prev_time(static_cast<size_t>(n), -1);
-    std::vector<bool> scheduled(static_cast<size_t>(n), false);
-    Mrt mrt(m, ii);
+    heights(g, ii, s.prio);
+    const std::vector<int64_t> &prio = s.prio;
+    std::vector<int> &time = s.time;
+    std::vector<int> &prev_time = s.prevTime;
+    std::vector<char> &scheduled = s.scheduled;
+    time.assign(static_cast<size_t>(n), -1);
+    prev_time.assign(static_cast<size_t>(n), -1);
+    scheduled.assign(static_cast<size_t>(n), 0);
+    Mrt &mrt = s.mrt;
+    mrt.reset(ii);
 
-    // Worklist ordered by (priority desc, id asc).
-    auto cmp = [&](int a, int b) {
+    // Worklist ordered by (priority desc, id asc). An unscheduled node
+    // is queued exactly once, so the heap pops in that order.
+    auto later = [&](int a, int b) {
         if (prio[a] != prio[b])
-            return prio[a] > prio[b];
-        return a < b;
+            return prio[a] < prio[b];
+        return a > b;
     };
-    std::set<int, decltype(cmp)> work(cmp);
-    for (int i = 0; i < n; ++i)
-        work.insert(i);
+    std::vector<int> &work = s.work;
+    work.resize(static_cast<size_t>(n));
+    std::iota(work.begin(), work.end(), 0);
+    std::make_heap(work.begin(), work.end(), later);
+    auto enqueue = [&](int w) {
+        work.push_back(w);
+        std::push_heap(work.begin(), work.end(), later);
+    };
 
     int64_t budget = static_cast<int64_t>(n) * kBudgetPerNode + 64;
     while (!work.empty()) {
         if (budget-- <= 0)
             return false;
-        int v = *work.begin();
-        work.erase(work.begin());
+        std::pop_heap(work.begin(), work.end(), later);
+        int v = work.back();
+        work.pop_back();
 
         int64_t estart = 0;
-        for (int e : g.pred[v]) {
+        for (int e : g.pred[static_cast<size_t>(v)]) {
             const DepEdge &edge = g.edges[static_cast<size_t>(e)];
             if (!scheduled[edge.from])
                 continue;
@@ -198,18 +282,19 @@ tryIms(const DepGraph &g, const MachineModel &m, int ii,
             slot = static_cast<int>(estart);
 
         // Evict resource conflicts.
-        for (int w : mrt.conflicts(g.nodes[v], slot, prio)) {
+        mrt.conflicts(g.nodes[v], slot, prio, s.evict);
+        for (int w : s.evict) {
             mrt.remove(w, g.nodes[w], time[w]);
-            scheduled[w] = false;
-            work.insert(w);
+            scheduled[w] = 0;
+            enqueue(w);
         }
         mrt.place(v, g.nodes[v], slot);
-        scheduled[v] = true;
+        scheduled[v] = 1;
         time[v] = slot;
         prev_time[v] = slot;
 
         // Evict scheduled successors whose dependence is now violated.
-        for (int e : g.succ[v]) {
+        for (int e : g.succ[static_cast<size_t>(v)]) {
             const DepEdge &edge = g.edges[static_cast<size_t>(e)];
             int w = edge.to;
             if (w == v || !scheduled[w])
@@ -218,8 +303,8 @@ tryIms(const DepGraph &g, const MachineModel &m, int ii,
                             static_cast<int64_t>(ii) * edge.distance;
             if (time[w] < ready) {
                 mrt.remove(w, g.nodes[w], time[w]);
-                scheduled[w] = false;
-                work.insert(w);
+                scheduled[w] = 0;
+                enqueue(w);
             }
         }
     }
@@ -254,14 +339,16 @@ moduloSchedule(const DepGraph &g, const MachineModel &m, int max_ii)
     int mii = minII(g, m);
     if (max_ii <= 0)
         max_ii = mii * 3 + 96;
+    ImsScratch scratch(m);
     for (int ii = mii; ii <= max_ii; ++ii) {
-        if (tryIms(g, m, ii, result)) {
+        if (tryIms(g, m, ii, scratch, result)) {
             verifyModuloSchedule(g, result);
             return result;
         }
     }
-    panic("modulo scheduling failed up to II=%d (MII=%d, %d nodes)",
-          max_ii, mii, g.nodeCount());
+    throw std::runtime_error(
+        strformat("modulo scheduling failed up to II=%d (MII=%d, %d nodes)",
+                  max_ii, mii, g.nodeCount()));
 }
 
 void

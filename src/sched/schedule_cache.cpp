@@ -67,7 +67,9 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m)
         }
         uint64_t t0 = obs::monotonicMicros();
         try {
-            entry->ck = compileKernel(k, m);
+            std::shared_ptr<const PlanEntry> plan =
+                planFor(k, key.kernelHash);
+            entry->ck = compileKernel(k, plan->plan, m);
         } catch (...) {
             entry->error = std::current_exception();
             return;
@@ -93,6 +95,29 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m)
         break;
     }
     return entry->ck;
+}
+
+std::shared_ptr<const ScheduleCache::PlanEntry>
+ScheduleCache::planFor(const kernel::Kernel &k, uint64_t kernel_hash)
+{
+    std::shared_ptr<PlanEntry> entry;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto &slot = plans_[kernel_hash];
+        if (!slot)
+            slot = std::make_shared<PlanEntry>();
+        entry = slot;
+    }
+    std::call_once(entry->once, [&] {
+        try {
+            entry->plan = planKernel(k);
+        } catch (...) {
+            entry->error = std::current_exception();
+        }
+    });
+    if (entry->error)
+        std::rethrow_exception(entry->error);
+    return entry;
 }
 
 void
@@ -138,6 +163,7 @@ ScheduleCache::size() const
 void
 ScheduleCache::clear()
 {
+    PlanMap plans; // freed after the lock is released
     std::lock_guard<std::mutex> lock(mu_);
     // Retire the map instead of destroying it: entries (and the
     // CompiledKernel references handed out from them) stay alive
@@ -145,6 +171,8 @@ ScheduleCache::clear()
     // in-flight get() calls or invalidate outstanding references.
     retired_.push_back(std::move(map_));
     map_ = Map{};
+    // A compile in flight holds its own plan.
+    plans.swap(plans_);
     hits_.reset();
     misses_.reset();
     diskHits_.reset();

@@ -14,9 +14,19 @@
  * written back so every later process pointed at the same store
  * directory starts warm.
  *
+ * Compiling has a per-kernel tier under the schedules: the first
+ * compile of a kernel builds its KernelPlan (the census, and each
+ * unroll factor's body and dependence skeleton) once, keyed by the
+ * kernel fingerprint, and every machine compiles from it. A cold
+ * figure suite thus unrolls and builds skeletons once per distinct
+ * kernel, not once per (kernel, machine). The plans live until
+ * clear(), which frees them: a compile in flight holds its plan
+ * through a shared_ptr.
+ *
  * Thread safety: get() may be called concurrently from any number of
  * threads; a given key is compiled exactly once (concurrent requests
- * for the same key block on the winner). Returned references stay
+ * for the same key block on the winner), and a given kernel is
+ * planned exactly once per clear(). Returned references stay
  * valid for the cache's whole lifetime: clear() swaps the live map
  * out under the lock and retires it instead of destroying entries, so
  * it never invalidates in-flight get() calls or references obtained
@@ -110,12 +120,14 @@ class ScheduleCache
     size_t size() const;
 
     /**
-     * Forget all entries and reset the counters. Concurrency-safe:
-     * the map is swapped out under the lock and retired rather than
-     * destroyed, so in-flight get() calls and previously returned
-     * references stay valid; retired entries are freed only when the
-     * cache is destroyed. The attached store (if any) is unaffected,
-     * so a clear() followed by get() re-hits the disk tier.
+     * Forget all entries and plans and reset the counters.
+     * Concurrency-safe: the map is swapped out under the lock and
+     * retired rather than destroyed, so in-flight get() calls and
+     * previously returned references stay valid; retired entries are
+     * freed only when the cache is destroyed. The plans are freed
+     * (compiles in flight keep theirs alive until they finish). The
+     * attached store (if any) is unaffected, so a clear() followed by
+     * get() re-hits the disk tier.
      */
     void clear();
 
@@ -149,9 +161,25 @@ class ScheduleCache
         std::exception_ptr error;
     };
     using Map = std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash>;
+    /** One kernel's plan, built once; a failure is kept as in Entry. */
+    struct PlanEntry
+    {
+        std::once_flag once;
+        KernelPlan plan;
+        std::exception_ptr error;
+    };
+    using PlanMap =
+        std::unordered_map<uint64_t, std::shared_ptr<PlanEntry>>;
+
+    /** k's plan (k's fingerprint is kernel_hash), planned on first
+     *  use; rethrows a failed planning. */
+    std::shared_ptr<const PlanEntry> planFor(const kernel::Kernel &k,
+                                             uint64_t kernel_hash);
 
     mutable std::mutex mu_;
     Map map_;
+    /** Plans by kernel fingerprint, until the next clear(). */
+    PlanMap plans_;
     /** Maps swapped out by clear(): keeps retired entries (and thus
      *  outstanding references) alive until the cache is destroyed. */
     std::vector<Map> retired_;

@@ -9,7 +9,7 @@ namespace {
 /** Append the distinct values of `v`, ascending, as the next list of
  *  `out`, and empty `v`. */
 void
-closeAsSet(OpLists &out, std::vector<int> &v)
+closeAsSet(FlatLists &out, std::vector<int> &v)
 {
     std::sort(v.begin(), v.end());
     out.items.insert(out.items.end(), v.begin(),
@@ -26,7 +26,7 @@ analyzeDeps(const StreamProgram &prog)
     const auto &ops = prog.ops();
     const size_t n_streams = prog.streams().size();
     ProgramDeps out;
-    for (OpLists *l : {&out.deps, &out.lastUseOf, &out.reads, &out.writes})
+    for (FlatLists *l : {&out.deps, &out.lastUseOf, &out.reads, &out.writes})
         l->offsets.reserve(ops.size() + 1);
 
     for (const StreamOp &op : ops) {

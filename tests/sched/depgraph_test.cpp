@@ -125,11 +125,19 @@ TEST(DepGraphTest, AdjacencyConsistent)
     Kernel k = b.build();
     MachineModel m = MachineModel::forSize({8, 5});
     DepGraph g = buildDepGraph(k, m);
+    ASSERT_EQ(g.succ.size(), g.nodes.size());
+    ASSERT_EQ(g.pred.size(), g.nodes.size());
     size_t succ_total = 0, pred_total = 0;
-    for (const auto &s : g.succ)
-        succ_total += s.size();
-    for (const auto &p : g.pred)
-        pred_total += p.size();
+    for (size_t i = 0; i < g.nodes.size(); ++i) {
+        for (int e : g.succ[i])
+            EXPECT_EQ(g.edges[static_cast<size_t>(e)].from,
+                      static_cast<int>(i));
+        for (int e : g.pred[i])
+            EXPECT_EQ(g.edges[static_cast<size_t>(e)].to,
+                      static_cast<int>(i));
+        succ_total += g.succ[i].size();
+        pred_total += g.pred[i].size();
+    }
     EXPECT_EQ(succ_total, g.edges.size());
     EXPECT_EQ(pred_total, g.edges.size());
 }

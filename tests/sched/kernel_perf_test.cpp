@@ -1,9 +1,13 @@
 #include "sched/kernel_perf.h"
 
+#include <bit>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "core/experiments.h"
 #include "kernel/builder.h"
 #include "sched/depgraph.h"
@@ -139,6 +143,29 @@ TEST(KernelPerfTest, UnrollPruningIsExactOverTheFigureSuite)
             saw_housegen_c128_n5 = true;
     }
     EXPECT_TRUE(saw_housegen_c128_n5);
+}
+
+// Every field of the figure suite's 240 compiled kernels, in suite
+// order. The scheduler's data structures may change for speed; this
+// digest may not: a moved II, stage count, length or factor choice
+// anywhere in the suite fails here.
+TEST(KernelPerfTest, SuiteSchedulesMatchPinnedDigest)
+{
+    const std::vector<core::SuiteCompile> pairs = core::suiteCompiles();
+    ASSERT_EQ(pairs.size(), 240u);
+    Fnv f;
+    for (const core::SuiteCompile &p : pairs) {
+        const CompiledKernel ck =
+            compileKernel(*p.kernel, MachineModel::forSize(p.size));
+        forEachField(ck, [&](const char *, const auto &v) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                         double>)
+                f.mix(std::bit_cast<uint64_t>(v));
+            else
+                f.mix(static_cast<uint64_t>(v));
+        });
+    }
+    EXPECT_EQ(f.h, 0x0cf9d1e150d2060dull);
 }
 
 TEST(KernelPerfTest, UnexecutableKernelThrows)

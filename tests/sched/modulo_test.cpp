@@ -1,12 +1,14 @@
 #include "sched/modulo.h"
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/prng.h"
 #include "kernel/builder.h"
 #include "sched/mii.h"
+#include "random_kernel.h"
 
 namespace sps::sched {
 namespace {
@@ -115,6 +117,28 @@ TEST(ModuloTest, ResourcePressureRaisesII)
     verifyModuloSchedule(g, s);
 }
 
+TEST(ModuloTest, ExhaustedIiSearchThrows)
+{
+    // A search limit below the MII leaves no II to try: a client's
+    // request can reach this, so it is an exception the evaluation
+    // service returns as an error, not an abort.
+    Kernel k = accumulatorKernel();
+    MachineModel m = MachineModel::forSize({8, 5});
+    DepGraph g = buildDepGraph(k, m);
+    const int mii = minII(g, m);
+    ASSERT_GE(mii, 2);
+    try {
+        moduloSchedule(g, m, mii - 1);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "modulo scheduling failed up to II=" +
+                      std::to_string(mii - 1)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 /**
  * Property test: random dataflow kernels with accumulators schedule
  * successfully on every machine, every dependence holds, and no
@@ -126,48 +150,8 @@ class RandomKernelModuloTest : public ::testing::TestWithParam<int>
 
 TEST_P(RandomKernelModuloTest, ScheduleIsValid)
 {
-    Prng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
-    KernelBuilder b("rand" + std::to_string(GetParam()));
-    int in = b.inStream("in", 2);
-    int out = b.outStream("out");
-    b.scratchpad(8);
-    std::vector<kernel::ValueId> vals;
-    vals.push_back(b.sbRead(in, 0));
-    vals.push_back(b.sbRead(in, 1));
-    // A couple of recurrences.
-    std::vector<kernel::ValueId> phis;
-    for (int i = 0; i < 2; ++i)
-        phis.push_back(b.phi(isa::Word::fromFloat(0.f),
-                             1 + static_cast<int>(rng.below(3))));
-    vals.insert(vals.end(), phis.begin(), phis.end());
-    int n_ops = 10 + static_cast<int>(rng.below(40));
-    for (int i = 0; i < n_ops; ++i) {
-        auto pick = [&] {
-            return vals[rng.below(static_cast<uint32_t>(vals.size()))];
-        };
-        kernel::ValueId v = kernel::kNoValue;
-        switch (rng.below(6)) {
-          case 0: v = b.fadd(pick(), pick()); break;
-          case 1: v = b.fmul(pick(), pick()); break;
-          case 2: v = b.iadd(pick(), pick()); break;
-          case 3: v = b.fsub(pick(), pick()); break;
-          case 4: v = b.comm(pick(), b.clusterId()); break;
-          default: {
-            auto addr = b.iand(pick(), b.constI(7));
-            v = b.spRead(addr);
-            break;
-          }
-        }
-        vals.push_back(v);
-    }
-    for (size_t i = 0; i < phis.size(); ++i)
-        b.setPhiSource(phis[i], vals[vals.size() - 1 - i]);
-    b.sbWrite(out, vals.back());
-    Kernel k = b.build();
-
-    for (auto size : {vlsi::MachineSize{8, 2}, vlsi::MachineSize{8, 5},
-                      vlsi::MachineSize{8, 14},
-                      vlsi::MachineSize{128, 10}}) {
+    Kernel k = randomKernel(GetParam());
+    for (vlsi::MachineSize size : kRandomKernelSizes) {
         MachineModel m = MachineModel::forSize(size);
         DepGraph g = buildDepGraph(k, m);
         ModuloSchedule s = moduloSchedule(g, m);
@@ -179,7 +163,7 @@ TEST_P(RandomKernelModuloTest, ScheduleIsValid)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomKernelModuloTest,
-                         ::testing::Range(0, 16));
+                         ::testing::Range(0, kRandomKernelSeeds));
 
 } // namespace
 } // namespace sps::sched

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
@@ -186,6 +187,70 @@ TEST(ScheduleCacheTest, ConcurrentClearAndGet)
     for (auto &per_thread : refs)
         for (const CompiledKernel *ck : per_thread)
             EXPECT_GT(ck->ii, 0);
+}
+
+/** Every field of `ck`, in table order. */
+std::vector<double>
+fieldsOf(const CompiledKernel &ck)
+{
+    std::vector<double> out;
+    forEachField(ck, [&](const char *, const auto &v) {
+        out.push_back(static_cast<double>(v));
+    });
+    return out;
+}
+
+/** One kernel compiled for eight machines at once shares one plan,
+ *  while clear() frees the plan tier under the compiles. Runs under
+ *  TSan in CI. */
+TEST(ScheduleCacheTest, ConcurrentMachinesOfOneKernel)
+{
+    const kernel::Kernel &k = workloads::fftKernel();
+    const std::array<vlsi::MachineSize, 8> sizes{{{8, 2},
+                                                  {8, 5},
+                                                  {8, 10},
+                                                  {8, 14},
+                                                  {16, 5},
+                                                  {32, 5},
+                                                  {64, 10},
+                                                  {128, 10}}};
+    std::vector<std::vector<double>> want;
+    for (vlsi::MachineSize s : sizes)
+        want.push_back(fieldsOf(compileKernel(k, machine(s.clusters,
+                                                         s.alusPerCluster))));
+    ScheduleCache cache;
+    for (int round = 0; round < 4; ++round) {
+        const int n = static_cast<int>(sizes.size());
+        std::atomic<int> started{0};
+        std::atomic<int> done{0};
+        std::vector<std::vector<double>> got(sizes.size());
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < sizes.size(); ++t)
+            threads.emplace_back([&, t] {
+                MachineModel m =
+                    machine(sizes[t].clusters, sizes[t].alusPerCluster);
+                started.fetch_add(1);
+                while (started.load() < n)
+                    std::this_thread::yield();
+                got[t] = fieldsOf(cache.get(k, m));
+                done.fetch_add(1);
+            });
+        std::thread clearer([&] {
+            while (started.load() < n)
+                std::this_thread::yield();
+            for (int i = 0; i < 50 && done.load() < n; ++i) {
+                cache.clear();
+                std::this_thread::yield();
+            }
+        });
+        for (auto &th : threads)
+            th.join();
+        clearer.join();
+        for (size_t t = 0; t < sizes.size(); ++t)
+            EXPECT_EQ(got[t], want[t])
+                << "round " << round << ", C=" << sizes[t].clusters
+                << " N=" << sizes[t].alusPerCluster;
+    }
 }
 
 TEST(ScheduleCacheTest, DiskTierAvoidsRecompilation)
