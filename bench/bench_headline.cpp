@@ -17,7 +17,8 @@
  * store codec's
  * encode and decode ns per byte over the 120 Figure-15 results, and
  * the DRAM model's ns per resolve over the Figure-15 programs' loads
- * and stores -- written to BENCH_suite.json. App runs route through
+ * and stores, and the Figure-15 programs' build and simulation times
+ * -- written to BENCH_suite.json. App runs route through
  * svc::EvalService; pass --cache-dir DIR to add the disk tier (a warm
  * DIR makes even the "cold" rows compile/simulate nothing) and a
  * cache-tier counter section prints at the end.
@@ -565,6 +566,64 @@ timeDram(const std::vector<DramProgram> &progs)
     return row;
 }
 
+/** Passes of the grid build-and-simulate timing. */
+constexpr int kGridSimRepeats = 10;
+
+/** The Figure-15 programs built and simulated serially. */
+struct GridSimRow
+{
+    size_t programs = 0;
+    size_t streamOps = 0;
+    /** Fastest pass's total build time, and fastest total run time. */
+    double buildSeconds = 0.0;
+    double runSeconds = 0.0;
+};
+
+/**
+ * Build and run every Figure-15 program serially, as perfbench's
+ * untraced sim_sweep pass does: each point gets a fresh
+ * StreamProcessor, and its program and result are destroyed before
+ * the next program is built. An untimed first pass warms every
+ * schedule; build and run times are each the fastest of
+ * kGridSimRepeats passes' totals.
+ */
+GridSimRow
+timeGridSim()
+{
+    using namespace sps;
+    using Clock = std::chrono::steady_clock;
+    std::map<std::string, workloads::AppEntry> apps;
+    for (auto &app : workloads::appSuite())
+        apps.emplace(app.name, app);
+    const std::vector<svc::EvalPoint> grid =
+        svc::appSweepPlan(core::kGridC, core::kGridN).grid;
+    GridSimRow row;
+    row.programs = grid.size();
+    row.buildSeconds = std::numeric_limits<double>::infinity();
+    row.runSeconds = std::numeric_limits<double>::infinity();
+    for (int r = 0; r <= kGridSimRepeats; ++r) {
+        std::chrono::duration<double> build{0}, run{0};
+        size_t ops = 0;
+        for (const svc::EvalPoint &pt : grid) {
+            sim::StreamProcessor proc(svc::effectiveSimConfig(pt));
+            auto t0 = Clock::now();
+            const stream::StreamProgram prog =
+                apps.at(pt.app).build(pt.size, proc.srf());
+            auto t1 = Clock::now();
+            const sim::SimResult res = proc.run(prog);
+            build += t1 - t0;
+            run += Clock::now() - t1;
+            ops += prog.ops().size();
+        }
+        row.streamOps = ops;
+        if (r > 0) {
+            row.buildSeconds = std::min(row.buildSeconds, build.count());
+            row.runSeconds = std::min(row.runSeconds, run.count());
+        }
+    }
+    return row;
+}
+
 struct InterpRow
 {
     std::string name;
@@ -722,7 +781,8 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                size_t pairs, const SlowestCompile &slowest,
                double compile_s, const WarmPass &warm,
                const WarmPass &daemon,
-               const CodecRow &codec, const DramRow &dram)
+               const CodecRow &codec, const DramRow &dram,
+               const GridSimRow &grid_sim)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -758,7 +818,10 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  "\"decode_ns_per_byte\": %.3f},\n"
                  "  \"dram\": {\"programs\": %zu, \"resolves\": %zu, "
                  "\"transfers\": %zu, \"repeats\": %d, "
-                 "\"min_wall_s\": %.4f, \"ns_per_resolve\": %.1f}\n}\n",
+                 "\"min_wall_s\": %.4f, \"ns_per_resolve\": %.1f},\n"
+                 "  \"grid_sim\": {\"programs\": %zu, "
+                 "\"stream_ops\": %zu, \"repeats\": %d, "
+                 "\"build_min_s\": %.4f, \"run_min_s\": %.4f}\n}\n",
                  pairs, slowest.pair->kernel->name.c_str(),
                  slowest.pair->size.clusters,
                  slowest.pair->size.alusPerCluster, slowest.seconds,
@@ -770,7 +833,9 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
                  kCodecRepeats, codec.encodeNsPerByte,
                  codec.decodeNsPerByte, dram.programs, dram.resolves,
                  dram.transfers, kDramRepeats, dram.seconds,
-                 dram.nsPerResolve);
+                 dram.nsPerResolve, grid_sim.programs, grid_sim.streamOps,
+                 kGridSimRepeats, grid_sim.buildSeconds,
+                 grid_sim.runSeconds);
     std::fclose(f);
 }
 
@@ -903,6 +968,7 @@ main(int argc, char **argv)
     const CodecRow codec = timeCodec(
         parallel_svc.appPerformance(sps::core::kGridC, sps::core::kGridN));
     const DramRow dram = timeDram(dramPrograms());
+    const GridSimRow grid_sim = timeGridSim();
     std::printf("Evaluation engine: full figure-suite wall-clock "
                 "(min of %d runs)\n\n"
                 "%s\n"
@@ -923,7 +989,10 @@ main(int argc, char **argv)
                 "%d; written to BENCH_suite.json)\n"
                 "DRAM model over the %zu Figure-15 programs: %zu "
                 "resolves of %zu transfers in %.4f s, %.1f ns per "
-                "resolve (min of %d; written to BENCH_suite.json)\n",
+                "resolve (min of %d; written to BENCH_suite.json)\n"
+                "the %zu Figure-15 programs (%zu stream ops) built in "
+                "%.4f s and simulated in %.4f s, serially with warm "
+                "schedules (min of %d; written to BENCH_suite.json)\n",
                 kSuiteRepeats, e.toString().c_str(),
                 cold_parallel.seconds > 0.0
                     ? cold_serial.seconds / cold_parallel.seconds
@@ -942,9 +1011,12 @@ main(int argc, char **argv)
                 codec.bytes, codec.encodeNsPerByte,
                 codec.decodeNsPerByte, kCodecRepeats, dram.programs,
                 dram.resolves, dram.transfers, dram.seconds,
-                dram.nsPerResolve, kDramRepeats);
+                dram.nsPerResolve, kDramRepeats, grid_sim.programs,
+                grid_sim.streamOps, grid_sim.buildSeconds,
+                grid_sim.runSeconds, kGridSimRepeats);
     writeSuiteJson("BENCH_suite.json", suite_rows, pairs.size(),
-                   slowest, compile_s, warm, daemon, codec, dram);
+                   slowest, compile_s, warm, daemon, codec, dram,
+                   grid_sim);
 
     // --- Cache tiers: where every request was answered ---
     // Attached after the timed runs, which pay nothing for it: the

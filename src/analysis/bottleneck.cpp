@@ -1,7 +1,5 @@
 #include "analysis/bottleneck.h"
 
-#include <utility>
-
 namespace sps::analysis {
 
 BottleneckReport
@@ -27,32 +25,27 @@ attributeBottleneck(const std::vector<sim::OpInterval> &timeline,
     std::vector<CycleInterval> idle =
         subtractIntervals({{0, cycles}}, busy);
 
-    // Per-op wait windows from the issue metadata.
-    std::vector<CycleInterval> sb, host, dep;
-    sb.reserve(timeline.size());
-    host.reserve(timeline.size());
-    dep.reserve(timeline.size());
+    // Per-op wait windows from the issue metadata, each class merged
+    // into its union as the timeline is read (in issue order every
+    // window starts no earlier than the one before).
+    IntervalUnion sb, host, dep;
     for (const sim::OpInterval &op : timeline) {
-        if (op.issueStart > op.sbWaitStart)
-            sb.push_back({op.sbWaitStart, op.issueStart});
-        if (op.issueEnd > op.issueStart)
-            host.push_back({op.issueStart, op.issueEnd});
-        if (op.readyCycle > op.issueEnd)
-            dep.push_back({op.issueEnd, op.readyCycle});
+        sb.add({op.sbWaitStart, op.issueStart});
+        host.add({op.issueStart, op.issueEnd});
+        dep.add({op.issueEnd, op.readyCycle});
     }
 
     // Attribute quiet cycles by priority; each window class claims its
     // intersection with the still-unattributed idle set.
-    auto claim = [&idle](std::vector<CycleInterval> windows) {
-        std::vector<CycleInterval> w =
-            mergeIntervals(std::move(windows));
-        std::vector<CycleInterval> got = intersectIntervals(idle, w);
+    auto claim = [&idle](IntervalUnion &windows) {
+        std::vector<CycleInterval> got =
+            intersectIntervals(idle, windows.take());
         idle = subtractIntervals(idle, got);
         return intervalLength(got);
     };
-    r.scoreboardCycles = claim(std::move(sb));
-    r.dependenceCycles = claim(std::move(dep));
-    r.hostIssueCycles = claim(std::move(host));
+    r.scoreboardCycles = claim(sb);
+    r.dependenceCycles = claim(dep);
+    r.hostIssueCycles = claim(host);
     r.idleCycles = intervalLength(idle);
     return r;
 }

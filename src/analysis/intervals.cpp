@@ -1,6 +1,7 @@
 #include "analysis/intervals.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace sps::analysis {
 
@@ -23,6 +24,16 @@ mergeIntervals(std::vector<CycleInterval> v)
         else
             out.push_back(iv);
     }
+    return out;
+}
+
+std::vector<CycleInterval>
+IntervalUnion::take()
+{
+    std::vector<CycleInterval> out =
+        sorted_ ? std::move(set_) : mergeIntervals(std::move(set_));
+    set_.clear();
+    sorted_ = true;
     return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace sps {
 
@@ -29,10 +30,18 @@ struct Fnv
         }
     }
 
+    /** The length, then the bytes. */
     void
     mix(const std::string &s)
     {
         mix(static_cast<uint64_t>(s.size()));
+        mixBytes(s);
+    }
+
+    /** The bytes alone, without mix(std::string)'s length. */
+    void
+    mixBytes(std::string_view s)
+    {
         for (char c : s) {
             h ^= static_cast<uint8_t>(c);
             h *= kPrime;

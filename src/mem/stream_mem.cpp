@@ -358,6 +358,12 @@ StreamMemSystem::beginProgram()
     busyIvs_.clear();
 }
 
+void
+StreamMemSystem::reserve(size_t transfers)
+{
+    results_.reserve(transfers);
+}
+
 int
 StreamMemSystem::submit(const TransferDesc &desc,
                         const TransferTrace *tr)
@@ -396,12 +402,11 @@ StreamMemSystem::result(int ticket)
     return results_[static_cast<size_t>(ticket)];
 }
 
-std::vector<BusyInterval>
-StreamMemSystem::takeBusyIntervals()
+void
+StreamMemSystem::takeBusyIntervals(std::vector<BusyInterval> &out)
 {
-    std::vector<BusyInterval> out = std::move(busyIvs_);
+    out.insert(out.end(), busyIvs_.begin(), busyIvs_.end());
     busyIvs_.clear();
-    return out;
 }
 
 void

@@ -213,6 +213,10 @@ class StreamMemSystem
      *  counters to zero) for a new program run at cycle 0. */
     void beginProgram();
 
+    /** Make room for `transfers` results, so a program run that
+     *  submits no more than that never regrows them. */
+    void reserve(size_t transfers);
+
     /**
      * Submit a transfer for joint service; returns a ticket valid
      * until the next beginProgram(). When `tr` carries a tracer, the
@@ -235,12 +239,13 @@ class StreamMemSystem
     const TransferResult &result(int ticket);
 
     /**
-     * Busy intervals (union over channels, in service order per
-     * resolve batch) accumulated since the last call; cleared on
-     * return. Intervals from different batches may overlap -- callers
-     * wanting a disjoint set must merge.
+     * Append the busy intervals (union over channels, in service order
+     * per resolve batch) recorded since the last call to `out`, and
+     * forget them. Intervals from different batches may overlap --
+     * callers wanting a disjoint set must merge. Both vectors keep
+     * their capacity.
      */
-    std::vector<BusyInterval> takeBusyIntervals();
+    void takeBusyIntervals(std::vector<BusyInterval> &out);
 
     /** Per-channel counters since beginProgram(). */
     const std::vector<ChannelStats> &channelStats() const

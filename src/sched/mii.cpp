@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "common/log.h"
 
@@ -59,25 +60,18 @@ recurrenceFeasible(const DepGraph &g, int ii)
     return false;
 }
 
-} // namespace
-
+/**
+ * The smallest II in [lo, hi] at which the recurrences fit, by binary
+ * search (feasibility is monotone in II). Throws std::runtime_error
+ * unless they fit at hi: a request's params can stretch latencies
+ * past any II the search may try.
+ */
 int
-recMii(const DepGraph &g)
+searchRecurrence(const DepGraph &g, int lo, int hi)
 {
-    // Only loop-carried edges can close cycles; without any, RecMII=1.
-    bool has_back_edge = false;
-    int64_t lat_sum = 1;
-    for (const DepEdge &e : g.edges) {
-        if (e.distance > 0)
-            has_back_edge = true;
-        lat_sum += e.latency;
-    }
-    if (!has_back_edge)
-        return 1;
-    int lo = 1;
-    int hi = static_cast<int>(std::min<int64_t>(lat_sum, 1 << 20));
-    SPS_ASSERT(recurrenceFeasible(g, hi),
-               "recurrence infeasible even at II=%d", hi);
+    if (!recurrenceFeasible(g, hi))
+        throw std::runtime_error(strformat(
+            "recurrence infeasible even at II=%d", hi));
     while (lo < hi) {
         int mid = lo + (hi - lo) / 2;
         if (recurrenceFeasible(g, mid))
@@ -88,10 +82,48 @@ recMii(const DepGraph &g)
     return lo;
 }
 
+/** The largest II the recurrence search tries: past the latency sum
+ *  every recurrence fits, and 2^20 bounds the schedule a request can
+ *  make. 0 when no loop-carried edge can close a cycle. */
+int
+recurrenceCap(const DepGraph &g)
+{
+    bool has_back_edge = false;
+    int64_t lat_sum = 1;
+    for (const DepEdge &e : g.edges) {
+        if (e.distance > 0)
+            has_back_edge = true;
+        lat_sum += e.latency;
+    }
+    return has_back_edge
+               ? static_cast<int>(std::min<int64_t>(lat_sum, 1 << 20))
+               : 0;
+}
+
+} // namespace
+
+int
+recMii(const DepGraph &g)
+{
+    // Only loop-carried edges can close cycles; without any, RecMII=1.
+    const int hi = recurrenceCap(g);
+    return hi == 0 ? 1 : searchRecurrence(g, 1, hi);
+}
+
 int
 minII(const DepGraph &g, const MachineModel &m)
 {
-    return std::max(resMii(g, m), recMii(g));
+    // One check at ResMII settles max(ResMII, RecMII) whenever the
+    // recurrences fit there; only otherwise is RecMII searched for,
+    // above ResMII.
+    const int res = resMii(g, m);
+    const int hi = recurrenceCap(g);
+    if (hi == 0)
+        return res;
+    const int at = std::min(res, hi);
+    if (recurrenceFeasible(g, at))
+        return res;
+    return searchRecurrence(g, at + 1, hi);
 }
 
 } // namespace sps::sched

@@ -24,10 +24,11 @@ runKernelFunctionally(const StreamOp &op, int clusters,
                       const stream::StreamProgram &prog)
 {
     const kernel::Kernel &k = *op.k;
+    const std::span<const int> args = prog.args(op);
     std::vector<interp::StreamData> inputs;
     std::vector<int> out_streams;
     for (size_t p = 0; p < k.streams.size(); ++p) {
-        int bound = op.args[p];
+        int bound = args[p];
         if (k.streams[p].dir == kernel::PortDir::In) {
             if (!ctx.has(bound))
                 fatal("program %s: functional run of kernel %s needs "
@@ -80,12 +81,23 @@ executeProgram(const stream::StreamProgram &prog,
     };
     std::vector<PendingMemOp> pending_mem;
     std::vector<analysis::CycleInterval> uc_busy;
+    // Memory pin occupancy: each resolve's busy intervals go into this
+    // running union, which in the usual case holds no more than their
+    // merged set; batch_busy is the reused buffer they pass through.
+    analysis::IntervalUnion mem_union;
+    std::vector<mem::BusyInterval> batch_busy;
 
     int64_t issue_time = 0;
     int64_t uc_free = 0;
     bool warned_overflow = false;
 
     mem_sys.beginProgram();
+    // Every load and store is one transfer result: room for all of
+    // them up front, so the results never regrow during the run.
+    mem_sys.reserve(static_cast<size_t>(
+        std::count_if(ops.begin(), ops.end(), [](const StreamOp &op) {
+            return op.kind != OpKind::Kernel;
+        })));
 
     if (SPS_TRACE_ENABLED(tracer)) {
         tracer->setTrackName(trace::kTrackHost,
@@ -108,6 +120,10 @@ executeProgram(const stream::StreamProgram &prog,
         if (pending_mem.empty())
             return;
         mem_sys.resolveAll();
+        mem_sys.takeBusyIntervals(batch_busy);
+        for (const mem::BusyInterval &iv : batch_busy)
+            mem_union.add(iv);
+        batch_busy.clear();
         for (const PendingMemOp &p : pending_mem) {
             const mem::TransferResult &tr = mem_sys.result(p.ticket);
             complete[p.opIndex] = tr.doneCycle;
@@ -186,7 +202,7 @@ executeProgram(const stream::StreamProgram &prog,
         issue_time += cfg.hostIssueCycles;
         ctr.hostIssueBusyCycles += cfg.hostIssueCycles;
         if (SPS_TRACE_ENABLED(tracer))
-            tracer->complete("host", "issue " + op.label, issue_start,
+            tracer->complete("host", "issue " + prog.label(op), issue_start,
                              issue_time, trace::kTrackHost,
                              {{"op_id", op_id}});
 
@@ -204,7 +220,7 @@ executeProgram(const stream::StreamProgram &prog,
         ctr.depStallCycles += ready - issue_time;
 
         OpInterval &iv = result.timeline[i];
-        iv.label = op.label;
+        iv.label = prog.label(op);
         iv.opId = op_id;
         iv.sbWaitStart = sb_wait_start;
         iv.issueStart = issue_start;
@@ -237,7 +253,7 @@ executeProgram(const stream::StreamProgram &prog,
             desc.write = !is_load;
             int ticket;
             if (SPS_TRACE_ENABLED(tracer)) {
-                mem::TransferTrace ttr{tracer, op.label, op_id};
+                mem::TransferTrace ttr{tracer, prog.label(op), op_id};
                 ticket = mem_sys.submit(desc, &ttr);
             } else {
                 ticket = mem_sys.submit(desc);
@@ -337,8 +353,7 @@ executeProgram(const stream::StreamProgram &prog,
     // previous one ends. The cycle breakdown (kernel-only / mem-only /
     // overlapped / idle, summing to cycles) and the stall waterfall
     // both come from these two sets.
-    std::vector<analysis::CycleInterval> mem_busy =
-        analysis::mergeIntervals(mem_sys.takeBusyIntervals());
+    std::vector<analysis::CycleInterval> mem_busy = mem_union.take();
     result.memBusy = analysis::intervalLength(mem_busy);
     ctr.overlapCycles = analysis::intervalLength(
         analysis::intersectIntervals(mem_busy, uc_busy));

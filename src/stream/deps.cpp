@@ -37,14 +37,16 @@ analyzeDeps(const StreamProgram &prog)
           case OpKind::Store:
             out.reads.items.push_back(op.stream);
             break;
-          case OpKind::Kernel:
-            for (size_t p = 0; p < op.args.size(); ++p) {
+          case OpKind::Kernel: {
+            const std::span<const int> args = prog.args(op);
+            for (size_t p = 0; p < args.size(); ++p) {
                 if (op.k->streams[p].dir == kernel::PortDir::In)
-                    out.reads.items.push_back(op.args[p]);
+                    out.reads.items.push_back(args[p]);
                 else
-                    out.writes.items.push_back(op.args[p]);
+                    out.writes.items.push_back(args[p]);
             }
             break;
+          }
         }
         out.reads.close();
         out.writes.close();

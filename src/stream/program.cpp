@@ -1,12 +1,41 @@
 #include "stream/program.h"
 
 #include <algorithm>
+#include <functional>
+#include <string_view>
 
 #include "common/fnv.h"
 #include "common/log.h"
 #include "kernel/fingerprint.h"
 
 namespace sps::stream {
+
+namespace {
+
+/** What StreamProgram::label puts before the name: "load ", "store ",
+ *  or nothing for a kernel call. */
+std::string_view
+labelPrefix(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::Load: return "load ";
+      case OpKind::Store: return "store ";
+      case OpKind::Kernel: break;
+    }
+    return {};
+}
+
+/** The name StreamProgram::label ends with: the stream's or the
+ *  kernel's. */
+const std::string &
+labelName(const StreamProgram &p, const StreamOp &op)
+{
+    return op.kind == OpKind::Kernel
+               ? op.k->name
+               : p.streams()[static_cast<size_t>(op.stream)].name;
+}
+
+} // namespace
 
 int64_t
 StreamInfo::memFootprintWords() const
@@ -81,11 +110,10 @@ StreamProgram::load(int stream)
     op.kind = OpKind::Load;
     op.stream = stream;
     op.records = info.records;
-    op.label = "load " + info.name;
     op.memBase = info.memBaseWord;
     op.memStride = info.memStrideWords;
     op.memRecordWords = info.memRecordWords();
-    ops_.push_back(std::move(op));
+    ops_.push_back(op);
 }
 
 void
@@ -100,15 +128,14 @@ StreamProgram::store(int stream)
     op.kind = OpKind::Store;
     op.stream = stream;
     op.records = info.records;
-    op.label = "store " + info.name;
     op.memBase = info.memBaseWord;
     op.memStride = info.memStrideWords;
     op.memRecordWords = info.memRecordWords();
-    ops_.push_back(std::move(op));
+    ops_.push_back(op);
 }
 
 void
-StreamProgram::callKernel(const kernel::Kernel *k, std::vector<int> args,
+StreamProgram::callKernel(const kernel::Kernel *k, std::span<const int> args,
                           int64_t driver_records)
 {
     SPS_ASSERT(k != nullptr, "null kernel");
@@ -132,12 +159,34 @@ StreamProgram::callKernel(const kernel::Kernel *k, std::vector<int> args,
     op.kernelSlot = static_cast<int>(slot - kernels_.begin());
     if (slot == kernels_.end())
         kernels_.push_back(k);
-    op.args = std::move(args);
     op.records = driver_records >= 0
                      ? driver_records
-                     : streams_[op.args[k->lengthDriver]].records;
-    op.label = k->name;
-    ops_.push_back(std::move(op));
+                     : streams_[args[k->lengthDriver]].records;
+    op.argBegin = static_cast<int>(args_.size());
+    op.argCount = static_cast<int>(args.size());
+    // `args` may be an earlier call's args(op), a view into args_ that
+    // growing args_ moves; such arguments are copied by index.
+    const int *own = args_.data();
+    if (std::less_equal<const int *>{}(own, args.data()) &&
+        std::less<const int *>{}(args.data(), own + args_.size())) {
+        const auto from = static_cast<size_t>(args.data() - own);
+        for (size_t i = 0; i < args.size(); ++i)
+            args_.push_back(args_[from + i]);
+    } else {
+        args_.insert(args_.end(), args.begin(), args.end());
+    }
+    ops_.push_back(op);
+}
+
+std::string
+StreamProgram::label(const StreamOp &op) const
+{
+    const std::string_view prefix = labelPrefix(op.kind);
+    const std::string &name = labelName(*this, op);
+    std::string s;
+    s.reserve(prefix.size() + name.size());
+    s.append(prefix).append(name);
+    return s;
 }
 
 int64_t
@@ -175,11 +224,17 @@ programFingerprint(const StreamProgram &p)
         f.mix(static_cast<uint64_t>(op.stream));
         f.mix(op.k ? kernel_fps[static_cast<size_t>(op.kernelSlot)]
                    : 0);
-        f.mix(static_cast<uint64_t>(op.args.size()));
-        for (int a : op.args)
+        f.mix(static_cast<uint64_t>(op.argCount));
+        for (int a : p.args(op))
             f.mix(static_cast<uint64_t>(a));
         f.mix(static_cast<uint64_t>(op.records));
-        f.mix(op.label);
+        // label(op), mixed as Fnv::mix(std::string) mixes it, without
+        // building the string.
+        const std::string_view prefix = labelPrefix(op.kind);
+        const std::string &name = labelName(p, op);
+        f.mix(static_cast<uint64_t>(prefix.size() + name.size()));
+        f.mixBytes(prefix);
+        f.mixBytes(name);
         f.mix(static_cast<uint64_t>(op.memBase));
         f.mix(static_cast<uint64_t>(op.memStride));
         f.mix(static_cast<uint64_t>(op.memRecordWords));

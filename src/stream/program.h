@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,20 +60,27 @@ struct StreamInfo
 /** Kind of one stream-level operation. */
 enum class OpKind { Load, Store, Kernel };
 
-/** One stream-level operation. */
+/**
+ * One stream-level operation. Its kernel arguments live in the
+ * program's one argument array (StreamProgram::args) and its label is
+ * derived from its kind and names (StreamProgram::label), so building
+ * an op allocates nothing of its own.
+ */
 struct StreamOp
 {
     OpKind kind = OpKind::Kernel;
     /** Load/Store: the stream moved. */
     int stream = -1;
-    /** Kernel: the kernel and its stream arguments in port order. */
+    /** Kernel: the kernel called. */
     const kernel::Kernel *k = nullptr;
-    std::vector<int> args;
+    /** Kernel: where its stream arguments start in the program's
+     *  argument array, and how many there are (0 for a load or store). */
+    int argBegin = 0;
+    int argCount = 0;
     /** Kernel: index of `k` in StreamProgram::kernels(). */
     int kernelSlot = -1;
     /** Records processed (driver-stream records for kernel calls). */
     int64_t records = 0;
-    std::string label;
     /**
      * Load/Store: resolved memory addressing, carried on the op so
      * the memory system can generate real word addresses -- base word
@@ -94,6 +103,19 @@ class StreamProgram
     const std::string &name() const { return name_; }
     const std::vector<StreamInfo> &streams() const { return streams_; }
     const std::vector<StreamOp> &ops() const { return ops_; }
+    /**
+     * A kernel call's stream arguments in port order; empty for a load
+     * or store. The view is into an array that every callKernel may
+     * grow, so it is valid until the next callKernel.
+     */
+    std::span<const int> args(const StreamOp &op) const
+    {
+        return {args_.data() + op.argBegin,
+                static_cast<size_t>(op.argCount)};
+    }
+    /** The op's label: "load " or "store " followed by the stream's
+     *  name, or the kernel's name for a kernel call. */
+    std::string label(const StreamOp &op) const;
     /**
      * The distinct kernels the program calls, in first-call order. A
      * program calls few kernels many times (QRD: 2 kernels, 2,240
@@ -132,8 +154,16 @@ class StreamProgram
      * the iteration count (default: the bound length-driver stream's
      * record count).
      */
-    void callKernel(const kernel::Kernel *k, std::vector<int> args,
+    void callKernel(const kernel::Kernel *k, std::span<const int> args,
                     int64_t driver_records = -1);
+    /** The builders' braced form: callKernel(&k, {in, out}). */
+    void callKernel(const kernel::Kernel *k,
+                    std::initializer_list<int> args,
+                    int64_t driver_records = -1)
+    {
+        callKernel(k, std::span<const int>(args.begin(), args.size()),
+                   driver_records);
+    }
 
     /** Total records each stream op processes (for stats/tests). */
     int64_t totalKernelRecords() const;
@@ -145,6 +175,9 @@ class StreamProgram
     std::string name_;
     std::vector<StreamInfo> streams_;
     std::vector<StreamOp> ops_;
+    /** Every kernel call's stream arguments, back to back in op
+     *  order (StreamOp::argBegin/argCount). */
+    std::vector<int> args_;
     std::vector<const kernel::Kernel *> kernels_;
     /** Next free external-memory word (bump allocator). */
     int64_t memCursor_ = 0;

@@ -5,16 +5,131 @@
  */
 #include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/bottleneck.h"
+#include "common/prng.h"
+#include "sim/processor.h"
+#include "workloads/suite.h"
 
 namespace sps::analysis {
 namespace {
 
 using Ivs = std::vector<CycleInterval>;
+
+/**
+ * attributeBottleneck as it was before it merged the wait windows
+ * while reading the timeline: three per-op window vectors, each merged
+ * once. Kept verbatim as the oracle the streaming form must match.
+ */
+BottleneckReport
+attributeBottleneckOracle(const std::vector<sim::OpInterval> &timeline,
+                          const std::vector<CycleInterval> &memBusy,
+                          const std::vector<CycleInterval> &ucBusy,
+                          int64_t cycles)
+{
+    BottleneckReport r;
+    r.valid = true;
+
+    // Busy attribution: microcontroller-busy cycles are kernel-bound
+    // whether or not memory overlapped them; memory-only cycles are
+    // memory-bound. This matches the SimCounters cycle breakdown
+    // (kernelBound == kernelOnly + overlap, memoryBound == memOnly).
+    // Memory-only is the busy union less the microcontroller's share:
+    // |mem \ uc| = |mem u uc| - |uc|.
+    std::vector<CycleInterval> busy = unionIntervals(memBusy, ucBusy);
+    r.kernelBoundCycles = intervalLength(ucBusy);
+    r.memoryBoundCycles = intervalLength(busy) - r.kernelBoundCycles;
+
+    // Quiet cycles: the complement of all busy intervals in [0, cycles).
+    std::vector<CycleInterval> idle =
+        subtractIntervals({{0, cycles}}, busy);
+
+    // Per-op wait windows from the issue metadata.
+    std::vector<CycleInterval> sb, host, dep;
+    sb.reserve(timeline.size());
+    host.reserve(timeline.size());
+    dep.reserve(timeline.size());
+    for (const sim::OpInterval &op : timeline) {
+        if (op.issueStart > op.sbWaitStart)
+            sb.push_back({op.sbWaitStart, op.issueStart});
+        if (op.issueEnd > op.issueStart)
+            host.push_back({op.issueStart, op.issueEnd});
+        if (op.readyCycle > op.issueEnd)
+            dep.push_back({op.issueEnd, op.readyCycle});
+    }
+
+    // Attribute quiet cycles by priority; each window class claims its
+    // intersection with the still-unattributed idle set.
+    auto claim = [&idle](std::vector<CycleInterval> windows) {
+        std::vector<CycleInterval> w =
+            mergeIntervals(std::move(windows));
+        std::vector<CycleInterval> got = intersectIntervals(idle, w);
+        idle = subtractIntervals(idle, got);
+        return intervalLength(got);
+    };
+    r.scoreboardCycles = claim(std::move(sb));
+    r.dependenceCycles = claim(std::move(dep));
+    r.hostIssueCycles = claim(std::move(host));
+    r.idleCycles = intervalLength(idle);
+    return r;
+}
+
+/** Every field of a report, in its field table's order. */
+std::vector<int64_t>
+fieldsOf(const BottleneckReport &r)
+{
+    std::vector<int64_t> v;
+    forEachField(r, [&v](const char *, const auto &x) {
+        v.push_back(static_cast<int64_t>(x));
+    });
+    return v;
+}
+
+/** A random interval list in start order, with gaps and touching,
+ *  nested and empty intervals; unless `ordered`, a few of its
+ *  intervals then trade places. */
+Ivs
+randomIntervals(Prng &prng, bool ordered)
+{
+    Ivs v;
+    int64_t t = 0;
+    for (int n = static_cast<int>(prng.below(40)); n > 0; --n) {
+        switch (prng.below(6)) {
+        case 0: // empty
+            v.push_back({t, t});
+            break;
+        case 1: // touching the previous one
+            if (!v.empty())
+                t = v.back().end;
+            v.push_back({t, t + 1 + prng.below(5)});
+            break;
+        case 2: // nested in the previous one
+            if (!v.empty() && v.back().end - v.back().start > 2) {
+                v.push_back({v.back().start + 1, v.back().end - 1});
+                break;
+            }
+            v.push_back({t, t + 1 + prng.below(5)});
+            break;
+        default: // a gap, then an interval
+            t += prng.below(8);
+            v.push_back({t, t + 1 + prng.below(12)});
+        }
+        t = std::max(t, v.back().start) + prng.below(3);
+    }
+    if (!ordered && v.size() > 1) {
+        for (int k = 1 + static_cast<int>(prng.below(4)); k > 0; --k) {
+            size_t i = prng.below(static_cast<uint32_t>(v.size()));
+            size_t j = prng.below(static_cast<uint32_t>(v.size()));
+            std::swap(v[i], v[j]);
+        }
+    }
+    return v;
+}
 
 bool
 same(const Ivs &a, const Ivs &b)
@@ -96,6 +211,27 @@ TEST(IntervalTest, UnionMatchesMergeOfConcatenation)
         EXPECT_TRUE(same(unionIntervals(x, y), mergeIntervals(cat)))
             << "case " << k;
     }
+}
+
+TEST(IntervalTest, UnionBuilderMatchesMerge)
+{
+    // The builder must give exactly mergeIntervals' set for streams in
+    // start order (where it never falls back) and out of it (where it
+    // merges once at the end), and start over after each take().
+    Prng prng(0x1e7e'4a15);
+    IntervalUnion u;
+    for (int k = 0; k < 2000; ++k) {
+        const Ivs v = randomIntervals(prng, k % 2 == 0);
+        for (const CycleInterval &iv : v)
+            u.add(iv);
+        EXPECT_TRUE(same(u.take(), mergeIntervals(v))) << "case " << k;
+    }
+    EXPECT_TRUE(u.take().empty());
+    // An interval that starts before the last one, inside an earlier
+    // gap, joins both of its neighbours.
+    for (CycleInterval iv : Ivs{{0, 2}, {4, 6}, {8, 9}, {2, 4}, {6, 8}})
+        u.add(iv);
+    EXPECT_TRUE(same(u.take(), {{0, 9}}));
 }
 
 TEST(BottleneckTest, AttributesEveryCycleExactlyOnce)
@@ -186,6 +322,77 @@ TEST(BottleneckTest, EmptyRunIsAllZero)
     EXPECT_EQ(r.totalCycles(), 0);
     EXPECT_STREQ(r.limitingResource(),
                  "cluster ALUs (kernel-bound)");
+}
+
+TEST(BottleneckTest, StreamingWindowsMatchOracleOnApps)
+{
+    // Every app at three cluster counts and four cluster widths: the
+    // report from the run's own timeline matches the oracle's field
+    // for field. The busy sets are rebuilt from the timeline: kernel
+    // intervals for the microcontroller, the merged transfers for the
+    // memory pins.
+    for (const workloads::AppEntry &app : workloads::appSuite()) {
+        for (int c : {8, 16, 128}) {
+            for (int n : {2, 5, 10, 14}) {
+                sim::SimConfig cfg;
+                cfg.size = vlsi::MachineSize{c, n};
+                sim::StreamProcessor proc(cfg);
+                const sim::SimResult res =
+                    proc.run(app.build(cfg.size, proc.srf()));
+                Ivs mem, uc;
+                for (const sim::OpInterval &iv : res.timeline)
+                    (iv.kind == sim::OpClass::Kernel ? uc : mem)
+                        .push_back({iv.start, iv.end});
+                mem = mergeIntervals(std::move(mem));
+                uc = mergeIntervals(std::move(uc));
+                const std::string where = app.name + " C=" +
+                                          std::to_string(c) + " N=" +
+                                          std::to_string(n);
+                EXPECT_EQ(fieldsOf(attributeBottleneck(res.timeline, mem,
+                                                       uc, res.cycles)),
+                          fieldsOf(attributeBottleneckOracle(
+                              res.timeline, mem, uc, res.cycles)))
+                    << where;
+                EXPECT_EQ(res.bottleneck.totalCycles(), res.cycles)
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(BottleneckTest, StreamingWindowsMatchOracleOutOfIssueOrder)
+{
+    // Random timelines whose windows arrive out of issue order (so
+    // every window union falls back to its final merge), with empty
+    // windows and random busy sets.
+    Prng prng(0xb0771e);
+    for (int k = 0; k < 1000; ++k) {
+        std::vector<sim::OpInterval> timeline;
+        int64_t cycles = 0;
+        // A window is empty a third of the time.
+        auto wait = [&prng](uint32_t most) -> int64_t {
+            return prng.below(3) == 0 ? 0 : prng.below(most);
+        };
+        for (int n = static_cast<int>(prng.below(30)); n > 0; --n) {
+            sim::OpInterval op;
+            op.sbWaitStart = prng.below(400);
+            op.issueStart = op.sbWaitStart + wait(20);
+            op.issueEnd = op.issueStart + wait(20);
+            op.readyCycle = op.issueEnd + wait(40);
+            cycles = std::max(cycles, op.readyCycle);
+            timeline.push_back(op);
+        }
+        const Ivs mem = mergeIntervals(randomIntervals(prng, false));
+        const Ivs uc = mergeIntervals(randomIntervals(prng, false));
+        for (const Ivs *v : {&mem, &uc})
+            if (!v->empty())
+                cycles = std::max(cycles, v->back().end);
+        cycles += prng.below(50);
+        EXPECT_EQ(fieldsOf(attributeBottleneck(timeline, mem, uc, cycles)),
+                  fieldsOf(attributeBottleneckOracle(timeline, mem, uc,
+                                                     cycles)))
+            << "case " << k;
+    }
 }
 
 } // namespace

@@ -27,7 +27,9 @@ mixResult(Fnv &h, const TransferResult &r)
 void
 mixBusyIntervals(Fnv &h, StreamMemSystem &sys)
 {
-    for (const BusyInterval &iv : sys.takeBusyIntervals()) {
+    std::vector<BusyInterval> ivs;
+    sys.takeBusyIntervals(ivs);
+    for (const BusyInterval &iv : ivs) {
         h.mix(static_cast<uint64_t>(iv.start));
         h.mix(static_cast<uint64_t>(iv.end));
     }
@@ -360,7 +362,9 @@ runProgram(StreamMemSystem &sys, const Program &prog)
                  r.dramReorderMax, r.aliasStallCycles,
                  std::bit_cast<int64_t>(r.wordsPerCycle)});
         }
-        for (const BusyInterval &iv : sys.takeBusyIntervals())
+        std::vector<BusyInterval> ivs;
+        sys.takeBusyIntervals(ivs);
+        for (const BusyInterval &iv : ivs)
             run.busyIntervals.insert(run.busyIntervals.end(),
                                      {iv.start, iv.end});
     }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "kernel/builder.h"
+#include "random_kernel.h"
 
 namespace sps::sched {
 namespace {
@@ -116,6 +120,56 @@ TEST(MiiTest, MinIiIsMaxOfBothBounds)
     MachineModel m = MachineModel::forSize({8, 5});
     DepGraph g = graphOf(b.build(), m);
     EXPECT_EQ(minII(g, m), std::max(resMii(g, m), recMii(g)));
+}
+
+TEST(MiiTest, MinIiMatchesMaxOfBoundsOnRandomKernels)
+{
+    // minII checks the recurrences once at ResMII and searches only
+    // above it; it must equal max(ResMII, RecMII) both where the
+    // recurrences fit at ResMII and, with latencies stretched, where
+    // they do not.
+    int searched = 0;
+    for (int seed = 0; seed < kRandomKernelSeeds; ++seed) {
+        const Kernel k = randomKernel(seed);
+        for (vlsi::MachineSize size : kRandomKernelSizes) {
+            MachineModel m = MachineModel::forSize(size);
+            for (int stretch : {1, 4, 16}) {
+                DepGraph g = graphOf(k, m);
+                for (DepEdge &e : g.edges)
+                    e.latency *= stretch;
+                const int rec = recMii(g);
+                EXPECT_EQ(minII(g, m), std::max(resMii(g, m), rec))
+                    << "seed " << seed << " C=" << size.clusters
+                    << " N=" << size.alusPerCluster << " x" << stretch;
+                searched += rec > resMii(g, m) ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(searched, 0);
+}
+
+TEST(MiiTest, RecurrenceBeyondSearchCapThrows)
+{
+    // A two-node recurrence of 2^21 + 1 cycles over one iteration
+    // fits no II up to the search cap of 2^20: a request's params can
+    // stretch latencies that far, so it is an exception the service
+    // returns as an error, not an abort.
+    DepGraph g;
+    g.nodes.resize(2);
+    g.edges = {DepEdge{0, 1, 1 << 21, 0}, DepEdge{1, 0, 1, 1}};
+    MachineModel m = MachineModel::forSize({8, 5});
+    for (int call = 0; call < 2; ++call) {
+        try {
+            if (call == 0)
+                recMii(g);
+            else
+                minII(g, m);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "recurrence infeasible even at II=1048576");
+        }
+    }
 }
 
 } // namespace

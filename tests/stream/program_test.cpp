@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "kernel/builder.h"
 #include "srf/srf.h"
@@ -125,6 +128,74 @@ TEST(ProgramTest, KernelsInternedInFirstCallOrder)
     EXPECT_EQ(p.ops()[1].kernelSlot, 0);
     EXPECT_EQ(p.ops()[2].kernelSlot, 1);
     EXPECT_EQ(p.ops()[3].kernelSlot, 0);
+}
+
+TEST(ProgramTest, LabelsDeriveFromKindAndName)
+{
+    static kernel::Kernel k = copyKernel();
+    StreamProgram p("app");
+    int in = p.declareStream("input_stream_long", 1, 64, true);
+    int out = p.declareStream("out", 1, 64);
+    p.load(in);
+    p.callKernel(&k, {in, out});
+    p.store(out);
+    EXPECT_EQ(p.label(p.ops()[0]), "load input_stream_long");
+    EXPECT_EQ(p.label(p.ops()[1]), "copy");
+    EXPECT_EQ(p.label(p.ops()[2]), "store out");
+    EXPECT_TRUE(p.args(p.ops()[0]).empty());
+
+    // Every op of every app at the pinned sizes: the label the
+    // builders wrote before labels were derived.
+    const auto apps = workloads::appSuite();
+    for (const workloads::AppEntry &app : apps) {
+        for (vlsi::MachineSize size : {vlsi::MachineSize{8, 5},
+                                       vlsi::MachineSize{128, 10}}) {
+            StreamProgram prog = app.build(
+                size, srf::SrfModel::forMachine(size,
+                                                vlsi::Params::imagine()));
+            for (const StreamOp &op : prog.ops()) {
+                std::string want =
+                    op.kind == OpKind::Kernel
+                        ? op.k->name
+                        : (op.kind == OpKind::Load ? "load " : "store ") +
+                              prog.streams()[static_cast<size_t>(op.stream)]
+                                  .name;
+                ASSERT_EQ(prog.label(op), want)
+                    << app.name << " C=" << size.clusters
+                    << " N=" << size.alusPerCluster;
+            }
+        }
+    }
+}
+
+TEST(ProgramTest, ArgsSurviveLaterCalls)
+{
+    // The argument array grows with every call; an op's args(op) is
+    // read through its offset, so the first call's arguments read the
+    // same after thousands of later calls have moved the array, even
+    // when those calls pass an earlier op's args(op) back in.
+    static kernel::Kernel k = copyKernel();
+    StreamProgram p("app");
+    int in = p.declareStream("in", 1, 64, true);
+    int out = p.declareStream("out", 1, 64);
+    p.callKernel(&k, {in, out});
+    std::vector<std::vector<int>> want{{in, out}};
+    for (int i = 0; i < 5000; ++i) {
+        if (i % 2 == 0) {
+            int a = p.declareStream("a" + std::to_string(i), 1, 64);
+            p.callKernel(&k, {a, out});
+            want.push_back({a, out});
+        } else {
+            p.callKernel(&k, p.args(p.ops()[0]));
+            want.push_back({in, out});
+        }
+    }
+    ASSERT_EQ(p.ops().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const std::span<const int> args = p.args(p.ops()[i]);
+        EXPECT_EQ(std::vector<int>(args.begin(), args.end()), want[i])
+            << "op " << i;
+    }
 }
 
 // The program fingerprint keys every simulation result in a result

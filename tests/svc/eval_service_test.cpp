@@ -392,6 +392,25 @@ TEST(EvalServiceTest, BadMemoryOverrideDeliversExceptionNotAbort)
     EXPECT_GT(service.eval(kPoint).cycles, 0);
 }
 
+TEST(EvalServiceTest, InfeasibleRecurrenceDeliversExceptionNotAbort)
+{
+    // A t_cyc this small turns every latency into 10^5-10^6 pipeline
+    // stages, so QRD's housegen accumulator recurrence no longer fits
+    // under the recurrence search's 2^20 cap. That is the request's
+    // fault: it comes back as runtime_error, and the service answers
+    // the next request.
+    core::EvalEngine engine(2);
+    EvalService service(&engine);
+    for (double t_cyc : {1e-5, 1e-6}) {
+        sim::SimConfig cfg;
+        cfg.params.tCyc = t_cyc;
+        EXPECT_THROW(service.eval(EvalPoint{"QRD", {8, 5}, cfg}),
+                     std::runtime_error)
+            << "t_cyc " << t_cyc;
+    }
+    EXPECT_GT(service.eval(kPoint).cycles, 0);
+}
+
 TEST(EvalServiceTest, EffectiveConfigPointSizeWins)
 {
     sim::SimConfig cfg;
