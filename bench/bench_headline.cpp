@@ -30,8 +30,11 @@
  * Each kernel calls the three engines in turn for a fixed number of
  * rounds and keeps each engine's fastest call, so a change in host
  * load falls on all three alike instead of on one engine's block.
- * The SIMD aggregate speedup is gated (>= 10x over the reference) via
- * the exit code, alongside the energy within-2x gate.
+ * The table runs at C = 8 (COMM as one in-register permute) and again
+ * at C = 3 (the path of every C that does not divide the vector
+ * width). The C = 8 SIMD aggregate speedup is gated (>= 10x over the
+ * reference) via the exit code, alongside the energy within-2x gate;
+ * the C = 3 table is reported only.
  *
  * Finally cross-checks the measured energy model against the
  * analytical one: intercluster energy-per-ALU-op scaling at
@@ -636,8 +639,17 @@ struct InterpRow
     double fusedFraction = 0.0;
 };
 
+/** One interpreter table: every Table-4 kernel at one cluster count. */
+struct InterpTable
+{
+    int clusters = 0;
+    std::vector<InterpRow> rows;
+    /** Total reference time over total SIMD time. */
+    double aggregate = 0.0;
+};
+
 /**
- * Interpreter throughput per Table-4 kernel at C = 8: stream words
+ * Interpreter throughput per Table-4 kernel at C = c: stream words
  * moved per second (inputs + outputs) through the reference engine,
  * the lowered engine forced scalar, and the lowered engine on the
  * host's best SIMD backend. Each round calls the three engines once
@@ -645,12 +657,14 @@ struct InterpRow
  * kInterpRounds rounds. The aggregate speedup is total reference time
  * over total SIMD time for the whole suite.
  */
-std::vector<InterpRow>
-interpThroughput(int c, int64_t records, double *aggregate)
+InterpTable
+interpThroughput(int c, int64_t records)
 {
     using namespace sps;
     const interp::SimdBackend best = interp::bestSimdBackend();
-    std::vector<InterpRow> rows;
+    InterpTable table;
+    table.clusters = c;
+    std::vector<InterpRow> &rows = table.rows;
     double ref_total = 0.0, simd_total = 0.0;
     for (const auto &entry : workloads::kernelSuite()) {
         auto inputs = makeTable4Inputs(entry.name, records);
@@ -684,8 +698,28 @@ interpThroughput(int c, int64_t records, double *aggregate)
         simd_total += simd;
         rows.push_back(row);
     }
-    *aggregate = simd_total > 0.0 ? ref_total / simd_total : 0.0;
-    return rows;
+    table.aggregate = simd_total > 0.0 ? ref_total / simd_total : 0.0;
+    return table;
+}
+
+/** The printed form of one interpreter table. */
+std::string
+interpTableText(const InterpTable &table)
+{
+    using sps::TextTable;
+    TextTable it;
+    it.header({"Kernel", "ref Mwords/s", "scalar Mwords/s",
+               "simd Mwords/s", "speedup", "fused frac"});
+    for (const InterpRow &r : table.rows)
+        it.row({r.name, TextTable::num(r.refWps / 1e6, 1),
+                TextTable::num(r.scalarWps / 1e6, 1),
+                TextTable::num(r.simdWps / 1e6, 1),
+                TextTable::num(r.refWps > 0.0 ? r.simdWps / r.refWps
+                                              : 0.0,
+                               2) +
+                    "x",
+                TextTable::num(r.fusedFraction, 2)});
+    return it.toString();
 }
 
 struct EnergyScalePoint
@@ -839,9 +873,14 @@ writeSuiteJson(const char *path, const std::vector<SuiteRow> &rows,
     std::fclose(f);
 }
 
+/**
+ * BENCH_interp.json: one row per (kernel, C), the gated table's rows
+ * first; `aggregate_speedup` is the gated table's, and `aggregates`
+ * lists every table's.
+ */
 void
-writeInterpJson(const char *path, int c, int64_t records,
-                const std::vector<InterpRow> &rows, double aggregate)
+writeInterpJson(const char *path, int64_t records,
+                const std::vector<InterpTable> &tables)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -849,30 +888,43 @@ writeInterpJson(const char *path, int c, int64_t records,
         return;
     }
     std::fprintf(f,
-                 "{\n  \"clusters\": %d,\n  \"records\": %lld,\n"
+                 "{\n  \"gate_clusters\": %d,\n  \"records\": %lld,\n"
                  "  \"rounds\": %d,\n"
                  "  \"simd_backend\": \"%s\",\n  \"kernels\": [\n",
-                 c, static_cast<long long>(records), kInterpRounds,
+                 tables.front().clusters,
+                 static_cast<long long>(records), kInterpRounds,
                  sps::interp::simdBackendName(
                      sps::interp::bestSimdBackend()));
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const InterpRow &r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"words_per_run\": %lld, "
-            "\"reference_words_per_sec\": %.4e, "
-            "\"scalar_words_per_sec\": %.4e, "
-            "\"simd_words_per_sec\": %.4e, "
-            "\"scalar_speedup\": %.3f, \"speedup\": %.3f, "
-            "\"fused_fraction\": %.3f}%s\n",
-            r.name.c_str(), static_cast<long long>(r.words), r.refWps,
-            r.scalarWps, r.simdWps,
-            r.refWps > 0.0 ? r.scalarWps / r.refWps : 0.0,
-            r.refWps > 0.0 ? r.simdWps / r.refWps : 0.0,
-            r.fusedFraction, i + 1 < rows.size() ? "," : "");
+    for (size_t t = 0; t < tables.size(); ++t) {
+        const std::vector<InterpRow> &rows = tables[t].rows;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const InterpRow &r = rows[i];
+            const bool last = t + 1 == tables.size() && i + 1 == rows.size();
+            std::fprintf(
+                f,
+                "    {\"name\": \"%s\", \"clusters\": %d, "
+                "\"words_per_run\": %lld, "
+                "\"reference_words_per_sec\": %.4e, "
+                "\"scalar_words_per_sec\": %.4e, "
+                "\"simd_words_per_sec\": %.4e, "
+                "\"scalar_speedup\": %.3f, \"speedup\": %.3f, "
+                "\"fused_fraction\": %.3f}%s\n",
+                r.name.c_str(), tables[t].clusters,
+                static_cast<long long>(r.words), r.refWps, r.scalarWps,
+                r.simdWps,
+                r.refWps > 0.0 ? r.scalarWps / r.refWps : 0.0,
+                r.refWps > 0.0 ? r.simdWps / r.refWps : 0.0,
+                r.fusedFraction, last ? "" : ",");
+        }
     }
-    std::fprintf(f, "  ],\n  \"aggregate_speedup\": %.3f\n}\n",
-                 aggregate);
+    std::fprintf(f, "  ],\n  \"aggregate_speedup\": %.3f,\n"
+                    "  \"aggregates\": [",
+                 tables.front().aggregate);
+    for (size_t t = 0; t < tables.size(); ++t)
+        std::fprintf(f, "%s{\"clusters\": %d, \"speedup\": %.3f}",
+                     t ? ", " : "", tables[t].clusters,
+                     tables[t].aggregate);
+    std::fprintf(f, "]\n}\n");
     std::fclose(f);
 }
 
@@ -1035,40 +1087,31 @@ main(int argc, char **argv)
     for (const auto &line : sps::obs::counterLines(registry->snapshot()))
         std::printf("  %s\n", line.c_str());
 
-    // --- Interpreter throughput: reference vs scalar vs SIMD ---
-    const int interp_c = 8;
+    // --- Interpreter throughput: reference vs scalar vs SIMD, at the
+    // gated C = 8 and at C = 3, the path of every C that does not
+    // divide the vector width ---
     const int64_t interp_records = 8192;
-    double aggregate = 0.0;
-    std::vector<InterpRow> rows =
-        interpThroughput(interp_c, interp_records, &aggregate);
-
-    TextTable it;
-    it.header({"Kernel", "ref Mwords/s", "scalar Mwords/s",
-               "simd Mwords/s", "speedup", "fused frac"});
-    for (const InterpRow &r : rows)
-        it.row({r.name, TextTable::num(r.refWps / 1e6, 1),
-                TextTable::num(r.scalarWps / 1e6, 1),
-                TextTable::num(r.simdWps / 1e6, 1),
-                TextTable::num(r.refWps > 0.0 ? r.simdWps / r.refWps
-                                              : 0.0,
-                               2) +
-                    "x",
-                TextTable::num(r.fusedFraction, 2)});
+    const std::vector<InterpTable> tables{
+        interpThroughput(8, interp_records),
+        interpThroughput(3, interp_records)};
     const double interp_gate = 10.0;
-    const bool interp_fast = aggregate >= interp_gate;
-    std::printf("\nInterpreter throughput: Table-4 kernels at C=%d, "
-                "%lld records, fastest of %d interleaved rounds "
-                "(simd backend: %s)\n\n%s\n"
-                "aggregate simd-vs-reference speedup: %.2fx "
-                "(gate: >= %.0fx: %s; written to BENCH_interp.json)\n",
-                interp_c, static_cast<long long>(interp_records),
-                kInterpRounds,
-                sps::interp::simdBackendName(
-                    sps::interp::bestSimdBackend()),
-                it.toString().c_str(), aggregate, interp_gate,
-                interp_fast ? "yes" : "NO");
-    writeInterpJson("BENCH_interp.json", interp_c, interp_records,
-                    rows, aggregate);
+    const bool interp_fast = tables[0].aggregate >= interp_gate;
+    for (const InterpTable &table : tables)
+        std::printf("\nInterpreter throughput: Table-4 kernels at C=%d, "
+                    "%lld records, fastest of %d interleaved rounds "
+                    "(simd backend: %s)\n\n%s\n"
+                    "aggregate simd-vs-reference speedup: %.2fx\n",
+                    table.clusters,
+                    static_cast<long long>(interp_records),
+                    kInterpRounds,
+                    sps::interp::simdBackendName(
+                        sps::interp::bestSimdBackend()),
+                    interpTableText(table).c_str(), table.aggregate);
+    std::printf("C=%d aggregate gate: >= %.0fx: %s (C=%d reported "
+                "only; written to BENCH_interp.json)\n",
+                tables[0].clusters, interp_gate,
+                interp_fast ? "yes" : "NO", tables[1].clusters);
+    writeInterpJson("BENCH_interp.json", interp_records, tables);
 
     // --- Energy model: measured vs analytical Figure 10 scaling ---
     std::vector<EnergyScalePoint> epts = energyScaling(parallel);

@@ -32,9 +32,13 @@ commExchange(const isa::Word *sent, int c, const isa::Word *src_sel,
         return;
     }
     for (int cl = 0; cl < c; ++cl) {
-        int src = src_sel[cl].asInt() % c;
-        if (src < 0)
-            src += c;
+        int src = src_sel[cl].asInt();
+        // A selector already in [0, c) needs no divide.
+        if (static_cast<unsigned>(src) >= static_cast<unsigned>(c)) {
+            src %= c;
+            if (src < 0)
+                src += c;
+        }
         dst[cl] = sent[static_cast<size_t>(src)];
     }
 }

@@ -12,10 +12,11 @@
  * buffers (== c, or c * fuse when adjacent full strips are fused into
  * a megastrip). `ew` is the execution width of the current span: the
  * number of lanes one virtual iteration advances the streams by
- * (== stride while fused, == c otherwise). Unguarded stream ops
- * address records at iter * ew * recordWords; guarded ops and all
- * cross-lane ops (COMM, conditional streams, scratchpad, phi) only
- * ever run with ew == c.
+ * (c * fuse for a whole fused block, c * rest for the leftover block,
+ * c otherwise). Unguarded stream ops address records at
+ * (firstRecord + iter * ew) * recordWords; guarded ops and the
+ * stateful ops (conditional streams, scratchpad, phi) only ever run
+ * with ew == c, and COMM exchanges within each c-wide sub-strip.
  */
 #ifndef SPS_INTERP_EXEC_SPAN_H
 #define SPS_INTERP_EXEC_SPAN_H
@@ -53,6 +54,9 @@ struct ExecCtx
     int c = 0;
     /** Row pitch of val/hist (>= c; == c * fuse when fused). */
     size_t stride = 0;
+    /** Record that lane 0 of virtual iteration 0 holds: 0, or the
+     *  first record of a leftover block run as its iteration 0. */
+    int64_t firstRecord = 0;
     int64_t driverRecords = 0;
     const std::vector<StreamData> *inputs = nullptr;
     ExecResult *result = nullptr;
@@ -60,6 +64,9 @@ struct ExecCtx
     isa::Word *scratch = nullptr;
     isa::Word *hist = nullptr;
     int64_t *condCursor = nullptr;
+    /** Lane -> first lane of its c-wide sub-strip (l - l % c), one
+     *  entry per lane of a row: the wide tier's COMM gather. */
+    const int32_t *subStripBase = nullptr;
 };
 
 /**
@@ -178,14 +185,22 @@ execInsn(const ExecCtx &ctx, const LoweredInsn &insn, int64_t iter,
       case Opcode::FFloor:
         SPS_UN(wf(isa::fpFloor(x.asFloat())));
       case Opcode::LoopIndex: {
+        // Lane cl holds real iteration (firstRecord + iter * ew) / c
+        // + cl / c: a fused span's lanes repeat each strip's index c
+        // times, counted here rather than divided per lane.
+        const int64_t base = (ctx.firstRecord + iter * ew) / c;
         if (ew > c) {
-            // Fused megastrip: lane cl holds real iteration
-            // iter * fuse + cl / c.
-            const int64_t base = iter * (ew / c);
-            for (int cl = lane0; cl < lane1; ++cl)
-                D[cl] = wi(base + cl / c);
+            int64_t it = base + lane0 / c;
+            int r = lane0 % c;
+            for (int cl = lane0; cl < lane1; ++cl) {
+                D[cl] = wi(it);
+                if (++r == c) {
+                    r = 0;
+                    ++it;
+                }
+            }
         } else {
-            std::fill(D + lane0, D + lane1, wi(iter));
+            std::fill(D + lane0, D + lane1, wi(base));
         }
         break;
       }
@@ -207,10 +222,10 @@ execInsn(const ExecCtx &ctx, const LoweredInsn &insn, int64_t iter,
             (*ctx.inputs)[static_cast<size_t>(insn.ordinal)];
         const size_t rw = static_cast<size_t>(insn.recordWords);
         if constexpr (!Guarded) {
-            const Word *src = in.words.data() +
-                              static_cast<size_t>(iter) *
-                                  static_cast<size_t>(ew) * rw +
-                              static_cast<size_t>(insn.field);
+            const Word *src =
+                in.words.data() +
+                static_cast<size_t>(ctx.firstRecord + iter * ew) * rw +
+                static_cast<size_t>(insn.field);
             if (rw == 1) {
                 std::copy(src + lane0, src + lane1, D + lane0);
             } else {
@@ -235,10 +250,10 @@ execInsn(const ExecCtx &ctx, const LoweredInsn &insn, int64_t iter,
         const Word *S = val + static_cast<size_t>(insn.a0) * stride;
         const size_t rw = static_cast<size_t>(insn.recordWords);
         if constexpr (!Guarded) {
-            Word *dst = out.words.data() +
-                        static_cast<size_t>(iter) *
-                            static_cast<size_t>(ew) * rw +
-                        static_cast<size_t>(insn.field);
+            Word *dst =
+                out.words.data() +
+                static_cast<size_t>(ctx.firstRecord + iter * ew) * rw +
+                static_cast<size_t>(insn.field);
             if (rw == 1) {
                 std::copy(S + lane0, S + lane1, dst + lane0);
             } else {
@@ -334,22 +349,30 @@ latchPhis(const ExecCtx &ctx, int64_t iter)
     }
 }
 
-/** Scalar backend: run iterations [from, to) at width c. */
+/**
+ * Run body ops [bodyBegin, bodyEnd) of iterations [from, to) at width
+ * ew one op at a time through execInsn; `latch` fires the phi latch.
+ * The scalar backend and the guarded tail run whole bodies at ew == c;
+ * the SIMD tiers send spans too narrow for any vector here.
+ */
 template <bool Guarded>
 inline void
-runSpanScalar(const ExecCtx &ctx, int64_t from, int64_t to)
+runSpanScalar(const ExecCtx &ctx, int64_t from, int64_t to, int ew,
+              int bodyBegin, int bodyEnd, bool latch)
 {
+    const LoweredInsn *body = ctx.lk->body.data();
     for (int64_t iter = from; iter < to; ++iter) {
-        for (const LoweredInsn &insn : ctx.lk->body)
-            execInsn<Guarded>(ctx, insn, iter, ctx.c, 0, ctx.c);
-        latchPhis(ctx, iter);
+        for (int bi = bodyBegin; bi < bodyEnd; ++bi)
+            execInsn<Guarded>(ctx, body[bi], iter, ew, 0, ew);
+        if (latch)
+            latchPhis(ctx, iter);
     }
 }
 
 /**
  * SIMD backends (interp/simd.cpp): run body ops [bodyBegin, bodyEnd)
  * of unguarded virtual iterations [from, to) at execution width `ew`
- * (ew == c * fuse for fused megastrip spans, ew == c for plain strips
+ * (a multiple of c for fused megastrip spans, ew == c for plain strips
  * and partial-fusion serial cores). `latch` fires the end-of-iteration
  * phi latch. `backend` must be a supported non-Scalar tier.
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/log.h"
 #include "interp/exec_span.h"
@@ -155,43 +156,79 @@ partitionRegions(const Kernel &k, const std::vector<int> &bodyOf,
 }
 
 /**
- * Partial megastrip fusion over one run's steady-state blocks: for
- * each block of `fuse` adjacent full strips, run the fusible prefix
- * once across all c * fuse lanes, iterate the serial core strip by
- * strip in strict iteration order (a pointer-bumped ExecCtx windows
- * lanes [t*c, (t+1)*c) of the megastrip SoA rows; scratch, cursors and
- * phi history are deliberately NOT shifted — they are per-cluster
- * state addressed at lanes [0, c)), then run the fusible suffix once
- * across all lanes. The phi latch fires inside the core phase, per
- * real iteration, exactly as in unfused execution.
+ * Partial megastrip fusion over `blocks` blocks of `fuse` adjacent
+ * full strips starting at strip `firstStrip`: for each block, run the
+ * fusible prefix once across all c * fuse lanes, iterate the serial
+ * core strip by strip in strict iteration order (a pointer-bumped
+ * ExecCtx windows lanes [t*c, (t+1)*c) of the megastrip SoA rows;
+ * scratch, cursors and phi history are deliberately NOT shifted — they
+ * are per-cluster state addressed at lanes [0, c)), then run the
+ * fusible suffix once across all lanes. Core strips run at their real
+ * strip index, so the phi latch fires per real iteration exactly as in
+ * unfused execution.
  */
 void
 runPartialFused(SimdBackend backend, const detail::ExecCtx &ctx,
-                int64_t blocks, int64_t fuse)
+                int64_t firstStrip, int64_t blocks, int64_t fuse)
 {
     const LoweredKernel &lk = *ctx.lk;
     const int c = ctx.c;
     const int ewFused = static_cast<int>(c * fuse);
     const int nbody = static_cast<int>(lk.body.size());
+    detail::ExecCtx fused = ctx;
+    fused.firstRecord = firstStrip * c;
     detail::ExecCtx strip = ctx;
     for (int64_t b = 0; b < blocks; ++b) {
         if (lk.coreBegin > 0)
-            detail::runSpanSimd(backend, ctx, b, b + 1, ewFused, 0,
+            detail::runSpanSimd(backend, fused, b, b + 1, ewFused, 0,
                                 lk.coreBegin, /*latch=*/false);
+        const int64_t s0 = firstStrip + b * fuse;
         for (int64_t t = 0; t < fuse; ++t) {
             strip.val =
                 ctx.val + static_cast<size_t>(t) * static_cast<size_t>(c);
-            detail::runSpanSimd(backend, strip, b * fuse + t,
-                                b * fuse + t + 1, c, lk.coreBegin,
-                                lk.coreEnd, /*latch=*/true);
+            detail::runSpanSimd(backend, strip, s0 + t, s0 + t + 1, c,
+                                lk.coreBegin, lk.coreEnd,
+                                /*latch=*/true);
         }
         if (lk.coreEnd < nbody)
-            detail::runSpanSimd(backend, ctx, b, b + 1, ewFused,
+            detail::runSpanSimd(backend, fused, b, b + 1, ewFused,
                                 lk.coreEnd, nbody, /*latch=*/false);
     }
 }
 
+/** Run `blocks` blocks of `fuse` full strips from strip `firstStrip`
+ *  on a SIMD backend: unfused, fully fused, or partially fused. */
+void
+runBlocks(SimdBackend backend, const detail::ExecCtx &ctx,
+          int64_t firstStrip, int64_t blocks, int64_t fuse)
+{
+    if (fuse == 1) {
+        detail::runSteadySimd(backend, ctx, firstStrip,
+                              firstStrip + blocks, ctx.c);
+    } else if (ctx.lk->fusible) {
+        // No phi, so virtual iterations need not be real ones.
+        detail::ExecCtx fused = ctx;
+        fused.firstRecord = firstStrip * ctx.c;
+        detail::runSteadySimd(backend, fused, 0, blocks,
+                              static_cast<int>(ctx.c * fuse));
+    } else {
+        runPartialFused(backend, ctx, firstStrip, blocks, fuse);
+    }
+}
+
 } // namespace
+
+int
+fusedStrips(int c, SimdBackend backend)
+{
+    if (backend == SimdBackend::Scalar)
+        return 1;
+    const int w = backend == SimdBackend::Avx2 ? 8 : 4;
+    const int64_t unit = std::lcm<int64_t>(c, w);
+    if (unit > 128)
+        return std::max(1, 64 / c);
+    return static_cast<int>(std::max<int64_t>(1, 64 / unit) * unit / c);
+}
 
 LoweredKernel
 lowerKernel(const Kernel &k)
@@ -324,21 +361,22 @@ executeLowered(const LoweredKernel &lk, int c,
     // Megastrip fusion (SIMD backends): treat `fuse` adjacent full
     // strips as one virtual strip of c * fuse lanes so narrow cluster
     // counts still fill whole vectors and per-iteration dispatch
-    // amortizes. For fully fusible bodies (no cross-iteration state)
-    // the whole body fuses: lane l = it * c + cl of the megastrip
-    // computes exactly what strip it, cluster cl computes, and the
-    // only cross-lane traffic (CommPerm) stays inside each c-wide
-    // sub-strip. Under FusionPolicy::Partial, bodies with a
+    // amortizes. fusedStrips makes that width a whole number of
+    // vectors for every c. For fully fusible bodies (no cross-iteration
+    // state) the whole body fuses: lane l = it * c + cl of the
+    // megastrip computes exactly what strip it, cluster cl computes,
+    // and the only cross-lane traffic (CommPerm) stays inside each
+    // c-wide sub-strip. Under FusionPolicy::Partial, bodies with a
     // loop-carried core still fuse their prefix/suffix regions and
-    // serialize only the core (runPartialFused). Leftover strips past
-    // the last full block run unfused through the same buffers.
+    // serialize only the core (runPartialFused). The strips past the
+    // last whole block run as one more, narrower block.
     const bool partial = !lk.fusible &&
                          fusion == FusionPolicy::Partial &&
                          lk.partiallyFusible();
     int64_t fuse = 1;
-    if (backend != SimdBackend::Scalar && steady > 1 &&
-        fusion != FusionPolicy::Off && (lk.fusible || partial))
-        fuse = std::clamp<int64_t>(64 / c, 1, steady);
+    if (steady > 1 && fusion != FusionPolicy::Off &&
+        (lk.fusible || partial))
+        fuse = std::min<int64_t>(fusedStrips(c, backend), steady);
 
     // Structure-of-arrays state: row `op`, stride adjacent lane words
     // (stride == c unfused). Scratch stays c-wide: scratchpad ops are
@@ -350,6 +388,9 @@ executeLowered(const LoweredKernel &lk, int c,
     std::vector<Word> hist(static_cast<size_t>(lk.histRows) * stride);
     std::vector<int64_t> cond_cursor(static_cast<size_t>(lk.nStreams),
                                      0);
+    std::vector<int32_t> sub_base(stride);
+    for (size_t l = 0; l < stride; ++l)
+        sub_base[l] = static_cast<int32_t>(l - l % cw);
 
     const int lanes = static_cast<int>(stride);
     for (const LoweredInsn &insn : lk.preamble) {
@@ -384,23 +425,21 @@ executeLowered(const LoweredKernel &lk, int c,
     ctx.scratch = scratch.data();
     ctx.hist = hist.data();
     ctx.condCursor = cond_cursor.data();
+    ctx.subStripBase = sub_base.data();
 
+    const int nbody = static_cast<int>(lk.body.size());
     if (backend == SimdBackend::Scalar) {
-        detail::runSpanScalar<false>(ctx, 0, steady);
+        detail::runSpanScalar<false>(ctx, 0, steady, c, 0, nbody,
+                                     /*latch=*/true);
     } else {
         const int64_t blocks = steady / fuse;
-        if (blocks > 0) {
-            if (fuse == 1 || lk.fusible)
-                detail::runSteadySimd(backend, ctx, 0, blocks,
-                                      static_cast<int>(cw * fuse));
-            else
-                runPartialFused(backend, ctx, blocks, fuse);
-        }
-        if (blocks * fuse < steady)
-            detail::runSteadySimd(backend, ctx, blocks * fuse, steady,
-                                  c);
+        const int64_t rest = steady % fuse;
+        runBlocks(backend, ctx, 0, blocks, fuse);
+        if (rest > 0)
+            runBlocks(backend, ctx, blocks * fuse, 1, rest);
     }
-    detail::runSpanScalar<true>(ctx, steady, iterations);
+    detail::runSpanScalar<true>(ctx, steady, iterations, c, 0, nbody,
+                                /*latch=*/true);
     return result;
 }
 

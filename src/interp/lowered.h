@@ -61,9 +61,9 @@ enum class LaneClass : uint8_t
     Scalar = 4,
     /** Cross-lane but confined to one iteration's c-wide strip
      *  (CommPerm): legal under megastrip fusion by exchanging within
-     *  each c-wide sub-strip, and vectorizable on the wide tier as an
-     *  in-register permute when c is a power of two <= the vector
-     *  width. */
+     *  each c-wide sub-strip, and vectorized on the wide tier as an
+     *  in-register permute when c divides the vector width, as a
+     *  gather from each lane's sub-strip otherwise. */
     Cross = 5,
 };
 
@@ -230,6 +230,16 @@ struct LoweredKernel
                          static_cast<double>(body.size());
     }
 };
+
+/**
+ * Strips per megastrip block at `c` clusters on `backend`. The fused
+ * width c * fusedStrips(c, backend) is the largest multiple of
+ * lcm(c, W) not above 64 lanes, and at least one lcm, W being the
+ * backend's vector width: every op of a whole block then runs whole
+ * vectors. When lcm(c, W) exceeds 128 lanes the block keeps
+ * max(1, 64 / c) strips. The scalar backend never fuses (1).
+ */
+int fusedStrips(int c, SimdBackend backend);
 
 /** Lower `k` (validating it once). Uncached; see LoweredCache. */
 LoweredKernel lowerKernel(const kernel::Kernel &k);

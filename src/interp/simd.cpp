@@ -113,10 +113,17 @@ void
 runSpanSimd(SimdBackend backend, const ExecCtx &ctx, int64_t from,
             int64_t to, int ew, int bodyBegin, int bodyEnd, bool latch)
 {
+    // Below four lanes no tier fills a vector: run each op once
+    // through the scalar executor rather than dispatching it twice.
+    if (ew < 4) {
+        runSpanScalar<false>(ctx, from, to, ew, bodyBegin, bodyEnd,
+                             latch);
+        return;
+    }
 #if SPS_HAVE_X86_SIMD
     // An 8-wide strip executor over fewer than 8 lanes would fall
     // through to all-scalar remainders; hand narrow widths to the
-    // 4-wide tier instead (which itself scalarizes below 4 lanes).
+    // 4-wide tier instead.
     if (backend == SimdBackend::Avx2 && ew >= 8)
         avx2_tier::runSpan(ctx, from, to, ew, bodyBegin, bodyEnd,
                            latch);

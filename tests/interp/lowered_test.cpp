@@ -7,6 +7,7 @@
  * handmade kernels exercising COMM, scratchpad, phi, and conditional
  * streams.
  */
+#include <numeric>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -407,6 +408,45 @@ TEST(LoweredKernelTest, PartialFusionMatchesReferenceOnSandwich)
             }
         }
     }
+}
+
+TEST(LoweredKernelTest, FusedWidthIsWholeVectors)
+{
+    // Every block of fusedStrips(c, tier) strips runs whole vectors:
+    // its width is the largest multiple of lcm(c, W) within 64 lanes,
+    // or one lcm when that alone is wider. Past 128 lanes the block
+    // keeps 64 / c strips.
+    for (SimdBackend tier : {SimdBackend::Sse2, SimdBackend::Avx2}) {
+        const int w = tier == SimdBackend::Avx2 ? 8 : 4;
+        for (int c = 1; c <= 130; ++c) {
+            const int strips = fusedStrips(c, tier);
+            const int width = strips * c;
+            const int unit = std::lcm(c, w);
+            ASSERT_GE(strips, 1) << "C=" << c;
+            if (unit <= 128) {
+                EXPECT_EQ(width % w, 0) << simdBackendName(tier)
+                                        << " C=" << c;
+                EXPECT_EQ(width % unit, 0) << simdBackendName(tier)
+                                           << " C=" << c;
+                EXPECT_TRUE(width <= 64 || width == unit)
+                    << simdBackendName(tier) << " C=" << c;
+                EXPECT_GT(width + unit, 64) << simdBackendName(tier)
+                                            << " C=" << c;
+            } else {
+                EXPECT_EQ(strips, std::max(1, 64 / c))
+                    << simdBackendName(tier) << " C=" << c;
+            }
+        }
+    }
+    EXPECT_EQ(fusedStrips(3, SimdBackend::Avx2), 16);
+    EXPECT_EQ(fusedStrips(3, SimdBackend::Sse2), 20);
+    for (int c : {1, 2, 4, 8, 16, 32}) {
+        EXPECT_EQ(fusedStrips(c, SimdBackend::Avx2) * c, 64);
+        EXPECT_EQ(fusedStrips(c, SimdBackend::Sse2) * c, 64);
+    }
+    for (int c : {65, 72, 100, 128, 130})
+        EXPECT_EQ(fusedStrips(c, SimdBackend::Avx2), 1) << "C=" << c;
+    EXPECT_EQ(fusedStrips(3, SimdBackend::Scalar), 1);
 }
 
 TEST(LoweredCacheTest, OneEntryServesEveryBackend)

@@ -324,8 +324,11 @@ pickLength(Prng &rng, int c)
                                  base + static_cast<int64_t>(rng.below(3)) - 1);
       }
       case 2: {
-        // Straddle the megastrip block boundary (fuse ~= 64 / c).
-        const int64_t block = std::max(1, 64 / c) * c;
+        // Straddle either SIMD tier's megastrip block boundary.
+        const SimdBackend tier =
+            rng.below(2) == 0 ? SimdBackend::Sse2 : SimdBackend::Avx2;
+        const int64_t block =
+            static_cast<int64_t>(sps::interp::fusedStrips(c, tier)) * c;
         return std::max<int64_t>(
             0, block + static_cast<int64_t>(rng.below(3)) - 1);
       }
@@ -424,7 +427,8 @@ runCase(const GenKernel &gk, uint64_t seed, int c,
     }
 }
 
-constexpr int kClusterSet[] = {1, 3, 4, 7, 8, 9, 15, 16, 17, 32};
+constexpr int kClusterSet[] = {1,  3,  4,  5,  6,  7,  8,
+                               9,  12, 15, 16, 17, 24, 32};
 
 TEST(SimdFuzzTest, DifferentialCorpus)
 {
